@@ -2,11 +2,11 @@
 
 Subpackages
 -----------
-linalg      dense kernels: Hermitian eigensolver wrapper, Pfaffian, polar, phase tracking
+linalg      dense kernels: stacked products, Pfaffian, polar factor, phase tracking
 models      registry of gapped Bloch Hamiltonian families + sampled-Hamiltonian ingest
-bloch       BZ grids, frame fields, smooth gauges, sewing matrices, Berry connections
+bloch       frame fields, the shared gauge pipeline, sewing matrices, Berry connections
 eqforms     cubical cochain calculus and the fixed-point localisation descent
-invariants  the five Kane-Mele routes and the cross-validated report
+invariants  the Kane-Mele routes and the cross-validated report
 sphere      S3 angular meshes and the hemisphere descent for continuum Dirac models
 cli         command line front end (`tki`)
 """

@@ -2,8 +2,17 @@
 
 The pipeline here feeds every invariant route:
 
-    diagonalize_grid -> smooth_gauge -> sewing_field -> su_reduce
-                                     -> berry_connection -> quaternionic_average
+    diagonalize_grid -> gauge_pipeline -> berry_connection
+                                       -> quaternionic_average
+
+    gauge_pipeline = smooth_gauge -> sewing_field -> su_reduce
+
+Every gauge-dependent route gets its frames and sewing fields from
+`gauge_pipeline`.  The shared kernels live here too: `link_log` (principal
+log of the link unitaries, behind the Berry connection, the quaternionic
+map, the Maurer-Cartan links and the S^3 density), `plaquette_flux` (behind
+both plane Chern counts) and `_antisym_trace3` over `_PERMS3` (behind both
+WZW densities and the Chern-Simons integral).
 
 Conventions.  Frames u(k) are n_bands x m matrices of occupied eigenvectors.
 The sewing matrix is w_ab(k) = <u_a(-k), Theta u_b(k)>; it is unitary when the
@@ -20,8 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import BZGrid
-
-_AH = lambda X: 0.5 * (X - np.swapaxes(X, -1, -2).conj())  # noqa: E731
+from .linalg import _AH, _dag, _mm, batched_polar_unitary, phase_continue
 
 
 class BlochError(ValueError):
@@ -58,14 +66,6 @@ class DetWinding(BlochError):
 
 class GaugeMismatch(BlochError):
     pass
-
-
-def _mm(X, Y):
-    return np.einsum("...ab,...bc->...ac", X, Y)
-
-
-def _dag(X):
-    return np.swapaxes(X, -1, -2).conj()
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,12 @@ class ConnectionField:
 # diagonalization
 # ---------------------------------------------------------------------------
 
-def diagonalize_grid(model, grid: BZGrid) -> FrameField:
-    """Occupied eigenframes of the model on every grid node."""
+def diagonalize_grid(model, grid: BZGrid, gap: float = 1e-8) -> FrameField:
+    """Occupied eigenframes of the model on every grid node.
+
+    Raises GaplessAt when an occupied level rises to -gap or an empty one
+    drops to +gap anywhere on the grid.
+    """
     H = model.hamiltonian_batch(grid.node_mesh())
     try:
         ev, vec = np.linalg.eigh(H)
@@ -140,7 +144,7 @@ def diagonalize_grid(model, grid: BZGrid) -> FrameField:
         raise EigFailure(str(exc)) from exc
     m = model.n_occ
     below, above = ev[..., m - 1], ev[..., m]
-    if below.max() >= -1e-8 or above.min() <= 1e-8:
+    if below.max() >= -gap or above.min() <= gap:
         node = np.unravel_index(int(np.argmin(above - below)), below.shape)
         raise GaplessAt(f"gap closes near node {node}")
     return FrameField(grid, vec[..., :, :m], ev[..., :m])
@@ -150,14 +154,19 @@ def diagonalize_grid(model, grid: BZGrid) -> FrameField:
 # plane Chern numbers (gauge invariant, plaquette link method)
 # ---------------------------------------------------------------------------
 
-def plane_flux_sum(frames2d: np.ndarray):
-    """(total flux, Chern integer, integrality residual) of a 2-d frame array."""
+def plaquette_flux(frames2d: np.ndarray) -> np.ndarray:
+    """Principal-branch Berry flux through every plaquette of a 2-d frame
+    array, from the determinants of its four link overlaps."""
     u = frames2d
     lx = np.linalg.det(_mm(_dag(u), np.roll(u, -1, axis=0)))
     ly = np.linalg.det(_mm(_dag(u), np.roll(u, -1, axis=1)))
     loop = lx * np.roll(ly, -1, axis=0) * np.roll(lx, -1, axis=1).conj() * ly.conj()
-    flux = np.angle(loop)          # principal branch per plaquette
-    total = float(flux.sum())
+    return np.angle(loop)
+
+
+def plane_flux_sum(frames2d: np.ndarray):
+    """(total flux, Chern integer, integrality residual) of a 2-d frame array."""
+    total = float(plaquette_flux(frames2d).sum())
     chern = int(round(total / (2 * np.pi)))
     return total, chern, abs(total / (2 * np.pi) - chern)
 
@@ -182,20 +191,23 @@ def plane_chern_numbers(raw: FrameField) -> dict:
 # smooth periodic gauge
 # ---------------------------------------------------------------------------
 
-def _polar(M):
-    u, _, vh = np.linalg.svd(M)
-    return _mm(u, vh)
-
-
 def _unitary_log_phases(W):
     """Eigen-decomposition of a stack of (near-)unitary matrices.
 
     Returns (V, phi) with W ~ V diag(exp(i phi)) V+, phi in (-pi, pi].
     """
     vals, vecs = np.linalg.eig(W)
-    V = _polar(vecs)
+    V = batched_polar_unitary(vecs)
     phi = np.angle(vals)
     return V, phi
+
+
+def link_log(u: np.ndarray, axis: int) -> np.ndarray:
+    """Principal log of the forward link unitaries polar(u(k)+ u(k + e_axis)),
+    periodic along `axis` and not divided by the spacing."""
+    V = batched_polar_unitary(_mm(_dag(u), np.roll(u, -1, axis=axis)))
+    Q, phi = _unitary_log_phases(V)
+    return _mm(Q * (1j * phi)[..., None, :], _dag(Q))
 
 
 def _transport_last_axis(u):
@@ -204,9 +216,9 @@ def _transport_last_axis(u):
     n = u.shape[-3]
     for i in range(1, n):
         M = _mm(_dag(u[..., i - 1, :, :]), u[..., i, :, :])
-        u[..., i, :, :] = _mm(u[..., i, :, :], _dag(_polar(M)))
-    V, phi = _unitary_log_phases(_polar(_mm(_dag(u[..., n - 1, :, :]),
-                                            u[..., 0, :, :])))
+        u[..., i, :, :] = _mm(u[..., i, :, :], _dag(batched_polar_unitary(M)))
+    V, phi = _unitary_log_phases(batched_polar_unitary(
+        _mm(_dag(u[..., n - 1, :, :]), u[..., 0, :, :])))
     # per node i apply V diag(exp(i * (i/n) * phi)) V+
     steps = np.arange(n) / n
     ph = np.exp(1j * steps[:, None] * phi[..., None, :])    # (..., n, m) order fix below
@@ -233,7 +245,7 @@ def _relax(u, dim, max_sweeps, rel_tol=1e-4):
         T = np.zeros_like(u)
         for a in range(dim):
             T += np.roll(u, 1, axis=a) + np.roll(u, -1, axis=a)
-        u = _mm(u, _polar(_mm(_dag(u), T)))
+        u = _mm(u, batched_polar_unitary(_mm(_dag(u), T)))
         cur = _mean_deficiency(u, dim, eye)
         if prev - cur < rel_tol * max(prev, 1e-12):
             break
@@ -269,7 +281,7 @@ def _multiscale_init(raw: FrameField, max_sweeps: int) -> np.ndarray:
     ref = uc
     for a in range(dim):
         ref = np.repeat(ref, 2, axis=a)
-    return _mm(raw.frames, _polar(_mm(_dag(raw.frames), ref)))
+    return _mm(raw.frames, batched_polar_unitary(_mm(_dag(raw.frames), ref)))
 
 
 def _anneal(u: np.ndarray, raw: FrameField, max_sweeps: int) -> tuple:
@@ -339,6 +351,17 @@ def smooth_gauge(raw: FrameField, max_sweeps: int = 400) -> FrameField:
     return field_
 
 
+def gauge_pipeline(raw: FrameField, theta, smoothness_limit: float = 0.5):
+    """smooth_gauge -> sewing_field -> su_reduce on diagonalized frames.
+
+    Returns (frames, wfield, wred): the smooth gauge, its sewing field and
+    the SU-reduced sewing field.
+    """
+    frames = smooth_gauge(raw)
+    wfield = sewing_field(frames, theta, smoothness_limit=smoothness_limit)
+    return frames, wfield, su_reduce(wfield)
+
+
 # ---------------------------------------------------------------------------
 # sewing matrix field
 # ---------------------------------------------------------------------------
@@ -349,8 +372,7 @@ def sewing_field(frames: FrameField, theta,
     if s > smoothness_limit:
         raise RoughGauge(f"frame smoothness {s:.3f} exceeds {smoothness_limit}")
     u = frames.frames
-    theta_u = np.einsum("ab,...bc->...ac", theta.U, u.conj())
-    w = _mm(_dag(frames.grid.involute(u)), theta_u)
+    w = _mm(_dag(frames.grid.involute(u)), theta.apply(u))
     out = SewingField(frames.grid, w)
     res = out.residuals()
     if max(res.values()) > 1e-8:
@@ -365,8 +387,6 @@ def su_reduce(wfield: SewingField) -> SewingField:
     time reversal forbids det(w) from winding around any fundamental cycle,
     which is checked and reported as DetWinding if violated.
     """
-    from .linalg import phase_continue
-
     grid, w, m = wfield.grid, wfield.w, wfield.m
     d = np.linalg.det(w)
     if np.abs(np.abs(d) - 1).max() > 1e-6:
@@ -422,15 +442,9 @@ def berry_connection(frames: FrameField,
     grid, u = frames.grid, frames.frames
     A = np.empty((grid.dim,) + grid.sizes + (frames.m, frames.m), dtype=complex)
     for a, h in enumerate(grid.spacings):
-        V = _polar(_mm(_dag(u), np.roll(u, -1, axis=a)))
-        Q, phi = _unitary_log_phases(V)
-        L = _mm(Q * (1j * phi)[..., None, :], _dag(Q))
+        L = link_log(u, a)
         A[a] = _AH(0.5 * (L + np.roll(L, 1, axis=a)) / h)
     return ConnectionField(grid, A)
-
-
-def _centered_diff(X, axis, h):
-    return (np.roll(X, -1, axis=axis) - np.roll(X, 1, axis=axis)) / (2 * h)
 
 
 def _sigma_map(A, wfield: SewingField):
@@ -450,9 +464,7 @@ def _sigma_map(A, wfield: SewingField):
         pull = grid.involute(A[a]).conj()
         # (1/2)[w dw+ - dw w+] = -w Lambda w+ with Lambda = w+ dw, realized
         # as the symmetrized principal log of the forward link unitaries
-        V = _polar(_mm(wd, np.roll(w, -1, axis=a)))
-        Q, phi = _unitary_log_phases(V)
-        L = _mm(Q * (1j * phi)[..., None, :], _dag(Q)) / h
+        L = link_log(w, a) / h
         Lam = 0.5 * (L + np.roll(L, 1, axis=a))
         out[a] = -_mm(w, _mm(pull + Lam, wd))
     return out
@@ -496,12 +508,9 @@ def maurer_cartan_links(wfield: SewingField) -> np.ndarray:
     buys roughly one order of accuracy in the WZW Riemann sums.
     """
     grid, w = wfield.grid, wfield.w
-    wd = _dag(w)
     L = np.empty((grid.dim,) + grid.sizes + (wfield.m, wfield.m), dtype=complex)
     for a, h in enumerate(grid.spacings):
-        V = _mm(wd, np.roll(w, -1, axis=a))
-        Q, phi = _unitary_log_phases(_polar(V))
-        L[a] = _mm(Q * (1j * phi)[..., None, :], _dag(Q)) / h
+        L[a] = link_log(w, a) / h
     return L
 
 

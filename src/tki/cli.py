@@ -22,8 +22,8 @@ import time
 
 import numpy as np
 
-from . import models, bloch, eqforms, invariants
-from .grids import BZGrid
+from . import models, bloch, eqforms, invariants, sphere
+from .grids import BZGrid, GridError
 
 
 class UsageError(ValueError):
@@ -150,11 +150,17 @@ def _tols(args):
 # shared computation pipeline
 # ---------------------------------------------------------------------------
 
-def _compute_methods(model, grid, methods, tol, stable=False):
-    """Run the requested methods; returns (outputs dict, statuses set)."""
+def _compute_methods(model, grid, methods, tol, stable=False, raw=None):
+    """Run the requested methods; returns (outputs dict, statuses set).
+
+    `raw` may carry frames already diagonalized on `grid`.  The torus
+    stages run only for torus routes; the s3 route takes its mesh size from
+    the first grid size.
+    """
     outputs = {}
     statuses = set()
-    raw = bloch.diagonalize_grid(model, grid)
+    if raw is None and set(methods) - {"s3"}:
+        raw = bloch.diagonalize_grid(model, grid, gap=tol["gap"])
 
     needs_gauge = {"pfaffian", "wzw", "winding", "cs", "localise"} \
         & set(methods)
@@ -162,10 +168,8 @@ def _compute_methods(model, grid, methods, tol, stable=False):
     gauge_error = None
     if needs_gauge:
         try:
-            frames = bloch.smooth_gauge(raw)
-            wfield = bloch.sewing_field(frames, model.theta,
-                                        smoothness_limit=tol["smoothness"])
-            wred = bloch.su_reduce(wfield)
+            frames, wfield, wred = bloch.gauge_pipeline(
+                raw, model.theta, smoothness_limit=tol["smoothness"])
         except bloch.BlochError as exc:
             gauge_error = f"{type(exc).__name__}: {exc}"
 
@@ -223,12 +227,14 @@ def _compute_methods(model, grid, methods, tol, stable=False):
                 out = {"parity": parity, "raw": float(total),
                        "residual": resid, "discarded": discarded}
             elif name == "s3":
-                out = invariants.km_s3(model)
+                out = invariants.km_s3(model, grid.sizes[0])
                 out = {"parity": out["parity"], "raw": out["upsilon"],
                        "residual": out["residual"],
                        "rho0_N": out["rho0_N"], "rho0_S": out["rho0_S"]}
             else:
                 raise UsageError(f"unknown method {name!r}")
+        except bloch.GaplessAt:
+            raise  # an input error, not a failed route
         except (invariants.InvariantError, bloch.BlochError,
                 eqforms.EqformsError) as exc:
             outputs[name] = {"error": f"{type(exc).__name__}: {exc}"}
@@ -250,41 +256,27 @@ def cmd_invariant(args, extra) -> int:
     model = _build_model(args, extra)
     tol = _tols(args)
     if model.domain == "sphere3":
-        methods = ["s3"]
-        grid = None
-        mesh_n = int(args.grid.split(",")[0]) if args.grid else 48
-        outputs = {}
-        t0 = time.perf_counter()
-        try:
-            s3 = invariants.km_s3(model, mesh_n)
-            outputs["s3"] = {"parity": s3["parity"], "raw": s3["upsilon"],
-                             "residual": s3["residual"],
-                             "rho0_N": s3["rho0_N"], "rho0_S": s3["rho0_S"],
-                             "runtime_ms": 0.0 if args.stable_output
-                             else (time.perf_counter() - t0) * 1e3}
-            statuses = set()
-        except invariants.NonConvergent as exc:
-            outputs["s3"] = {"error": str(exc)}
-            statuses = {"nonconvergent"}
-        grid_sizes = [mesh_n] * 3
+        # the s3 route's angular mesh size, taken from --grid
+        grid = BZGrid.cubic(3, int((args.grid or "48").split(",")[0]))
+        default = "s3"
     else:
         if args.grid is None:
             raise UsageError("--grid is required for torus models")
         grid = _parse_grid(args.grid, model.dim)
         default = "pfaffian,planes,wzw,winding" if model.dim == 3 \
             else "pfaffian,planes"
-        methods = [m for m in (args.methods or default).split(",") if m]
-        for m in methods:
-            if m not in _METHODS:
-                raise UsageError(f"unknown method {m!r}")
-        outputs, statuses = _compute_methods(model, grid, methods, tol,
-                                             stable=args.stable_output)
-        grid_sizes = list(grid.sizes)
+    methods = [m for m in (args.methods or default).split(",") if m]
+    for m in methods:
+        if m not in _METHODS:
+            raise UsageError(f"unknown method {m!r}")
+        if (m == "s3") != (model.domain == "sphere3"):
+            raise UsageError(
+                f"method {m!r} does not apply to a {model.domain} model")
+    outputs, statuses = _compute_methods(model, grid, methods, tol,
+                                         stable=args.stable_output)
 
     report = invariants.assemble_report(
-        {"name": model.name, "params": dict(model.params)},
-        grid if grid is not None else BZGrid(3, tuple(grid_sizes)),
-        outputs)
+        {"name": model.name, "params": dict(model.params)}, grid, outputs)
     _emit(report.as_dict(), args.out)
     if "nonconvergent" in statuses:
         return 3
@@ -327,17 +319,14 @@ def cmd_phase_diagram(args, extra) -> int:
             continue
         grid = _parse_grid(args.grid or "16", model.dim)
         try:
-            raw = bloch.diagonalize_grid(model, grid)
+            raw = bloch.diagonalize_grid(model, grid, gap=tol["gap"])
         except bloch.GaplessAt:
             rows.append((value, 0.0, "nan", "nan", "nan", "false", "true"))
             continue
         gap = float(np.abs(raw.energies).min())
-        if gap < tol["gap"]:
-            rows.append((value, gap, "nan", "nan", "nan", "false", "true"))
-            continue
         outputs, _ = _compute_methods(model, grid,
                                       ["pfaffian", "planes", "wzw"], tol,
-                                      stable=True)
+                                      stable=True, raw=raw)
         cells = []
         parities = []
         for mname in ("pfaffian", "planes", "wzw"):
@@ -381,10 +370,9 @@ def cmd_localise(args, extra) -> int:
         if model.domain != "torus" or model.dim != 3:
             raise UsageError("--form wzw needs a 3-d torus model")
         grid = _parse_grid(args.grid or "32", 3)
-        raw = bloch.diagonalize_grid(model, grid)
-        frames = bloch.smooth_gauge(raw)
-        wred = bloch.su_reduce(bloch.sewing_field(
-            frames, model.theta, smoothness_limit=tol["smoothness"]))
+        raw = bloch.diagonalize_grid(model, grid, gap=tol["gap"])
+        _, _, wred = bloch.gauge_pipeline(
+            raw, model.theta, smoothness_limit=tol["smoothness"])
         coch, discarded = eqforms.sample_wzw(
             wred, smoothness_limit=tol["sample-smoothness"])
     else:
@@ -565,7 +553,8 @@ def main(argv=None) -> int:
     try:
         _set_threads(args) if hasattr(args, "threads") else None
         return args.func(args, extra)
-    except (UsageError, models.ModelError, OSError) as exc:
+    except (UsageError, models.ModelError, sphere.SphereError, GridError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except bloch.GaplessAt as exc:

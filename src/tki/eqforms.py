@@ -8,6 +8,7 @@ and a dimension-descending localisation: an inversion-odd top cochain is
 repeatedly trivialized on half the torus and pushed to the boundary tori,
 ending with one number per inversion-fixed node whose sum equals the
 original integral exactly (up to floating-point roundoff).
+`localise` is the one implementation of the descent step.
 """
 
 from __future__ import annotations
@@ -153,67 +154,6 @@ def integrate(c: Cochain, region: str = "all", axis: int = None) -> float:
     return float(c.values[tuple(sel)].sum())
 
 
-def primitive_on_half(c: Cochain, axis: int) -> Cochain:
-    """A primitive of a top cochain on the closed index half n_axis in
-    [N/2, N].
-
-    The returned (dim-1)-cochain eta has only the component missing `axis`;
-    it vanishes on the base slice n_axis = N/2, accumulates the cube values
-    along the axis, and satisfies d(eta) = c on every cube anchored in
-    [N/2, N-1], exactly.  The slice index 0 stores the closing value at
-    n_axis = N (the full fiber sum over the half); entries at other anchors
-    are zero.
-    """
-    if c.degree != c.grid.dim:
-        raise WrongDegree("primitives are taken of top cochains")
-    dim = c.grid.dim
-    a = axis % dim
-    n = c.grid.sizes[a]
-    dens = np.moveaxis(c.values[0], a, -1)
-    eta_half = np.zeros(dens.shape[:-1] + (n // 2 + 1,))
-    # the derivative term that recovers c from eta carries the sign of
-    # inserting `axis` into the remaining axes, i.e. (-1)^axis
-    s = (-1.0) ** a
-    eta_half[..., 1:] = s * np.cumsum(dens[..., n // 2:], axis=-1)
-    full = np.zeros(dens.shape[:-1] + (n,))
-    full[..., n // 2:] = eta_half[..., :-1]
-    full[..., 0] = eta_half[..., -1]
-    out = Cochain.zeros(c.grid, dim - 1)
-    comps = out.components
-    S = tuple(b for b in range(dim) if b != a)
-    vals = out.values.copy()
-    vals[comps.index(S)] = np.moveaxis(full, -1, a)
-    return Cochain(c.grid, dim - 1, vals)
-
-
-def boundary_rho(eta: Cochain, axis: int) -> Cochain:
-    """Push a half-torus primitive to the two inversion-stable boundary
-    slices n_axis in {0, N/2}.
-
-    rho = sign * (eta + eta o inversion) restricted to the slices, with the
-    sign chosen so that the slice sums reproduce the original top integral
-    exactly; rho has definite inversion parity (-1)^(dim-1) and is a top
-    cochain of each boundary torus.
-    """
-    dim = eta.grid.dim
-    a = axis % dim
-    if eta.degree != dim - 1:
-        raise WrongDegree("expected a primitive of degree dim-1")
-    n = eta.grid.sizes[a]
-    S = tuple(b for b in range(dim) if b != a)
-    comp = eta.components.index(S)
-    f = eta.values[comp]
-    mirrored = f[_subset_involution(eta.grid, S)]
-    s = (-1.0) ** a
-    vals = np.zeros_like(eta.values)
-    for slice_idx in (0, n // 2):
-        sel = [slice(None)] * dim
-        sel[a] = slice_idx
-        sel = tuple(sel)
-        vals[comp][sel] = s * (f[sel] + mirrored[sel])
-    return Cochain(eta.grid, dim - 1, vals)
-
-
 @dataclass(frozen=True)
 class LocalisationTrace:
     """Record of a full localisation descent.
@@ -253,6 +193,11 @@ def localise(c: Cochain, axes=None, tol: float = 1e-10) -> LocalisationTrace:
     axis and replaced by its boundary push-forward; every step preserves
     the integral exactly, so the fixed-node values sum to the integral of
     the input.
+
+    The primitive eta of each step (recorded in `levels`) has the single
+    component missing its axis a; it vanishes on the base slice n_a = N/2,
+    satisfies d(eta) = c on every cube anchored in [N/2, N-1] exactly, and
+    stores the closing fiber sum over the half at n_a = 0.
     """
     grid = c.grid
     dim = grid.dim

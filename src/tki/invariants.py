@@ -1,6 +1,6 @@
 """Kane-Mele invariant of a gapped time-reversal symmetric band model.
 
-Five independent routes to the same Z2 parity:
+Routes to the same Z2 parity:
 
 * ``km_trim_pfaffian``  — product of sewing-matrix Pfaffians over the
   inversion-fixed momenta of an SU-reduced sewing field;
@@ -11,9 +11,12 @@ Five independent routes to the same Z2 parity:
 * ``km_wzw`` — the degree integral of the sewing map, whose parity is the
   invariant;
 * ``km_winding`` — the same integral resummed as a one-parameter family of
-  slice contributions;
+  slice contributions and rounded the same way, so it agrees with
+  ``km_wzw`` by construction and is a diagnostic, not an independent vote;
 * ``km_chern_simons`` — the Chern-Simons integral of the quaternionically
-  averaged Berry connection, related to the degree integral by a factor -1/2.
+  averaged Berry connection, related to the degree integral by a factor -1/2;
+* ``km_s3`` — for models on the 3-sphere, the degree integral of the sewing
+  map, localised onto the two poles.
 
 ``assemble_report`` collects any subset of method outputs into a
 cross-validated report with a consensus flag.
@@ -21,15 +24,14 @@ cross-validated report with a consensus flag.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grids import BZGrid
 from .linalg import pfaffian, polar_unitary, phase_continue, kramers_canonical
-from .bloch import (FrameField, SewingField, ConnectionField, _mm, _dag,
-                    wzw_density, plane_flux_sum)
+from .bloch import (FrameField, SewingField, ConnectionField, _PERMS3,
+                    wzw_density, plaquette_flux)
 
 _W0 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -126,7 +128,6 @@ def _ring_tr_gauge(ring: np.ndarray, U: np.ndarray) -> np.ndarray:
         ring[half].conj().T @ U @ ring[half].conj())
     mism = v[half].conj().T @ canon
     ev, P = np.linalg.eig(mism)
-    L = P @ np.diag(np.log(ev)) @ np.linalg.inv(P)
     for j in range(1, half + 1):
         corr = P @ np.diag(np.exp((j / half) * np.log(ev))) @ np.linalg.inv(P)
         v[j] = v[j] @ polar_unitary(corr)
@@ -137,7 +138,6 @@ def _ring_tr_gauge(ring: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 
 def _trivial_sewing(m: int) -> np.ndarray:
-    blocks = [_W0] * (m // 2)
     out = np.zeros((m, m), dtype=complex)
     for i in range(m // 2):
         out[2 * i:2 * i + 2, 2 * i:2 * i + 2] = _W0
@@ -171,14 +171,7 @@ def km_plane_invariant(frames2d: FrameField, theta) -> tuple:
     U = theta.U
     a_bottom = _ring_phase_sum(_ring_tr_gauge(u[:, n1 // 2], U))
     a_top = _ring_phase_sum(_ring_tr_gauge(u[:, 0], U))
-    link0 = np.einsum("ijba,ijbc->ijac", u.conj(), np.roll(u, -1, axis=0))
-    link1 = np.einsum("ijba,ijbc->ijac", u.conj(), np.roll(u, -1, axis=1))
-    d0 = np.linalg.det(link0)
-    d1 = np.linalg.det(link1)
-    plaq = d0 * np.roll(d1, -1, axis=0) * np.roll(d0, -1, axis=1).conj() \
-        * d1.conj()
-    flux = np.angle(plaq)
-    fsum = float(flux[:, n1 // 2:].sum())
+    fsum = float(plaquette_flux(u)[:, n1 // 2:].sum())
     raw = (a_top - a_bottom - fsum) / (2 * np.pi)
     parity, _ = _round_parity(raw)
     return parity, raw
@@ -296,9 +289,7 @@ def km_chern_simons(conn: ConnectionField, wfield: SewingField) -> tuple:
                            axis=mu)
 
     total = 0.0 + 0.0j
-    perms = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-             ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)]
-    for (m0, m1, m2), s in perms:
+    for (m0, m1, m2), s in _PERMS3:
         t1 = np.einsum("...ab,...ba->...", A[m0], dmu(A[m2], m1))
         t2 = np.einsum("...ab,...bc,...ca->...", A[m0], A[m1], A[m2])
         total += s * (t1 + (2.0 / 3.0) * t2).sum()

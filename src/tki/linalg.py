@@ -1,8 +1,8 @@
 """Dense complex matrix kernels.
 
-Small-matrix routines used throughout: a checked Hermitian eigensolver,
-the Pfaffian of a skew-symmetric matrix, projection onto the unitary
-group, and branch tracking of a phase along a discrete path.
+Small-matrix routines used throughout: stacked products and adjoints, the
+Pfaffian of a skew-symmetric matrix, projection onto the unitary group, and
+branch tracking of a phase along a discrete path.
 """
 
 from __future__ import annotations
@@ -10,12 +10,21 @@ from __future__ import annotations
 import numpy as np
 
 
+def _mm(X, Y):
+    return np.einsum("...ab,...bc->...ac", X, Y)
+
+
+def _dag(X):
+    return np.swapaxes(X, -1, -2).conj()
+
+
+def _AH(X):
+    """Anti-Hermitian part of a stack of square matrices."""
+    return 0.5 * (X - _dag(X))
+
+
 class LinalgError(ValueError):
     """Base class for kernel contract violations."""
-
-
-class NonHermitian(LinalgError):
-    pass
 
 
 class NonSquare(LinalgError):
@@ -49,21 +58,6 @@ def _as_square(M) -> np.ndarray:
     if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
         raise LinalgError("matrix has non-finite entries")
     return M
-
-
-def hermitian_eig(H):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector matrix with columns paired
-    to the eigenvalues).  Raises NonHermitian if the input deviates from
-    H = H† beyond 1e-10 * (1 + max|H|).
-    """
-    H = _as_square(H)
-    scale = 1.0 + np.abs(H).max(initial=0.0)
-    if np.abs(H - H.conj().T).max(initial=0.0) > 1e-10 * scale:
-        raise NonHermitian("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(H)
-    return vals, vecs
 
 
 def pfaffian(A):
@@ -105,16 +99,16 @@ def pfaffian(A):
 def polar_unitary(M):
     """Nearest unitary to M in Frobenius norm (polar factor via SVD)."""
     M = _as_square(M)
-    u, s, vh = np.linalg.svd(M)
+    s = np.linalg.svd(M, compute_uv=False)
     if s[-1] <= 1e-10 * s[0]:
         raise NearSingular("matrix too close to singular for a stable polar factor")
-    return u @ vh
+    return batched_polar_unitary(M)
 
 
 def batched_polar_unitary(M: np.ndarray) -> np.ndarray:
     """Polar factors of a stack of square matrices (no conditioning check)."""
     u, _, vh = np.linalg.svd(M)
-    return u @ vh
+    return _mm(u, vh)
 
 
 def phase_continue(z):

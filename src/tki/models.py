@@ -112,13 +112,6 @@ class BlochModel:
         return self._batch(np.asarray(K, dtype=float))
 
 
-def evaluate(model: BlochModel, k) -> np.ndarray:
-    H = model.hamiltonian(k)
-    if np.abs(H - H.conj().T).max() > 1e-12 * (1 + np.abs(H).max()):
-        raise SymmetryViolation("evaluator produced a non-Hermitian matrix")
-    return H
-
-
 # ---------------------------------------------------------------------------
 # registry families
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import batched_polar_unitary
-from .bloch import _mm, _dag, _AH, _polar, _unitary_log_phases, GaplessAt
+from .linalg import _dag, _mm, batched_polar_unitary
+from .bloch import (GaplessAt, _antisym_trace3, _transport_last_axis,
+                    link_log)
 from .models import BlochModel
 
 
@@ -208,7 +209,6 @@ def sphere_frames(model: BlochModel, mesh: SphereMesh) -> np.ndarray:
         raise GaplessAt(f"gap {gap.min():.2e} at cell {idx}")
     u = np.ascontiguousarray(vecs[..., :m])
     # phi line at (0, 0, :): periodic transport with spread closure
-    from .bloch import _transport_last_axis
     line = u[0:1, 0]
     _transport_last_axis(line)
     u[0, 0] = line[0]
@@ -219,35 +219,13 @@ def sphere_frames(model: BlochModel, mesh: SphereMesh) -> np.ndarray:
 
 def sphere_sewing(frames: np.ndarray, theta, mesh: SphereMesh) -> np.ndarray:
     """Sewing matrices w(p) = u(tau p)+ Theta u(p) on the mesh."""
-    pulled = mesh.involute(frames)
-    w = _mm(_dag(pulled), _mm(theta.U[np.newaxis, np.newaxis, np.newaxis],
-                              frames.conj()))
+    w = _mm(_dag(mesh.involute(frames)), theta.apply(frames))
     dev = np.abs(_mm(w, _dag(w)) - np.eye(w.shape[-1])).max()
     if dev > 1e-8:
         raise SphereError(
             f"sewing unitarity residual {dev:.2e}: frames do not span a "
             "time-reversal stable occupied space")
     return w
-
-
-def _log_links(w, axis, h, periodic):
-    """Principal log of forward link unitaries / h along one axis; on open
-    axes the last slice reuses its backward link."""
-    nxt = np.roll(w, -1, axis=axis)
-    V = _polar(_mm(_dag(w), nxt))
-    Q, phi = _unitary_log_phases(V)
-    L = _mm(Q * (1j * phi)[..., None, :], _dag(Q)) / h
-    if not periodic:
-        edge = [slice(None)] * L.ndim
-        edge[axis] = -1
-        prev = [slice(None)] * L.ndim
-        prev[axis] = -2
-        L[tuple(edge)] = L[tuple(prev)]
-    return L
-
-
-_PERMS3 = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-           ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)]
 
 
 def sphere_wzw_density(w: np.ndarray, mesh: SphereMesh):
@@ -260,12 +238,11 @@ def sphere_wzw_density(w: np.ndarray, mesh: SphereMesh):
     discretization artifact.
     """
     hs = mesh.spacings
-    L = [_log_links(w, a, hs[a], a == 2) for a in range(3)]
-    acc = np.zeros(mesh.shape)
-    for (a, b, c), s in _PERMS3:
-        acc += s * np.einsum("...ab,...bc,...ca->...",
-                             L[a], L[b], L[c]).real
-    dens = acc * (hs[0] * hs[1] * hs[2]) / (24 * np.pi ** 2)
+    L = [link_log(w, a) / h for a, h in enumerate(hs)]
+    for a in (0, 1):  # open axes: the last slice reuses its backward link
+        L[a][(slice(None),) * a + (-1,)] = L[a][(slice(None),) * a + (-2,)]
+    dens = (_antisym_trace3(L, L, L).real * (hs[0] * hs[1] * hs[2])
+            / (24 * np.pi ** 2))
     sym = 0.5 * (dens + mesh.involute(dens))
     discarded = float(np.abs(dens - sym).sum())
     return sym, discarded

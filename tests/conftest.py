@@ -16,11 +16,6 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_hermitian(rng, n):
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (A + A.conj().T)
-
-
 def cofactor_pfaffian(A):
     """Recursive cofactor expansion; independent reference for small matrices."""
     A = np.asarray(A, dtype=complex)
@@ -61,9 +56,9 @@ class _PipelineCache:
         k = ("gauge",) + self.key(name, params, n)
         if k not in self._store:
             model = models.make_model(name, params)
-            frames = bloch.smooth_gauge(self.raw(name, params, n, dim))
-            wred = bloch.su_reduce(bloch.sewing_field(
-                frames, model.theta, smoothness_limit=limit))
+            frames, _, wred = bloch.gauge_pipeline(
+                self.raw(name, params, n, dim), model.theta,
+                smoothness_limit=limit)
             self._store[k] = (frames, wred)
         return self._store[k]
 

@@ -54,11 +54,32 @@ class TestInvariantCommand:
                    "--grid", "17")[0] == 1
         assert run(capsys, "invariant", "--model", "trivial",
                    "--methods", "bogus", "--grid", "16")[0] == 1
+        # the s3 route and the torus routes each need their own domain
+        assert run(capsys, "invariant", "--model", "trivial", "--dim", "3",
+                   "--m", "2", "--grid", "8", "--methods", "s3")[0] == 1
+        assert run(capsys, "invariant", "--model", "dirac_s3", "--mass",
+                   "-1", "--grid", "16", "--methods", "wzw")[0] == 1
+        # an S^3 mesh the sphere chart cannot take
+        code, out, err = run(capsys, "invariant", "--model", "dirac_s3",
+                             "--mass", "-1", "--grid", "7")
+        assert code == 1 and out == "" and err.startswith("error:")
+        # gapless on the sphere: mass -2 closes the gap at the south pole
+        code, _, err = run(capsys, "invariant", "--model", "dirac_s3",
+                           "--mass", "-2", "--grid", "16")
+        assert code == 1 and err.startswith("error:")
 
     def test_gapless_model_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "invariant", "--model", "bhz2d",
                            "--m", "0", "--grid", "16")
         assert code == 1
+
+    def test_gap_tolerance_is_applied(self, capsys):
+        # every level of the trivial model sits at |E| = 1
+        argv = ["invariant", "--model", "trivial", "--dim", "3", "--m", "2",
+                "--grid", "8", "--methods", "pfaffian"]
+        assert run(capsys, *argv)[0] == 0
+        code, _, err = run(capsys, *argv, "--tol-gap", "10")
+        assert code == 1 and "gapless" in err
 
     def test_sphere_model(self, capsys):
         code, out, _ = run(capsys, "invariant", "--model", "dirac_s3",

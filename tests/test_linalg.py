@@ -3,26 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tki import linalg
-from conftest import (cofactor_pfaffian, random_hermitian, random_skew,
-                      random_unitary)
-
-
-class TestHermitianEig:
-    def test_reconstruction(self):
-        rng = np.random.default_rng(0)
-        H = random_hermitian(rng, 8)
-        vals, vecs = linalg.hermitian_eig(H)
-        assert np.abs(vecs @ np.diag(vals) @ vecs.conj().T - H).max() <= 1e-10
-        assert np.abs(vecs.conj().T @ vecs - np.eye(8)).max() <= 1e-10
-        assert np.all(np.diff(vals) >= -1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(linalg.NonHermitian):
-            linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(linalg.NonSquare):
-            linalg.hermitian_eig(np.zeros((2, 3)))
+from conftest import cofactor_pfaffian, random_skew, random_unitary
 
 
 class TestPfaffian:
@@ -102,6 +83,10 @@ class TestPolarUnitary:
     def test_rejects_singular(self):
         with pytest.raises(linalg.NearSingular):
             linalg.polar_unitary(np.diag([1.0, 0.0]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(linalg.NonSquare):
+            linalg.polar_unitary(np.zeros((2, 3)))
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(5)

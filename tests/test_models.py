@@ -73,7 +73,7 @@ class TestThetaOperator:
 class TestEvaluate:
     def test_hermitian_output(self):
         model = models.make_model("fkm3d")
-        H = models.evaluate(model, np.array([0.3, -1.2, 0.7]))
+        H = model.hamiltonian(np.array([0.3, -1.2, 0.7]))
         assert np.abs(H - H.conj().T).max() <= 1e-12
 
     def test_tr_relation_pointwise(self):

@@ -1,0 +1,92 @@
+"""Golden-report guard: fixed CLI requests must keep their reports.
+
+`golden/reports.json` maps a request name to its argv, exit code and JSON
+report.  Exit codes, keys, strings and integers (parities among them) must
+match exactly, floats within 1e-12.  After a change that alters a report on
+purpose, rewrite the file with
+
+    PYTHONPATH=src python3 tests/test_reports.py --write
+
+and say in CHANGES.md which fields moved and why.
+"""
+
+import contextlib
+import io
+import json
+import math
+import pathlib
+import sys
+
+import pytest
+
+from tki import cli
+
+GOLDEN = pathlib.Path(__file__).with_name("golden") / "reports.json"
+ROUTES = "pfaffian,planes,wzw,winding,cs,localise"
+REQUESTS = {
+    "trivial_m2_12": ["invariant", "--model", "trivial", "--dim", "3",
+                      "--m", "2", "--grid", "12", "--methods", ROUTES,
+                      "--stable-output"],
+    "trivial_m4_12": ["invariant", "--model", "trivial", "--dim", "3",
+                      "--m", "4", "--grid", "12", "--methods", ROUTES,
+                      "--stable-output"],
+    "bhz2d_m-1_12": ["invariant", "--model", "bhz2d", "--m", "-1",
+                     "--grid", "12", "--stable-output"],
+    "dirac_s3_mass-1_16": ["invariant", "--model", "dirac_s3", "--mass", "-1",
+                           "--grid", "16", "--stable-output"],
+    "localise_uniform3": ["localise", "--form", "uniform:3",
+                          "--stable-output"],
+    "validate_seed3": ["validate", "--seed", "3"],
+}
+
+
+def run_request(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(list(argv))
+    return code, json.loads(buf.getvalue())
+
+
+def assert_matches(got, want, path="report"):
+    if isinstance(want, float) and isinstance(got, (int, float)) \
+            and not isinstance(got, bool):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), \
+            f"{path}: {got!r} != {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and set(got) == set(want), \
+            f"{path}: keys {sorted(got)} != {sorted(want)}"
+        for key in want:
+            assert_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), \
+            f"{path}: length {len(got)} != {len(want)}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, \
+            f"{path}: {got!r} != {want!r}"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(REQUESTS))
+def test_report_unchanged(golden, name):
+    entry = golden[name]
+    assert entry["argv"] == REQUESTS[name]
+    code, report = run_request(entry["argv"])
+    assert code == entry["exit"]
+    assert_matches(report, entry["report"])
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_reports.py --write")
+    doc = {}
+    for name, argv in REQUESTS.items():
+        code, report = run_request(argv)
+        doc[name] = {"argv": argv, "exit": code, "report": report}
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")
