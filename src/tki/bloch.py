@@ -12,7 +12,10 @@ Every gauge-dependent route gets its frames and sewing fields from
 log of the link unitaries, behind the Berry connection, the quaternionic
 map, the Maurer-Cartan links and the S^3 density), `plaquette_flux` (behind
 both plane Chern counts) and `_antisym_trace3` over `_PERMS3` (behind both
-WZW densities and the Chern-Simons integral).
+WZW densities and the Chern-Simons integral).  The smoother's alignment
+sweeps, `link_log` and `FrameField.smoothness` run on the closed-form 2x2
+kernels of `linalg` (polar factor, principal log, operator norm) when
+m = 2; the transport seed keeps the SVD / eig path for every m.
 
 Conventions.  Frames u(k) are n_bands x m matrices of occupied eigenvectors.
 The sewing matrix is w_ab(k) = <u_a(-k), Theta u_b(k)>; it is unitary when the
@@ -29,7 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import BZGrid
-from .linalg import _AH, _dag, _mm, batched_polar_unitary, phase_continue
+from .linalg import (_AH, _dag, _mm, _unitary_log_phases,
+                     batched_polar_unitary, batched_spectral_norm,
+                     phase_continue, unitary_log)
 
 
 class BlochError(ValueError):
@@ -86,8 +91,7 @@ class FrameField:
         eye = np.eye(self.m)
         for a in range(self.grid.dim):
             O = _mm(_dag(u), np.roll(u, -1, axis=a))
-            top = np.linalg.svd(O - eye, compute_uv=False)[..., 0]
-            worst = max(worst, float(top.max()))
+            worst = max(worst, float(batched_spectral_norm(O - eye).max()))
         return worst
 
     def restrict_plane(self, axis: int, index: int) -> "FrameField":
@@ -191,34 +195,28 @@ def plane_chern_numbers(raw: FrameField) -> dict:
 # smooth periodic gauge
 # ---------------------------------------------------------------------------
 
-def _unitary_log_phases(W):
-    """Eigen-decomposition of a stack of (near-)unitary matrices.
-
-    Returns (V, phi) with W ~ V diag(exp(i phi)) V+, phi in (-pi, pi].
-    """
-    vals, vecs = np.linalg.eig(W)
-    V = batched_polar_unitary(vecs)
-    phi = np.angle(vals)
-    return V, phi
-
-
 def link_log(u: np.ndarray, axis: int) -> np.ndarray:
     """Principal log of the forward link unitaries polar(u(k)+ u(k + e_axis)),
     periodic along `axis` and not divided by the spacing."""
-    V = batched_polar_unitary(_mm(_dag(u), np.roll(u, -1, axis=axis)))
-    Q, phi = _unitary_log_phases(V)
-    return _mm(Q * (1j * phi)[..., None, :], _dag(Q))
+    return unitary_log(batched_polar_unitary(
+        _mm(_dag(u), np.roll(u, -1, axis=axis))))
 
 
 def _transport_last_axis(u):
     """Parallel transport along the last grid axis of u (..., N, nb, m),
-    then spread the closing holonomy so the gauge is smoothly periodic."""
+    then spread the closing holonomy so the gauge is smoothly periodic.
+
+    The seed keeps the SVD polar factor and the eig log of the holonomy even
+    for m = 2: at a Kramers-degenerate holonomy -1, rounding decides which
+    eigenvector gets phase +pi and which -pi, so a kernel that rounds
+    differently seeds a different gauge."""
     n = u.shape[-3]
     for i in range(1, n):
         M = _mm(_dag(u[..., i - 1, :, :]), u[..., i, :, :])
-        u[..., i, :, :] = _mm(u[..., i, :, :], _dag(batched_polar_unitary(M)))
+        u[..., i, :, :] = _mm(u[..., i, :, :],
+                              _dag(batched_polar_unitary(M, svd=True)))
     V, phi = _unitary_log_phases(batched_polar_unitary(
-        _mm(_dag(u[..., n - 1, :, :]), u[..., 0, :, :])))
+        _mm(_dag(u[..., n - 1, :, :]), u[..., 0, :, :]), svd=True))
     # per node i apply V diag(exp(i * (i/n) * phi)) V+
     steps = np.arange(n) / n
     ph = np.exp(1j * steps[:, None] * phi[..., None, :])    # (..., n, m) order fix below
@@ -229,24 +227,35 @@ def _transport_last_axis(u):
     return u
 
 
-def _mean_deficiency(u, dim, eye):
+def _mean_deficiency(u, sq_norms):
+    """Mean over links of ||O - 1||_F, O = u(k)+ u(k + e_a), from
+    ||O - 1||^2 = ||O||^2 - 2 Re tr O + m with the ||O||^2 given per axis."""
+    m = u.shape[-1]
     tot = 0.0
-    for a in range(dim):
-        O = _mm(_dag(u), np.roll(u, -1, axis=a))
-        tot += float(np.linalg.norm(O - eye, axis=(-2, -1)).mean())
-    return tot / dim
+    for a, sq in enumerate(sq_norms):
+        re_tr = np.einsum("...ij,...ij->...", u.conj(),
+                          np.roll(u, -1, axis=a)).real
+        tot += float(np.sqrt(np.maximum(sq - 2 * re_tr + m, 0.0)).mean())
+    return tot / len(sq_norms)
 
 
 def _relax(u, dim, max_sweeps, rel_tol=1e-4):
-    """Jacobi alignment sweeps: rotate each frame toward its neighbours."""
-    eye = np.eye(u.shape[-1])
-    prev = _mean_deficiency(u, dim, eye)
+    """Jacobi alignment sweeps: rotate each frame toward its neighbours,
+    until the mean link deficiency plateaus.
+
+    The sweeps change u only by unitaries on the right, which leave each
+    link's ||O||_F fixed, so those norms are formed once per call."""
+    sq_norms = []
+    for a in range(dim):
+        O = _mm(_dag(u), np.roll(u, -1, axis=a))
+        sq_norms.append((O.real ** 2 + O.imag ** 2).sum(axis=(-2, -1)))
+    prev = _mean_deficiency(u, sq_norms)
     for _ in range(max_sweeps):
         T = np.zeros_like(u)
         for a in range(dim):
             T += np.roll(u, 1, axis=a) + np.roll(u, -1, axis=a)
         u = _mm(u, batched_polar_unitary(_mm(_dag(u), T)))
-        cur = _mean_deficiency(u, dim, eye)
+        cur = _mean_deficiency(u, sq_norms)
         if prev - cur < rel_tol * max(prev, 1e-12):
             break
         prev = cur

@@ -85,8 +85,21 @@ def _parse_extra_params(extra):
     return out
 
 
+def _grid_sizes(text):
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"--grid needs integer sizes, got {text!r}") \
+            from exc
+
+
+def _sphere_mesh(text, default):
+    """S^3 mesh size: the first --grid size, or `default` without --grid."""
+    return _grid_sizes(text)[0] if text else default
+
+
 def _parse_grid(text, dim):
-    parts = [int(p) for p in text.split(",")]
+    parts = _grid_sizes(text)
     if len(parts) == 1:
         parts = parts * dim
     if len(parts) != dim:
@@ -257,7 +270,7 @@ def cmd_invariant(args, extra) -> int:
     tol = _tols(args)
     if model.domain == "sphere3":
         # the s3 route's angular mesh size, taken from --grid
-        grid = BZGrid.cubic(3, int((args.grid or "48").split(",")[0]))
+        grid = BZGrid.cubic(3, _sphere_mesh(args.grid, 48))
         default = "s3"
     else:
         if args.grid is None:
@@ -310,7 +323,7 @@ def cmd_phase_diagram(args, extra) -> int:
             raise UsageError(str(exc)) from exc
         if model.domain == "sphere3":
             try:
-                s3 = invariants.km_s3(model, 24)
+                s3 = invariants.km_s3(model, _sphere_mesh(args.grid, 24))
                 rows.append((value, 1.0, "nan", "nan",
                              str(s3["parity"]), "true", "false"))
             except (bloch.GaplessAt, invariants.NonConvergent):

@@ -20,6 +20,7 @@ import numpy as np
 
 from .grids import BZGrid
 from .bloch import RoughGauge, SewingField, wzw_density
+from .linalg import batched_spectral_norm
 
 
 class EqformsError(ValueError):
@@ -270,8 +271,7 @@ def sample_wzw(wfield: SewingField, smoothness_limit: float = 0.3):
     worst = 0.0
     for a in range(3):
         diff = np.roll(w, -1, axis=a) - w
-        worst = max(worst, float(np.linalg.svd(
-            diff, compute_uv=False)[..., 0].max()))
+        worst = max(worst, float(batched_spectral_norm(diff).max()))
     if worst > smoothness_limit:
         raise RoughGauge(
             f"sewing field link deficiency {worst:.3f} exceeds "

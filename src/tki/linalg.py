@@ -3,6 +3,11 @@
 Small-matrix routines used throughout: stacked products and adjoints, the
 Pfaffian of a skew-symmetric matrix, projection onto the unitary group, and
 branch tracking of a phase along a discrete path.
+
+The stacked kernels behind the gauge smoother and the link logs --
+`batched_polar_unitary`, `unitary_log` and `batched_spectral_norm` -- have
+closed forms for 2x2 stacks (every Kramers-pair frame with m = 2) and keep
+the SVD / eig path for every other size.
 """
 
 from __future__ import annotations
@@ -105,10 +110,102 @@ def polar_unitary(M):
     return batched_polar_unitary(M)
 
 
-def batched_polar_unitary(M: np.ndarray) -> np.ndarray:
-    """Polar factors of a stack of square matrices (no conditioning check)."""
-    u, _, vh = np.linalg.svd(M)
-    return _mm(u, vh)
+def _is_2x2(M) -> bool:
+    return M.shape[-2:] == (2, 2)
+
+
+def batched_polar_unitary(M: np.ndarray, svd: bool = False) -> np.ndarray:
+    """Polar factors of a stack of square matrices (no conditioning check).
+
+    2x2 stacks use the closed form (M + e^{i arg det M} adj(M)+) / tr sqrt(M+M)
+    (phase 1 where det M = 0, the identity where M = 0), which agrees with
+    the SVD factor u vh to rounding and stays unitary on rank-1 inputs; other
+    sizes, or `svd=True`, take the SVD path.
+    """
+    if svd or not _is_2x2(M):
+        u, _, vh = np.linalg.svd(M)
+        return _mm(u, vh)
+    a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    det = a * d - b * c
+    mag = np.abs(det)
+    phase = np.where(mag > 0, det / np.where(mag > 0, mag, 1.0), 1.0)
+    # M + phase * adj(M)+ = (tr P) U for M = U P, so the Frobenius norm of
+    # the sum is sqrt(2) tr P
+    N = np.empty(M.shape, dtype=complex)
+    N[..., 0, 0] = a + phase * d.conj()
+    N[..., 0, 1] = b - phase * c.conj()
+    N[..., 1, 0] = c - phase * b.conj()
+    N[..., 1, 1] = d + phase * a.conj()
+    norm = np.sqrt(0.5 * (N.real ** 2 + N.imag ** 2).sum(axis=(-2, -1)))
+    zero = norm == 0
+    N[zero] = np.eye(2)
+    return N / np.where(zero, 1.0, norm)[..., None, None]
+
+
+def _unitary_log_phases(W):
+    """Eigen-decomposition of a stack of (near-)unitary matrices.
+
+    Returns (V, phi) with W ~ V diag(exp(i phi)) V+, phi in (-pi, pi].
+    """
+    vals, vecs = np.linalg.eig(W)
+    V = batched_polar_unitary(vecs, svd=True)
+    return V, np.angle(vals)
+
+
+def _eig_log(W):
+    """Principal log of a stack of unitaries through `np.linalg.eig`."""
+    Q, phi = _unitary_log_phases(W)
+    return _mm(Q * (1j * phi)[..., None, :], _dag(Q))
+
+
+def unitary_log(W: np.ndarray) -> np.ndarray:
+    """Principal logarithm of a stack of unitary matrices (anti-Hermitian,
+    eigenphases in (-pi, pi]).
+
+    2x2 stacks use the Sylvester form  i phi_- 1 + dd (W - lambda_- 1)  with
+    the divided difference dd = (i phi_+ - i phi_-) / (lambda_+ - lambda_-)
+    written as exp(-i mean phi) / sinc(delta phi / 2 pi), stable through
+    degeneracy.  Nodes whose eigenphases straddle the branch cut at +-pi
+    (|phi_+ - phi_-| > pi, where dd grows without bound) and other sizes
+    go through `np.linalg.eig`.
+    """
+    if not _is_2x2(W):
+        return _eig_log(W)
+    a, b, c, d = W[..., 0, 0], W[..., 0, 1], W[..., 1, 0], W[..., 1, 1]
+    # eigenvalues t +- r from the discriminant in difference form, accurate
+    # to rounding at (near-)degenerate nodes
+    t = 0.5 * (a + d)
+    half = 0.5 * (a - d)
+    r = np.sqrt(half * half + b * c)
+    lo = t - r
+    phi_m = np.angle(lo)
+    delta = np.angle((t + r) / lo)
+    phi_p = phi_m + delta
+    straddle = np.abs(phi_p) > np.pi
+    dd = np.exp(-1j * (phi_m + 0.5 * delta)) / np.sinc(delta / (2 * np.pi))
+    L = dd[..., None, None] * W
+    L[..., 0, 0] += 1j * phi_m - dd * lo
+    L[..., 1, 1] += 1j * phi_m - dd * lo
+    L[straddle] = _eig_log(W[straddle])
+    return L
+
+
+def batched_spectral_norm(M: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a stack.
+
+    2x2 stacks use the largest eigenvalue of the Hermitian M+M in the
+    cancellation-free form (p + s)/2 + sqrt(((p - s)/2)^2 + |q|^2); other
+    sizes take the SVD.
+    """
+    if not _is_2x2(M):
+        return np.linalg.svd(M, compute_uv=False)[..., 0]
+    a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    aa, bb = np.abs(a) ** 2, np.abs(b) ** 2
+    cc, dd = np.abs(c) ** 2, np.abs(d) ** 2
+    q = a.conj() * b + c.conj() * d
+    top = 0.5 * (aa + bb + cc + dd) + np.sqrt(
+        (0.5 * (aa + cc - bb - dd)) ** 2 + np.abs(q) ** 2)
+    return np.sqrt(top)
 
 
 def phase_continue(z):

@@ -42,8 +42,13 @@ class SphereMesh:
     n_phi: int
 
     def __post_init__(self):
-        if self.n_chi < 4 or self.n_theta < 4 or self.n_phi < 8:
-            raise SphereError("mesh too coarse")
+        # below 10 cells in chi or theta the Dirac degree integral of every
+        # band-inverted mass rounds to the wrong parity (+0.06 at 6 cells,
+        # +0.19 at 8, -0.83 at 10)
+        if self.n_chi < 10 or self.n_theta < 10 or self.n_phi < 8:
+            raise SphereError(
+                f"mesh {self.shape} too coarse: n_chi and n_theta must be "
+                ">= 10 to resolve the degree integral")
         if self.n_theta % 2 or self.n_phi % 4:
             raise SphereError(
                 "need n_theta even and n_phi divisible by 4 so the inversion "

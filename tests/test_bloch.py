@@ -80,6 +80,26 @@ class TestSmoothGauge:
             np.roll(frames.energies, 5, axis=0))
         assert shifted.smoothness == pytest.approx(frames.smoothness)
 
+    def test_relax_deficiency_matches_direct_norms(self, bhz_raw):
+        # the sweep's convergence measure keeps the link norms of the
+        # frames it started from; a per-node unitary leaves them valid
+        _, raw = bhz_raw
+        u = raw.frames
+        dim = raw.grid.dim
+        sq = [(np.abs(np.einsum("...ai,...aj->...ij", u.conj(),
+                                np.roll(u, -1, axis=a))) ** 2).sum((-2, -1))
+              for a in range(dim)]
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal(u.shape[:-2] + (2, 2)) \
+            + 1j * rng.standard_normal(u.shape[:-2] + (2, 2))
+        q, _ = np.linalg.qr(X)
+        v = np.einsum("...ai,...ij->...aj", u, q)
+        direct = np.mean([np.linalg.norm(
+            np.einsum("...ai,...aj->...ij", v.conj(), np.roll(v, -1, axis=a))
+            - np.eye(2), axis=(-2, -1)).mean() for a in range(dim)])
+        assert bloch._mean_deficiency(v, sq) == pytest.approx(direct,
+                                                               rel=1e-12)
+
 
 class TestSewing:
     def test_contracts(self, bhz_gauge):

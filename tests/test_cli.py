@@ -54,6 +54,11 @@ class TestInvariantCommand:
                    "--grid", "17")[0] == 1
         assert run(capsys, "invariant", "--model", "trivial",
                    "--methods", "bogus", "--grid", "16")[0] == 1
+        # a non-numeric grid, on a torus and on a sphere model
+        for model in ("trivial", "dirac_s3"):
+            code, out, err = run(capsys, "invariant", "--model", model,
+                                 "--grid", "abc")
+            assert code == 1 and out == "" and err.startswith("error:")
         # the s3 route and the torus routes each need their own domain
         assert run(capsys, "invariant", "--model", "trivial", "--dim", "3",
                    "--m", "2", "--grid", "8", "--methods", "s3")[0] == 1
@@ -87,6 +92,18 @@ class TestInvariantCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["methods"]["s3"]["parity"] == -1
+
+    def test_coarse_sphere_mesh_rejected(self, capsys):
+        # meshes 6 and 8 round the degree integral to the wrong parity +1;
+        # 10 is the smallest mesh that resolves it
+        for n in ("6", "8"):
+            code, out, err = run(capsys, "invariant", "--model", "dirac_s3",
+                                 "--mass", "-1", "--grid", n)
+            assert code == 1 and out == "" and "too coarse" in err
+        code, out, _ = run(capsys, "invariant", "--model", "dirac_s3",
+                           "--mass", "-1", "--grid", "10")
+        assert code == 0
+        assert json.loads(out)["methods"]["s3"]["parity"] == -1
 
     def test_nonconvergent_exit(self, capsys):
         # an absurdly tight smoothness gate forces the gauge to fail
@@ -127,6 +144,21 @@ class TestPhaseDiagramCommand:
         # m = 0 closes the gap; the endpoints are gapped with opposite phase
         assert rows[1][-1] == "true"
         assert rows[0][-1] == "false" and rows[2][-1] == "false"
+
+    def test_sphere_sweep_uses_grid(self, capsys):
+        code, out, _ = run(capsys, "invariant", "--model", "dirac_s3",
+                           "--mass", "-1", "--grid", "16")
+        assert code == 0
+        s3 = json.loads(out)["methods"]["s3"]["parity"]
+        code, out, _ = run(capsys, "phase-diagram", "--model", "dirac_s3",
+                           "--sweep", "mass:-1:-1:1", "--grid", "16")
+        assert code == 0
+        row = out.strip().splitlines()[1].split(",")
+        assert row[4] == str(s3) == "-1"
+        # the mesh comes from --grid: a mesh too coarse for S^3 is refused
+        code, _, err = run(capsys, "phase-diagram", "--model", "dirac_s3",
+                           "--sweep", "mass:-1:-1:1", "--grid", "6")
+        assert code == 1 and "too coarse" in err
 
     def test_requires_sweep(self, capsys):
         assert run(capsys, "phase-diagram", "--model", "bhz2d")[0] == 1

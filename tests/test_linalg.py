@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from tki import linalg
 from conftest import cofactor_pfaffian, random_skew, random_unitary
@@ -142,3 +143,132 @@ class TestKramersCanonical:
     def test_rejects_odd(self):
         with pytest.raises(linalg.OddDimension):
             linalg.kramers_canonical(np.zeros((3, 3)))
+
+
+def _stack_unitaries(rng, n, m=2):
+    A = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
+    q, r = np.linalg.qr(A)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _with_phases(V, phases):
+    """V diag(exp(i phases)) V+ and its principal log V diag(i phases) V+."""
+    Vd = np.swapaxes(V, -1, -2).conj()
+    W = (V * np.exp(1j * phases)[..., None, :]) @ Vd
+    L = (V * (1j * phases)[..., None, :]) @ Vd
+    return W, L
+
+
+def _svd_polar(M):
+    return linalg.batched_polar_unitary(M, svd=True)
+
+
+class TestClosedForm2x2:
+    """The closed-form 2x2 polar, log and norm kernels against the SVD/eig
+    path they replace."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
+    def test_polar_matches_svd(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        M = scale * (rng.standard_normal((64, 2, 2))
+                     + 1j * rng.standard_normal((64, 2, 2)))
+        s = np.linalg.svd(M, compute_uv=False)
+        keep = s[:, 1] > 1e-3 * s[:, 0]     # a well-defined polar factor
+        got = linalg.batched_polar_unitary(M)
+        assert np.abs(got - _svd_polar(M))[keep].max(initial=0.0) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-15, 1e-12,
+                                                       1e-9, 1e-6]))
+    def test_polar_rank_one_and_near_singular(self, seed, eps):
+        rng = np.random.default_rng(seed)
+        def gauss(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        M = gauss(64, 2, 1) @ gauss(64, 1, 2) + eps * gauss(64, 2, 2)
+        U = linalg.batched_polar_unitary(M)
+        Ud = np.swapaxes(U, -1, -2).conj()
+        assert np.abs(Ud @ U - np.eye(2)).max() <= 1e-12
+        # M = U P with P = U+ M Hermitian positive semidefinite
+        P = Ud @ M
+        size = np.abs(M).max()
+        assert np.abs(P - np.swapaxes(P, -1, -2).conj()).max() <= 1e-12 * size
+        assert np.linalg.eigvalsh(0.5 * (P + np.swapaxes(P, -1, -2).conj())
+                                  ).min() >= -1e-12 * size
+
+    def test_polar_of_zero_is_identity(self):
+        got = linalg.batched_polar_unitary(np.zeros((3, 2, 2)))
+        assert np.array_equal(got, _svd_polar(np.zeros((3, 2, 2))))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_polar_fixes_unitaries(self, seed):
+        U = _stack_unitaries(np.random.default_rng(seed), 64)
+        assert np.abs(linalg.batched_polar_unitary(U) - U).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_log_matches_eig(self, seed):
+        W = _stack_unitaries(np.random.default_rng(seed), 64)
+        L = linalg.unitary_log(W)
+        assert np.abs(L - linalg._eig_log(W)).max() <= 1e-12
+        assert np.abs(L + np.swapaxes(L, -1, -2).conj()).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-12, 1e-2))
+    def test_log_near_identity(self, seed, size):
+        rng = np.random.default_rng(seed)
+        V = _stack_unitaries(rng, 64)
+        W, truth = _with_phases(V, rng.uniform(-size, size, (64, 2)))
+        L = linalg.unitary_log(W)
+        assert np.abs(L - truth).max() <= 1e-12
+        assert np.abs(L - linalg._eig_log(W)).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_log_exactly_degenerate(self, seed):
+        rng = np.random.default_rng(seed)
+        phase = rng.uniform(-np.pi, np.pi, 64)
+        W, truth = _with_phases(_stack_unitaries(rng, 64),
+                                np.stack([phase, phase], axis=-1))
+        W = np.concatenate([W, np.exp(1j * phase)[:, None, None] * np.eye(2)])
+        truth = np.concatenate([truth, 1j * phase[:, None, None] * np.eye(2)])
+        L = linalg.unitary_log(W)
+        assert np.abs(L - truth).max() <= 1e-12
+        assert np.abs(L - linalg._eig_log(W)).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, -1.0]))
+    def test_log_near_pi_same_side(self, seed, side):
+        # both eigenphases within 1e-9 of +pi (or of -pi), on one side of
+        # the branch cut
+        rng = np.random.default_rng(seed)
+        phases = side * (np.pi - rng.uniform(1e-12, 1e-9, (64, 2)))
+        W, truth = _with_phases(_stack_unitaries(rng, 64), phases)
+        L = linalg.unitary_log(W)
+        assert np.abs(L - truth).max() <= 1e-12
+        assert np.abs(L - linalg._eig_log(W)).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
+    def test_spectral_norm_matches_svd(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        M = scale * (rng.standard_normal((64, 2, 2))
+                     + 1j * rng.standard_normal((64, 2, 2)))
+        # equal singular values: scaled unitaries
+        M = np.concatenate([M, scale * _stack_unitaries(rng, 16)])
+        ref = np.linalg.svd(M, compute_uv=False)[:, 0]
+        got = linalg.batched_spectral_norm(M)
+        assert np.abs(got - ref).max() <= 1e-12 * scale
+
+    def test_other_sizes_take_the_general_path(self):
+        rng = np.random.default_rng(9)
+        W = _stack_unitaries(rng, 8, m=4)
+        L = linalg.unitary_log(W)
+        assert max(np.abs(expm(x) - w).max() for x, w in zip(L, W)) <= 1e-12
+        M = rng.standard_normal((8, 3, 3)) + 1j * rng.standard_normal((8, 3, 3))
+        assert np.array_equal(linalg.batched_polar_unitary(M), _svd_polar(M))
+        assert np.allclose(linalg.batched_spectral_norm(M),
+                           np.linalg.svd(M, compute_uv=False)[:, 0],
+                           rtol=1e-12, atol=0)

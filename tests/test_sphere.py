@@ -12,10 +12,17 @@ def mesh():
 
 class TestMesh:
     def test_constraints(self):
-        with pytest.raises(sphere.SphereError):
-            SphereMesh(8, 7, 8)   # odd theta count
-        with pytest.raises(sphere.SphereError):
-            SphereMesh(8, 8, 10)  # phi not a multiple of 4
+        with pytest.raises(sphere.SphereError, match="even"):
+            SphereMesh(10, 11, 12)  # odd theta count
+        with pytest.raises(sphere.SphereError, match="even"):
+            SphereMesh(10, 10, 14)  # phi not a multiple of 4
+
+    def test_mesh_floor(self):
+        # fewer than 10 cells in chi or theta misjudge the Dirac degree
+        for shape in ((8, 10, 12), (10, 8, 12), (6, 6, 8)):
+            with pytest.raises(sphere.SphereError, match="too coarse"):
+                SphereMesh(*shape)
+        assert SphereMesh.cubic(10).shape == (10, 10, 12)
 
     def test_cell_centered_angles(self, mesh):
         K = mesh.angles()
