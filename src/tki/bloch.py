@@ -15,7 +15,10 @@ both plane Chern counts) and `_antisym_trace3` over `_PERMS3` (behind both
 WZW densities and the Chern-Simons integral).  The smoother's alignment
 sweeps, `link_log` and `FrameField.smoothness` run on the closed-form 2x2
 kernels of `linalg` (polar factor, principal log, operator norm) when
-m = 2; the transport seed keeps the SVD / eig path for every m.
+m = 2; the transport seed keeps the SVD / eig path for every m.  The
+sweeps hold their frames matrix-major (`linalg._matrix_major`), so that
+each stacked product runs as a few long vector operations instead of a
+2-4 long inner loop per node; the values are bitwise those of C order.
 
 Conventions.  Frames u(k) are n_bands x m matrices of occupied eigenvectors.
 The sewing matrix is w_ab(k) = <u_a(-k), Theta u_b(k)>; it is unitary when the
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import BZGrid
-from .linalg import (_AH, _dag, _mm, _unitary_log_phases,
+from .linalg import (_AH, _dag, _matrix_major, _mm, _unitary_log_phases,
                      batched_polar_unitary, batched_spectral_norm,
                      phase_continue, unitary_log)
 
@@ -227,16 +230,26 @@ def _transport_last_axis(u):
     return u
 
 
-def _mean_deficiency(u, sq_norms):
-    """Mean over links of ||O - 1||_F, O = u(k)+ u(k + e_a), from
-    ||O - 1||^2 = ||O||^2 - 2 Re tr O + m with the ||O||^2 given per axis."""
+def _link_pass(u, sq_norms):
+    """One pass over the axes: the mean over links of ||O - 1||_F,
+    O = u(k)+ u(k + e_a), and the neighbour sum T = sum_a u(k - e_a) +
+    u(k + e_a) that the next sweep aligns to.
+
+    ||O - 1||^2 = ||O||^2 - 2 Re tr O + m with the ||O||^2 given per axis.
+    Each forward roll serves both Re tr O and T and is dropped after its
+    axis; b + f is formed in place as f += b, which IEEE addition makes
+    bitwise equal."""
     m = u.shape[-1]
+    uc = u.conj()
+    T = np.zeros_like(u)
     tot = 0.0
     for a, sq in enumerate(sq_norms):
-        re_tr = np.einsum("...ij,...ij->...", u.conj(),
-                          np.roll(u, -1, axis=a)).real
+        f = np.roll(u, -1, axis=a)
+        re_tr = np.einsum("...ij,...ij->...", uc, f).real
         tot += float(np.sqrt(np.maximum(sq - 2 * re_tr + m, 0.0)).mean())
-    return tot / len(sq_norms)
+        f += np.roll(u, 1, axis=a)
+        T += f
+    return tot / len(sq_norms), T
 
 
 def _relax(u, dim, max_sweeps, rel_tol=1e-4):
@@ -244,18 +257,20 @@ def _relax(u, dim, max_sweeps, rel_tol=1e-4):
     until the mean link deficiency plateaus.
 
     The sweeps change u only by unitaries on the right, which leave each
-    link's ||O||_F fixed, so those norms are formed once per call."""
+    link's ||O||_F fixed, so those norms are formed once per call.  u is
+    stored matrix-major (`linalg._matrix_major`) for the whole call, which
+    makes the sweep's products several times faster and leaves every value
+    bitwise as it is; the result keeps that layout."""
+    u = _matrix_major(u)
     sq_norms = []
     for a in range(dim):
         O = _mm(_dag(u), np.roll(u, -1, axis=a))
         sq_norms.append((O.real ** 2 + O.imag ** 2).sum(axis=(-2, -1)))
-    prev = _mean_deficiency(u, sq_norms)
+    prev, T = _link_pass(u, sq_norms)
     for _ in range(max_sweeps):
-        T = np.zeros_like(u)
-        for a in range(dim):
-            T += np.roll(u, 1, axis=a) + np.roll(u, -1, axis=a)
         u = _mm(u, batched_polar_unitary(_mm(_dag(u), T)))
-        cur = _mean_deficiency(u, sq_norms)
+        del T  # free the old sum before the pass allocates the next one
+        cur, T = _link_pass(u, sq_norms)
         if prev - cur < rel_tol * max(prev, 1e-12):
             break
         prev = cur

@@ -15,6 +15,8 @@ Exit codes: 0 success, 1 usage or I/O error, 2 method disagreement,
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import json
 import os
 import sys
@@ -128,17 +130,50 @@ def _build_model(args, extra):
     return models.make_model(name, params)
 
 
+def _openblas_set_num_threads():
+    """`set_num_threads` of the OpenBLAS bundled with numpy's wheels, or
+    None.  Loading the library by path returns the copy numpy already
+    uses."""
+    base = os.path.dirname(os.path.dirname(np.__file__))
+    pattern = os.path.join(base, "numpy.libs", "libscipy_openblas64_*")
+    for path in sorted(glob.glob(pattern)):
+        try:
+            fn = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        fn.argtypes, fn.restype = [ctypes.c_int], None
+        return fn
+    return None
+
+
 def _set_threads(args):
-    n = args.threads or os.environ.get("TKI_THREADS")
-    if not n:
+    """Limit BLAS threads to --threads or TKI_THREADS.
+
+    numpy reads the thread environment variables only when it loads, so the
+    limit is set on the loaded library: through threadpoolctl when it is
+    installed, otherwise through numpy's bundled OpenBLAS."""
+    n = args.threads if args.threads is not None \
+        else os.environ.get("TKI_THREADS")
+    if n in (None, ""):
         return
     try:
+        n = int(n)
+    except ValueError as exc:
+        raise UsageError(f"thread count must be an integer, got {n!r}") \
+            from exc
+    if n < 1:
+        raise UsageError(f"thread count must be >= 1, got {n}")
+    try:
         from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=int(n))
     except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(int(n))
+        set_num_threads = _openblas_set_num_threads()
+        if set_num_threads is None:
+            raise UsageError(
+                "--threads / TKI_THREADS need threadpoolctl or numpy's "
+                "bundled OpenBLAS; neither was found") from None
+        set_num_threads(n)
+    else:
+        threadpool_limits(limits=n)
 
 
 def _emit(doc, out_path):

@@ -15,8 +15,8 @@ Routes to the same Z2 parity:
   ``km_wzw`` by construction and is a diagnostic, not an independent vote;
 * ``km_chern_simons`` — the Chern-Simons integral of the quaternionically
   averaged Berry connection, related to the degree integral by a factor -1/2;
-* ``km_s3`` — for models on the 3-sphere, the degree integral of the sewing
-  map, localised onto the two poles.
+* ``km_s3`` — for the sphere Dirac model ``dirac_s3``, the degree integral
+  of the sewing map, localised onto the two poles.
 
 ``assemble_report`` collects any subset of method outputs into a
 cross-validated report with a consensus flag.
@@ -314,7 +314,9 @@ def km_s3(model, mesh_size: int = 48) -> dict:
     (upsilon estimate) and localises it onto the two poles; the pole values
     add up to the quadrature exactly, the north pole carrying the full
     integer in this descent convention.  Returns a dict with parity,
-    upsilon, rho0_N, rho0_S and the discarded asymmetric 1-norm.
+    upsilon, rho0_N, rho0_S and the discarded asymmetric 1-norm.  Only
+    ``dirac_s3`` has a smooth S^3 gauge here; other sphere models raise
+    `sphere.UnsupportedSphereModel`.
     """
     from .sphere import (SphereMesh, sphere_frames, sphere_sewing,
                          sphere_wzw_density, hemisphere_descent)

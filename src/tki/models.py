@@ -358,7 +358,9 @@ def export_sampled(model: BlochModel, sizes) -> dict:
 def ingest_sampled(source) -> BlochModel:
     """Build a lookup-table model from a sampled-Hamiltonian document.
 
-    `source` may be a dict, a JSON string, or a path to a JSON file.
+    `source` may be a dict, a JSON string, or a path to a JSON file.  The
+    model answers only on the declared nodes: any other momentum raises
+    IncompatibleGrid rather than aliasing to the nearest sample.
     """
     if isinstance(source, dict):
         doc = source
@@ -421,8 +423,14 @@ def ingest_sampled(source) -> BlochModel:
         K = np.asarray(K, dtype=float)
         idx = []
         for a, n in enumerate(sizes):
-            na = np.rint((K[..., a] + np.pi) * n / (2 * np.pi)).astype(int) % n
-            idx.append(na)
+            x = (K[..., a] + np.pi) * n / (2 * np.pi)
+            na = np.rint(x)
+            if np.abs(x - na).max() > 1e-6:
+                raise IncompatibleGrid(
+                    f"momenta off the sampled {'x'.join(map(str, sizes))} "
+                    f"grid along axis {a}; the sample is only defined on "
+                    "its declared nodes")
+            idx.append(na.astype(int) % n)
         return H[tuple(idx)]
 
     return BlochModel("ingested", "torus", dim, nb, n_occ, theta,

@@ -7,9 +7,10 @@ chi-axis acts as (chi, theta, phi) -> (chi, pi - theta, phi +- pi), an
 exact permutation of cell centers whose only fixed points on the sphere
 itself are the two poles chi = 0 (N) and chi = pi (S).
 
-For a gapped band model on the sphere the module builds a globally smooth
-occupied gauge (the sphere is simply connected, so none of the torus
-obstructions arise), samples the degree density of the sewing map, and
+For the sphere Dirac family the module builds a globally smooth occupied
+gauge from two closed-form charts (the sphere is simply connected, so none
+of the torus obstructions arise; other sphere models are refused, see
+`sphere_frames`), samples the degree density of the sewing map, and
 either integrates it directly or localises it onto the two poles by the
 same cumulative-sum descent used on torus grids: hemisphere -> boundary
 two-sphere -> boundary circles -> poles, each step exactly integral
@@ -22,13 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _dag, _mm, batched_polar_unitary
-from .bloch import (GaplessAt, _antisym_trace3, _transport_last_axis,
-                    link_log)
+from .linalg import _dag, _mm
+from .bloch import GaplessAt, _antisym_trace3, link_log
 from .models import BlochModel
 
 
 class SphereError(ValueError):
+    pass
+
+
+class UnsupportedSphereModel(SphereError):
     pass
 
 
@@ -83,35 +87,6 @@ class SphereMesh:
 
     def involute(self, values: np.ndarray) -> np.ndarray:
         return values[self.involution_indices()]
-
-
-def _open_transport(u, axis):
-    """Parallel transport along an open (non-periodic) axis from its first
-    slice; no closure correction is needed."""
-    v = np.moveaxis(u, axis, -3)
-    n = v.shape[-3]
-    for i in range(1, n):
-        M = _mm(_dag(v[..., i - 1, :, :]), v[..., i, :, :])
-        v[..., i, :, :] = _mm(v[..., i, :, :], _dag(batched_polar_unitary(M)))
-    return np.moveaxis(v, -3, axis)
-
-
-def _sphere_relax(u, sweeps=60):
-    """Jacobi alignment sweeps with wrap links only on the periodic phi
-    axis."""
-    for _ in range(sweeps):
-        tgt = np.zeros_like(u)
-        for axis, periodic in ((0, False), (1, False), (2, True)):
-            for shift in (1, -1):
-                nb = np.roll(u, shift, axis=axis)
-                if not periodic:
-                    edge = [slice(None)] * u.ndim
-                    edge[axis] = 0 if shift == 1 else -1
-                    nb[tuple(edge)] = 0.0
-                tgt = tgt + nb
-        proj = _mm(_dag(u), tgt)
-        u = _mm(u, batched_polar_unitary(proj))
-    return u
 
 
 def _dirac_charts(mass: float, mesh: SphereMesh):
@@ -194,32 +169,20 @@ def dirac_frames(mass: float, mesh: SphereMesh) -> np.ndarray:
 def sphere_frames(model: BlochModel, mesh: SphereMesh) -> np.ndarray:
     """Globally smooth occupied frames over the mesh.
 
-    The sphere Dirac family uses its closed-form glued charts.  Other
-    sphere models are diagonalized cell by cell and gauge-smoothed by
-    nested parallel transport plus alignment sweeps; note that this
-    numerical fallback only controls smoothness chart-wise, so it is
-    trustworthy when the model is known to carry zero degree.  Raises
+    Only the sphere Dirac family is supported: its closed-form glued charts
+    are smooth across the whole sphere.  Any other sphere model (a direct
+    sum of Dirac models included) raises UnsupportedSphereModel, because a
+    gauge smoothed chart by chart makes the degree integral vanish by
+    construction and rounds every such model to parity +1.  Raises
     GaplessAt if the spectral gap closes on the mesh.
     """
     if model.domain != "sphere3":
         raise SphereError("expected a sphere-domain model")
-    if model.name == "dirac_s3":
-        return dirac_frames(float(model.params["mass"]), mesh)
-    H = model.hamiltonian_batch(mesh.angles())
-    energies, vecs = np.linalg.eigh(H)
-    m = model.n_occ
-    gap = energies[..., m] - energies[..., m - 1]
-    if gap.min() <= 1e-8:
-        idx = np.unravel_index(int(np.argmin(gap)), gap.shape)
-        raise GaplessAt(f"gap {gap.min():.2e} at cell {idx}")
-    u = np.ascontiguousarray(vecs[..., :m])
-    # phi line at (0, 0, :): periodic transport with spread closure
-    line = u[0:1, 0]
-    _transport_last_axis(line)
-    u[0, 0] = line[0]
-    u[0:1] = _open_transport(u[0:1], 1)      # theta sheet at chi index 0
-    u = _open_transport(u, 0)                # chi bulk
-    return _sphere_relax(u)
+    if model.name != "dirac_s3":
+        raise UnsupportedSphereModel(
+            f"no globally smooth S^3 gauge for model {model.name!r}: only "
+            "dirac_s3 is supported on the sphere")
+    return dirac_frames(float(model.params["mass"]), mesh)
 
 
 def sphere_sewing(frames: np.ndarray, theta, mesh: SphereMesh) -> np.ndarray:

@@ -1,4 +1,7 @@
+import ctypes
+import glob
 import json
+import os
 
 import numpy as np
 import pytest
@@ -203,11 +206,51 @@ class TestIngestCommand:
         src.write_text("{}")
         assert run(capsys, "ingest", str(src))[0] == 1
 
+    def test_sample_answers_only_on_its_grid(self, capsys, tmp_path):
+        # a 16^3 grid would alias onto the 8^3 sample's nearest nodes
+        model = models.make_model("fkm3d", {"dt": 3.0})
+        src = tmp_path / "fk8.json"
+        src.write_text(json.dumps(models.export_sampled(model, (8, 8, 8))))
+        argv = ["invariant", "--model", str(src), "--methods",
+                "pfaffian,planes"]
+        code, out, _ = run(capsys, *argv, "--grid", "8")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["methods"]["pfaffian"]["parity"] == 1
+        assert doc["methods"]["planes"]["parity"] == 1
+        code, out, err = run(capsys, *argv, "--grid", "16")
+        assert code == 1 and out == "" and "sampled 8x8x8 grid" in err
+
+
+def _numpy_openblas():
+    base = os.path.dirname(os.path.dirname(np.__file__))
+    paths = glob.glob(os.path.join(base, "numpy.libs",
+                                   "libscipy_openblas64_*"))
+    if not paths:
+        pytest.skip("numpy does not bundle scipy-openblas here")
+    return ctypes.CDLL(paths[0])
+
 
 class TestThreads:
-    def test_env_and_flag_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("TKI_THREADS", "1")
-        code, _, _ = run(capsys, "invariant", "--model", "trivial",
-                         "--dim", "2", "--m", "2", "--grid", "12",
-                         "--methods", "pfaffian", "--threads", "1")
-        assert code == 0
+    def test_env_and_flag_set_blas_threads(self, capsys, monkeypatch):
+        # read the limit back from the BLAS numpy runs on
+        blas = _numpy_openblas()
+        get = blas.scipy_openblas_get_num_threads64_
+        get.argtypes, get.restype = [], ctypes.c_int
+        put = blas.scipy_openblas_set_num_threads64_
+        put.argtypes, put.restype = [ctypes.c_int], None
+        before = get()
+        argv = ["invariant", "--model", "trivial", "--dim", "2", "--m", "2",
+                "--grid", "12", "--methods", "pfaffian"]
+        try:
+            monkeypatch.setenv("TKI_THREADS", "2")
+            assert run(capsys, *argv, "--threads", "1")[0] == 0
+            assert get() == 1
+            assert run(capsys, *argv)[0] == 0
+            assert get() == 2
+            monkeypatch.setenv("TKI_THREADS", "many")
+            assert run(capsys, *argv)[0] == 1
+            assert run(capsys, *argv, "--threads", "0")[0] == 1
+        finally:
+            put(before)
+        assert get() == before

@@ -272,3 +272,40 @@ class TestClosedForm2x2:
         assert np.allclose(linalg.batched_spectral_norm(M),
                            np.linalg.svd(M, compute_uv=False)[:, 0],
                            rtol=1e-12, atol=0)
+
+
+def _complex_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestMatrixMajor:
+    def test_keeps_shape_and_values(self):
+        X = _complex_stack(np.random.default_rng(0), (6, 5, 4, 3, 2))
+        Xm = linalg._matrix_major(X)
+        assert Xm.shape == X.shape and np.array_equal(Xm, X)
+        # the node axes vary fastest, the matrix axes slowest
+        assert Xm.strides[-2] > Xm.strides[-1] > Xm.strides[0]
+        assert Xm.strides[2] == Xm.itemsize
+
+    @pytest.mark.parametrize("left,right", [((2, 2), (2, 2)),
+                                            ((4, 2), (2, 2)),
+                                            ((4, 4), (4, 4))])
+    def test_products_bitwise_equal(self, left, right):
+        rng = np.random.default_rng(1)
+        X = _complex_stack(rng, (7, 6, 5) + left)
+        Y = _complex_stack(rng, (7, 6, 5) + right)
+        Xm, Ym = linalg._matrix_major(X), linalg._matrix_major(Y)
+        out = linalg._mm(Xm, Ym)
+        assert np.array_equal(out, linalg._mm(X, Y))
+        # the layout carries through the product
+        assert out.strides[-1] > out.strides[0]
+        assert np.array_equal(linalg._mm(linalg._dag(Xm), Xm),
+                              linalg._mm(linalg._dag(X), X))
+
+    def test_polar_keeps_layout(self):
+        M = _complex_stack(np.random.default_rng(2), (6, 5, 4, 2, 2))
+        Mm = linalg._matrix_major(M)
+        U, Um = linalg.batched_polar_unitary(M), linalg.batched_polar_unitary(Mm)
+        assert U.flags.c_contiguous
+        assert Um.strides == Mm.strides
+        assert np.array_equal(Um, U)

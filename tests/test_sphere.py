@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tki import models, sphere
+from tki import invariants, models, sphere
 from tki.sphere import SphereMesh
 
 
@@ -80,6 +80,17 @@ class TestDiracFrames:
         for mass in (0.0, -2.0):
             with pytest.raises(sphere.GaplessAt):
                 sphere.dirac_frames(mass, mesh)
+
+
+class TestSphereFrames:
+    def test_direct_sum_is_refused(self):
+        # the product rule needs parity -1 here; a chart-wise smoothed
+        # gauge rounds the degree to 0 and would report +1
+        both = models.direct_sum(
+            models.make_model("dirac_s3", {"mass": -1.0}),
+            models.make_model("dirac_s3", {"mass": 1.0}))
+        with pytest.raises(sphere.UnsupportedSphereModel):
+            invariants.km_s3(both, 16)
 
 
 @pytest.fixture(scope="module")
