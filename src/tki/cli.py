@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import glob
 import json
 import os
@@ -39,17 +40,10 @@ class UsageError(ValueError):
 _METHODS = ("pfaffian", "planes", "wzw", "winding", "cs", "s3", "localise")
 
 # documented tolerance defaults; every entry has a --tol-<name> override
+# on the commands that build a model
 _TOL_DEFAULTS = {
     # gauge smoothness gate for sewing matrices and Berry connections
     "smoothness": 0.5,
-    # sewing-field link gate for the sampled degree density.  The library
-    # default is 0.3; the command line raises it because the gate measures
-    # the intrinsic link scale of the gauge (~ a constant / N), which
-    # exceeds 0.3 on every practical grid for band-inverted models.
-    "sample-smoothness": 1.0,
-    # maximum distance from the nearest admissible lattice point when
-    # rounding a raw value to a parity
-    "round": 0.25,
     # spectral gap below which a point is declared gapless
     "gap": 1e-8,
 }
@@ -112,10 +106,14 @@ def _parse_grid(text, dim):
     return BZGrid(dim, tuple(parts))
 
 
-def _build_model(args, extra):
+def _model_params(args, extra):
+    """Model parameters from --params and bare `--name value` pairs."""
     params = _parse_params((args.params or "").split(","))
     params.update(_parse_extra_params(extra))
-    name = args.model
+    return params
+
+
+def _build_model(name, params, check=True):
     if name is None:
         raise UsageError("--model is required")
     if name.endswith(".json") or os.path.sep in name:
@@ -127,7 +125,7 @@ def _build_model(args, extra):
     intlike = {"d", "m"} if name == "trivial" else set()
     for k in intlike & set(params):
         params[k] = int(params[k])
-    return models.make_model(name, params)
+    return models.make_model(name, params, check=check)
 
 
 def _openblas_set_num_threads():
@@ -176,8 +174,7 @@ def _set_threads(args):
         threadpool_limits(limits=n)
 
 
-def _emit(doc, out_path):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write(text, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -185,10 +182,14 @@ def _emit(doc, out_path):
         sys.stdout.write(text)
 
 
+def _emit(doc, out_path):
+    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
+
+
 def _tols(args):
     t = dict(_TOL_DEFAULTS)
     for key in t:
-        v = getattr(args, "tol_" + key.replace("-", "_"), None)
+        v = getattr(args, "tol_" + key)
         if v is not None:
             t[key] = v
     return t
@@ -198,12 +199,19 @@ def _tols(args):
 # shared computation pipeline
 # ---------------------------------------------------------------------------
 
+def _localise_wzw(wred):
+    """Sample the degree density of an SU-reduced sewing field and localise
+    it onto the inversion-fixed nodes; returns (trace, discarded)."""
+    coch, discarded = eqforms.sample_wzw(wred)
+    return eqforms.localise(coch), discarded
+
+
 def _compute_methods(model, grid, methods, tol, stable=False, raw=None):
     """Run the requested methods; returns (outputs dict, statuses set).
 
-    `raw` may carry frames already diagonalized on `grid`.  The torus
-    stages run only for torus routes; the s3 route takes its mesh size from
-    the first grid size.
+    `methods` holds names from `_METHODS`.  `raw` may carry frames already
+    diagonalized on `grid`.  The torus stages run only for torus routes; the
+    s3 route takes its mesh size from the first grid size.
     """
     outputs = {}
     statuses = set()
@@ -266,21 +274,16 @@ def _compute_methods(model, grid, methods, tol, stable=False, raw=None):
                 cs, parity, rel = invariants.km_chern_simons(conn, wred)
                 out = {"parity": parity, "raw": cs, "residual": rel}
             elif name == "localise":
-                coch, discarded = eqforms.sample_wzw(
-                    wred, smoothness_limit=tol["sample-smoothness"])
-                trace = eqforms.localise(coch)
+                trace, discarded = _localise_wzw(wred)
                 total = sum(trace.fixed_values.values())
-                parity, resid = invariants._round_parity(
-                    total, slack=tol["round"])
+                parity, resid = invariants._round_parity(total)
                 out = {"parity": parity, "raw": float(total),
                        "residual": resid, "discarded": discarded}
-            elif name == "s3":
+            else:  # s3
                 out = invariants.km_s3(model, grid.sizes[0])
                 out = {"parity": out["parity"], "raw": out["upsilon"],
                        "residual": out["residual"],
                        "rho0_N": out["rho0_N"], "rho0_S": out["rho0_S"]}
-            else:
-                raise UsageError(f"unknown method {name!r}")
         except bloch.GaplessAt:
             raise  # an input error, not a failed route
         except (invariants.InvariantError, bloch.BlochError,
@@ -301,7 +304,7 @@ def _compute_methods(model, grid, methods, tol, stable=False, raw=None):
 # ---------------------------------------------------------------------------
 
 def cmd_invariant(args, extra) -> int:
-    model = _build_model(args, extra)
+    model = _build_model(args.model, _model_params(args, extra))
     tol = _tols(args)
     if model.domain == "sphere3":
         # the s3 route's angular mesh size, taken from --grid
@@ -341,8 +344,7 @@ def cmd_phase_diagram(args, extra) -> int:
         start, stop, steps = float(start), float(stop), int(steps)
     except ValueError as exc:
         raise UsageError("--sweep must be name:start:stop:steps") from exc
-    base = _parse_params((args.params or "").split(","))
-    base.update(_parse_extra_params(extra))
+    base = _model_params(args, extra)
     tol = _tols(args)
     if args.tol_smoothness is None:
         # coarse sweeps prioritise coverage; the plane method is
@@ -350,102 +352,81 @@ def cmd_phase_diagram(args, extra) -> int:
         tol["smoothness"] = 0.75
     rows = []
     for value in np.linspace(start, stop, steps):
-        params = dict(base)
-        params[pname] = float(value)
+        model = _build_model(args.model, {**base, pname: float(value)},
+                             check=False)
         try:
-            model = models.make_model(args.model, params, check=False)
-        except models.ModelError as exc:
-            raise UsageError(str(exc)) from exc
-        if model.domain == "sphere3":
-            try:
-                s3 = invariants.km_s3(model, _sphere_mesh(args.grid, 24))
-                rows.append((value, 1.0, "nan", "nan",
-                             str(s3["parity"]), "true", "false"))
-            except (bloch.GaplessAt, invariants.NonConvergent):
-                rows.append((value, 0.0, "nan", "nan", "nan",
-                             "false", "true"))
-            continue
-        grid = _parse_grid(args.grid or "16", model.dim)
-        try:
-            raw = bloch.diagonalize_grid(model, grid, gap=tol["gap"])
+            if model.domain == "sphere3":
+                # the s3 parity fills the parity_wzw column
+                grid = BZGrid.cubic(3, _sphere_mesh(args.grid, 24))
+                raw, gap, columns = None, 1.0, (None, None, "s3")
+            else:
+                grid = _parse_grid(args.grid or "16", model.dim)
+                raw = bloch.diagonalize_grid(model, grid, gap=tol["gap"])
+                gap = float(np.abs(raw.energies).min())
+                columns = ("pfaffian", "planes", "wzw")
+            outputs, _ = _compute_methods(
+                model, grid, [c for c in columns if c], tol, stable=True,
+                raw=raw)
         except bloch.GaplessAt:
             rows.append((value, 0.0, "nan", "nan", "nan", "false", "true"))
             continue
-        gap = float(np.abs(raw.energies).min())
-        outputs, _ = _compute_methods(model, grid,
-                                      ["pfaffian", "planes", "wzw"], tol,
-                                      stable=True, raw=raw)
-        cells = []
-        parities = []
-        for mname in ("pfaffian", "planes", "wzw"):
-            o = outputs.get(mname, {})
-            if "parity" in o:
-                cells.append(str(o["parity"]))
-                parities.append(o["parity"])
-            else:
-                cells.append("nan")
-        consensus = "true" if parities and len(set(parities)) == 1 else "false"
-        rows.append((value, gap, cells[0], cells[1], cells[2],
-                     consensus, "false"))
+        parities = [outputs.get(c, {}).get("parity") for c in columns]
+        answered = {p for p in parities if p is not None}
+        rows.append((value, gap,
+                     *("nan" if p is None else str(p) for p in parities),
+                     "true" if len(answered) == 1 else "false", "false"))
     lines = ["param,gap,parity_pfaffian,parity_planes,parity_wzw,"
              "consensus,gapless"]
     for r in rows:
         lines.append(f"{r[0]:.10g},{r[1]:.10g},{r[2]},{r[3]},{r[4]},"
                      f"{r[5]},{r[6]}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_localise(args, extra) -> int:
-    tol = _tols(args)
     form = args.form or "wzw"
     if form.startswith("uniform:"):
+        if args.model or args.params or extra:
+            raise UsageError("--form uniform:<v> takes no model or model "
+                             "parameters")
         try:
             upsilon = float(form.split(":", 1)[1])
         except ValueError as exc:
             raise UsageError("--form uniform:<number>") from exc
         grid = _parse_grid(args.grid or "32", 3)
         dens = np.full(grid.sizes, upsilon / np.prod(grid.sizes))
-        coch = eqforms.Cochain.from_density(grid, dens)
+        trace = eqforms.localise(eqforms.Cochain.from_density(grid, dens))
         discarded = 0.0
     elif form == "wzw":
-        model = _build_model(args, extra)
+        tol = _tols(args)
+        model = _build_model(args.model, _model_params(args, extra))
         if model.domain != "torus" or model.dim != 3:
             raise UsageError("--form wzw needs a 3-d torus model")
         grid = _parse_grid(args.grid or "32", 3)
         raw = bloch.diagonalize_grid(model, grid, gap=tol["gap"])
         _, _, wred = bloch.gauge_pipeline(
             raw, model.theta, smoothness_limit=tol["smoothness"])
-        coch, discarded = eqforms.sample_wzw(
-            wred, smoothness_limit=tol["sample-smoothness"])
+        trace, discarded = _localise_wzw(wred)
     else:
         raise UsageError("--form must be uniform:<v> or wzw")
-    trace = eqforms.localise(coch)
-    total = sum(trace.fixed_values.values())
     doc = trace.as_dict()
     doc["discarded_symmetric_part"] = discarded
+    code = 0
     try:
-        parity, resid = invariants._round_parity(total, slack=tol["round"])
-        doc["parity"] = parity
-        doc["parity_residual"] = resid
+        doc["parity"], doc["parity_residual"] = invariants._round_parity(
+            sum(trace.fixed_values.values()))
     except invariants.NonConvergent as exc:
         doc["parity"] = None
         doc["notes"] = [str(exc)]
-        _emit(doc, args.out)
-        return 3
+        code = 3
     _emit(doc, args.out)
-    return 0
+    return code
 
 
-def _validate_suite(args):
+def _validate_suite(seed, noise):
     """Structural property checks on registry models at small grids."""
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    noise = getattr(args, "theta_noise", 0.0) or 0.0
+    rng = np.random.default_rng(seed)
     checks = []
 
     def record(name, residual, tolr):
@@ -458,15 +439,11 @@ def _validate_suite(args):
     for name, params, dim in cases:
         model = models.make_model(name, params, check=False)
         if noise:
-            base = model
             pert = noise * rng.standard_normal(
-                (base.n_bands, base.n_bands))
+                (model.n_bands, model.n_bands))
             pert = pert + pert.T  # Hermitian, generically breaks TR
-            orig_batch = base._batch
-            model = models.BlochModel(
-                base.name, base.domain, base.dim, base.n_bands, base.n_occ,
-                base.theta, base.params,
-                lambda K, p=pert, f=orig_batch: f(K) + p)
+            model = dataclasses.replace(
+                model, _batch=lambda K, p=pert, f=model._batch: f(K) + p)
         grid = BZGrid.cubic(dim, 16)
         rep = models.validate_model(model, grid)
         record(f"{name}: time-reversal relation", rep["tr_residual"], 1e-8)
@@ -479,8 +456,8 @@ def _validate_suite(args):
                       in bloch.plane_chern_numbers(raw).values())
         record(f"{name}: invariant-plane Chern numbers vanish", worst_c, 1e-6)
         try:
-            frames = bloch.smooth_gauge(raw)
-            w = bloch.sewing_field(frames, model.theta, smoothness_limit=1.0)
+            _, w, _ = bloch.gauge_pipeline(raw, model.theta,
+                                           smoothness_limit=1.0)
             res = w.residuals()
             record(f"{name}: sewing unitarity", res["unitarity"], 1e-8)
             record(f"{name}: sewing involution relation",
@@ -514,10 +491,9 @@ def _validate_suite(args):
 def cmd_validate(args, extra) -> int:
     if extra:
         raise UsageError(f"unrecognized arguments {extra}")
-    checks = _validate_suite(args)
+    checks = _validate_suite(args.seed, args.theta_noise)
     ok = all(c["ok"] for c in checks)
-    doc = {"ok": ok, "seed": args.seed if args.seed is not None else 0,
-           "checks": checks}
+    doc = {"ok": ok, "seed": args.seed, "checks": checks}
     _emit(doc, args.out)
     return 0 if ok else 4
 
@@ -547,37 +523,33 @@ def _build_parser():
         description="Z2 invariants of time-reversal symmetric band models")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp, model=True):
-        if model:
-            sp.add_argument("--model")
-            sp.add_argument("--params", default="")
+    def model_command(name, func, help):
+        """A subcommand that builds a model, with the options it reads."""
+        sp = sub.add_parser(name, allow_abbrev=False, help=help)
+        sp.add_argument("--model")
+        sp.add_argument("--params", default="")
         sp.add_argument("--grid")
         sp.add_argument("--out")
         sp.add_argument("--threads", type=int)
-        sp.add_argument("--seed", type=int)
         sp.add_argument("--stable-output", action="store_true",
                         help="zero out timing fields for byte-stable output")
         for key, default in _TOL_DEFAULTS.items():
             sp.add_argument(f"--tol-{key}", type=float, default=None,
                             help=f"override tolerance (default {default})")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("invariant", allow_abbrev=False, help="compute the invariant")
-    common(sp)
+    sp = model_command("invariant", cmd_invariant, "compute the invariant")
     sp.add_argument("--methods")
-    sp.set_defaults(func=cmd_invariant)
-
-    sp = sub.add_parser("phase-diagram", allow_abbrev=False, help="sweep a parameter")
-    common(sp)
+    sp = model_command("phase-diagram", cmd_phase_diagram, "sweep a parameter")
     sp.add_argument("--sweep", help="name:start:stop:steps")
-    sp.set_defaults(func=cmd_phase_diagram)
-
-    sp = sub.add_parser("localise", allow_abbrev=False, help="dump a localisation trace")
-    common(sp)
+    sp = model_command("localise", cmd_localise, "dump a localisation trace")
     sp.add_argument("--form", help="uniform:<v> or wzw")
-    sp.set_defaults(func=cmd_localise)
 
     sp = sub.add_parser("validate", allow_abbrev=False, help="run the property suite")
-    common(sp, model=False)
+    sp.add_argument("--out")
+    sp.add_argument("--threads", type=int)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--theta-noise", type=float, default=0.0,
                     help="inject a time-reversal-breaking perturbation "
                          "(negative testing)")
@@ -596,8 +568,6 @@ def main(argv=None) -> int:
     if not getattr(args, "command", None):
         parser.print_help(sys.stderr)
         return 1
-    if not hasattr(args, "stable_output"):
-        args.stable_output = False
     try:
         _set_threads(args) if hasattr(args, "threads") else None
         return args.func(args, extra)

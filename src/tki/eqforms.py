@@ -254,7 +254,7 @@ def _single_component(grid: BZGrid, S, field_values: np.ndarray) -> Cochain:
     return Cochain(grid, len(S), vals)
 
 
-def sample_wzw(wfield: SewingField, smoothness_limit: float = 0.3):
+def sample_wzw(wfield: SewingField, smoothness_limit: float = 1.0):
     """Sample the trivialisation 3-density of an SU-reduced sewing field as
     a top cochain and project out its inversion-even part.
 
@@ -262,7 +262,10 @@ def sample_wzw(wfield: SewingField, smoothness_limit: float = 0.3):
     discarded is the 1-norm of the removed even part (a discretization
     artifact that must shrink under grid refinement).  Raises RoughGauge
     when the field varies too fast between neighbouring nodes for the link
-    logarithms to be trustworthy.
+    logarithms to be trustworthy.  The gate measures the largest link
+    ||w(k + e_a) - w(k)||, whose scale in a smooth gauge is about a constant
+    over N; band-inverted models exceed 0.3 on every practical grid, so the
+    default admits links up to 1.0 and still refuses a field with a jump.
     """
     grid = wfield.grid
     if grid.dim != 3:

@@ -283,6 +283,13 @@ def _sphere_involute_mesh(K):
     return out
 
 
+def _tr_residual(U, H, Hm) -> float:
+    """Largest entry of U conj(H(k)) U^dagger - H(-k): zero for a
+    time-reversal symmetric Hamiltonian."""
+    return float(np.abs(np.einsum("ab,...bc,dc->...ad", U, H.conj(),
+                                  U.conj()) - Hm).max())
+
+
 def _sanity_check(model: BlochModel, n: int = 16):
     if model.domain == "torus":
         grid = BZGrid.cubic(model.dim, n)
@@ -297,7 +304,7 @@ def _sanity_check(model: BlochModel, n: int = 16):
     herm = np.abs(H - np.swapaxes(H, -1, -2).conj()).max()
     if herm > 1e-9:
         raise SymmetryViolation(f"Hamiltonian not Hermitian (residual {herm:.2e})")
-    tr = np.abs(np.einsum("ab,...bc,dc->...ad", U, H.conj(), U.conj()) - Hm).max()
+    tr = _tr_residual(U, H, Hm)
     if tr > 1e-9:
         raise SymmetryViolation(f"time-reversal contract violated (residual {tr:.2e})")
     ev = np.linalg.eigvalsh(H)
@@ -312,9 +319,7 @@ def validate_model(model: BlochModel, grid: BZGrid) -> dict:
         raise IncompatibleGrid("grid does not match the model's domain")
     H = model.hamiltonian_batch(grid.node_mesh())
     U = model.theta.U
-    tr_residual = float(np.abs(
-        np.einsum("ab,...bc,dc->...ad", U, H.conj(), U.conj())
-        - grid.involute(H)).max())
+    tr_residual = _tr_residual(U, H, grid.involute(H))
     ev, vec = np.linalg.eigh(H)
     min_gap = float(np.abs(ev).min())
     kramers_ok = True
@@ -413,8 +418,7 @@ def ingest_sampled(source) -> BlochModel:
     grid = BZGrid(dim, sizes)
     if np.abs(H - np.swapaxes(H, -1, -2).conj()).max() > 1e-8:
         raise SymmetryViolation("sampled Hamiltonians not Hermitian within 1e-8")
-    res = np.abs(np.einsum("ab,...bc,dc->...ad", U, H.conj(), U.conj())
-                 - grid.involute(H)).max()
+    res = _tr_residual(U, H, grid.involute(H))
     if res > 1e-8:
         raise SymmetryViolation(
             f"time-reversal contract violated on the declared grid ({res:.2e})")

@@ -61,9 +61,8 @@ def _gauge(cache, name, params, n):
         model = models.make_model(name, params)
         t0 = time.perf_counter()
         raw = bloch.diagonalize_grid(model, BZGrid.cubic(3, n))
-        frames = bloch.smooth_gauge(raw)
-        wred = bloch.su_reduce(bloch.sewing_field(
-            frames, model.theta, smoothness_limit=_SMOOTH_LIMIT[n]))
+        frames, _, wred = bloch.gauge_pipeline(
+            raw, model.theta, smoothness_limit=_SMOOTH_LIMIT[n])
         cache[key] = (model, raw, frames, wred,
                       time.perf_counter() - t0)
     return cache[key]

@@ -75,6 +75,19 @@ class TestInvariantCommand:
         code, _, err = run(capsys, "invariant", "--model", "dirac_s3",
                            "--mass", "-2", "--grid", "16")
         assert code == 1 and err.startswith("error:")
+        # options a command does not read are refused, not ignored
+        trivial = ["--model", "trivial", "--dim", "3", "--m", "2",
+                   "--grid", "8", "--methods", "pfaffian"]
+        bhz = ["--model", "bhz2d", "--sweep", "m:1:1:1", "--grid", "8"]
+        for argv in (["invariant", *trivial, "--seed", "1"],
+                     ["invariant", *trivial, "--tol-round", "0.3"],
+                     ["invariant", *trivial, "--tol-sample-smoothness", "2"],
+                     ["phase-diagram", *bhz, "--seed", "1"],
+                     ["validate", "--grid", "16"],
+                     ["validate", "--tol-gap", "10"],
+                     ["validate", "--stable-output"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "" and err.startswith("error:"), argv
 
     def test_gapless_model_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "invariant", "--model", "bhz2d",
@@ -132,6 +145,14 @@ class TestLocaliseCommand:
     def test_bad_form(self, capsys):
         assert run(capsys, "localise", "--form", "banana")[0] == 1
 
+    def test_uniform_refuses_model_input(self, capsys):
+        uniform = ["localise", "--form", "uniform:3", "--grid", "8"]
+        for stray in (["--model", "fkm3d", "--dt", "1"], ["--dt", "1"],
+                      ["--params", "dt=1"], ["leftover"]):
+            code, out, err = run(capsys, *uniform, *stray)
+            assert code == 1 and out == "" and err.startswith("error:"), \
+                stray
+
 
 class TestPhaseDiagramCommand:
     def test_sweep_marks_gapless(self, capsys, tmp_path):
@@ -165,6 +186,14 @@ class TestPhaseDiagramCommand:
 
     def test_requires_sweep(self, capsys):
         assert run(capsys, "phase-diagram", "--model", "bhz2d")[0] == 1
+
+    def test_trivial_dim_flag(self, capsys):
+        # parameters go through the same model builder as `invariant`
+        code, out, _ = run(capsys, "phase-diagram", "--model", "trivial",
+                           "--dim", "3", "--m", "2", "--sweep", "m:2:2:1",
+                           "--grid", "8")
+        assert code == 0
+        assert out.splitlines()[1] == "2,1,1,1,1,true,false"
 
 
 class TestValidateCommand:

@@ -12,8 +12,8 @@ def bhz_cases():
     for label, m in [("inverted", 2.0), ("trivial", -1.0)]:
         model = models.make_model("bhz2d", {"m": m})
         raw = bloch.diagonalize_grid(model, BZGrid.cubic(2, 24))
-        frames = bloch.smooth_gauge(raw)
-        wred = bloch.su_reduce(bloch.sewing_field(frames, model.theta))
+        _, _, wred = bloch.gauge_pipeline(raw, model.theta,
+                                          smoothness_limit=0.5)
         out[label] = (model, raw, wred)
     return out
 

@@ -1,8 +1,9 @@
 """Golden-report guard: fixed CLI requests must keep their reports.
 
-`golden/reports.json` maps a request name to its argv, exit code and JSON
-report.  Exit codes, keys, strings and integers (parities among them) must
-match exactly, floats within 1e-12.  After a change that alters a report on
+`golden/reports.json` maps a request name to its argv, exit code and report:
+parsed JSON, or the CSV text of a phase diagram.  Exit codes, keys, strings
+(CSV text among them) and integers (parities among them) must match exactly,
+floats within 1e-12.  After a change that alters a report on
 purpose, rewrite the file with
 
     PYTHONPATH=src python3 tests/test_reports.py --write
@@ -36,6 +37,12 @@ REQUESTS = {
                            "--grid", "16", "--stable-output"],
     "localise_uniform3": ["localise", "--form", "uniform:3",
                           "--stable-output"],
+    "localise_fkm3d_dt0.5_24": ["localise", "--model", "fkm3d", "--dt", "0.5",
+                                "--form", "wzw", "--grid", "24"],
+    "phase_bhz2d_m_12": ["phase-diagram", "--model", "bhz2d",
+                         "--sweep", "m:-1:1:3", "--grid", "12"],
+    "phase_dirac_s3_mass_16": ["phase-diagram", "--model", "dirac_s3",
+                               "--sweep", "mass:-3:1:5", "--grid", "16"],
     "validate_seed3": ["validate", "--seed", "3"],
 }
 
@@ -44,7 +51,9 @@ def run_request(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(list(argv))
-    return code, json.loads(buf.getvalue())
+    text = buf.getvalue()
+    # a phase diagram is CSV, every other command prints JSON
+    return code, text if argv[0] == "phase-diagram" else json.loads(text)
 
 
 def assert_matches(got, want, path="report"):
