@@ -13,7 +13,7 @@ log of the link unitaries, behind the Berry connection, the quaternionic
 map, the Maurer-Cartan links and the S^3 density), `plaquette_flux` (behind
 both plane Chern counts) and `_antisym_trace3` over `_PERMS3` (behind both
 WZW densities and the Chern-Simons integral).  The smoother's alignment
-sweeps, `link_log` and `FrameField.smoothness` run on the closed-form 2x2
+sweeps, `link_log` and `FrameField.deficiency` run on the closed-form 2x2
 kernels of `linalg` (polar factor, principal log, operator norm) when
 m = 2; the transport seed keeps the SVD / eig path for every m.  The
 sweeps hold their frames matrix-major (`linalg._matrix_major`), so that
@@ -31,6 +31,7 @@ exact involution on the index lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -86,16 +87,22 @@ class FrameField:
     def m(self) -> int:
         return self.frames.shape[-1]
 
+    @cached_property
+    def deficiency(self) -> np.ndarray:
+        """Operator-norm deficiency ||1 - u(k)+ u(k + e_a)|| of every forward
+        link, periodic, shape (dim, *sizes); computed once per instance."""
+        u = self.frames
+        eye = np.eye(self.m)
+        out = np.empty((self.grid.dim,) + self.grid.sizes)
+        for a in range(self.grid.dim):
+            out[a] = batched_spectral_norm(
+                _mm(_dag(u), np.roll(u, -1, axis=a)) - eye)
+        return out
+
     @property
     def smoothness(self) -> float:
-        """Max over links of the operator-norm deficiency ||1 - u(k)+ u(k+d)||."""
-        u = self.frames
-        worst = 0.0
-        eye = np.eye(self.m)
-        for a in range(self.grid.dim):
-            O = _mm(_dag(u), np.roll(u, -1, axis=a))
-            worst = max(worst, float(batched_spectral_norm(O - eye).max()))
-        return worst
+        """Max over links of the deficiency."""
+        return float(self.deficiency.max())
 
     def restrict_plane(self, axis: int, index: int) -> "FrameField":
         """Slice frames onto the 2-torus k_axis = const (index 0 or N/2)."""
@@ -300,42 +307,49 @@ def _multiscale_init(raw: FrameField, max_sweeps: int) -> np.ndarray:
     grid, dim = raw.grid, raw.grid.dim
     coarse = BZGrid(dim, tuple(n // 2 for n in grid.sizes))
     sub = (slice(None, None, 2),) * dim
-    uc = _smooth_frames(FrameField(coarse, raw.frames[sub],
-                                   raw.energies[sub]), max_sweeps)
-    ref = uc
+    ref = _smooth_frames(FrameField(coarse, raw.frames[sub],
+                                    raw.energies[sub]), max_sweeps).frames
     for a in range(dim):
         ref = np.repeat(ref, 2, axis=a)
     return _mm(raw.frames, batched_polar_unitary(_mm(_dag(raw.frames), ref)))
 
 
-def _anneal(u: np.ndarray, raw: FrameField, max_sweeps: int) -> tuple:
+def _anneal(field_: FrameField, raw: FrameField, max_sweeps: int) -> tuple:
     """Dissolve residual vortex lines (metastable under pure alignment, e.g.
     when two everywhere-degenerate columns lock into conjugate Chern sectors)
-    with deterministic random kicks followed by re-relaxation."""
+    with deterministic random kicks followed by re-relaxation.
+
+    Trials start only on a defect line: more than 2 dim links (the star of
+    one node) with deficiency above 0.7.  A lone hot node, such as the
+    six-link Gamma spot of a gauge near a gap closing, is left as relaxed:
+    kicks do not move it.  Returns the best field and its smoothness."""
     dim = raw.grid.dim
+    best, best_s = field_, field_.smoothness
+    if np.count_nonzero(field_.deficiency > 0.7) <= 2 * dim:
+        return best, best_s
     rng = np.random.default_rng(12345)
-    best = u
-    best_s = FrameField(raw.grid, u, raw.energies).smoothness
+    shape = raw.grid.sizes + (field_.m,) * 2
     for trial in range(12):
         if best_s < 0.7:
             break
         amp = 0.9 * 0.75 ** (trial % 4)
-        X = (rng.standard_normal(raw.grid.sizes + (u.shape[-1],) * 2)
-             + 1j * rng.standard_normal(raw.grid.sizes + (u.shape[-1],) * 2))
+        X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         ev, V = np.linalg.eigh(-1j * amp * _AH(X))
         kick = _mm(V * np.exp(1j * ev)[..., None, :], _dag(V))
-        u = _relax(_mm(best, kick), dim, max_sweeps)
-        s = FrameField(raw.grid, u, raw.energies).smoothness
+        u = _relax(_mm(best.frames, kick), dim, max_sweeps)
+        kicked = FrameField(raw.grid, u, raw.energies)
+        s = kicked.smoothness
         if s < best_s:
-            best, best_s = u, s
+            best, best_s = kicked, s
     return best, best_s
 
 
-def _smooth_frames(raw: FrameField, max_sweeps: int) -> np.ndarray:
+def _smooth_frames(raw: FrameField, max_sweeps: int) -> FrameField:
     """Recursive gauge construction: seed from a half-resolution smooth gauge
     when the grid allows it, otherwise from nested parallel transport; relax
     and anneal, falling back to the alternate seeding when the first one
-    settles into a defective local minimum."""
+    settles above deficiency 0.7.  Each seed's relaxed gauge starts anneal
+    trials only when it holds a defect line (`_anneal`)."""
     grid, dim = raw.grid, raw.grid.dim
     multiscale_ok = all(n % 4 == 0 and n >= 24 for n in grid.sizes)
     inits = [lambda: _transport_init(raw)]
@@ -345,10 +359,11 @@ def _smooth_frames(raw: FrameField, max_sweeps: int) -> np.ndarray:
         inits.append(lambda: _transport_init(raw, order=range(dim)[::-1]))
     best, best_s = None, np.inf
     for make_init in inits:
-        u = _relax(make_init(), dim, max_sweeps)
-        u, s = _anneal(u, raw, max_sweeps)
+        relaxed = FrameField(grid, _relax(make_init(), dim, max_sweeps),
+                             raw.energies)
+        field_, s = _anneal(relaxed, raw, max_sweeps)
         if s < best_s:
-            best, best_s = u, s
+            best, best_s = field_, s
         if best_s < 0.7:
             break
     return best
@@ -360,18 +375,21 @@ def smooth_gauge(raw: FrameField, max_sweeps: int = 400) -> FrameField:
     Multiscale: the gauge is first built on a half-resolution subgrid
     (recursively; nested parallel transport with Wilson-loop closure at the
     coarsest level), prolonged, and relaxed by local alignment sweeps until
-    the mean link deficiency plateaus.  Fails with ChernObstruction when an
+    the mean link deficiency plateaus; a level whose relaxed gauge still
+    holds a defect line is kicked and relaxed again (`_anneal`).  The
+    returned field caches its per-link deficiency, which the smoothness
+    gates downstream read.  Fails with ChernObstruction when an
     invariant plane carries a nonzero Chern number, in which case no smooth
     periodic gauge exists.
     """
     for plane, (c, _) in plane_chern_numbers(raw).items():
         if c != 0:
             raise ChernObstruction(plane[:2], c)
-    u = _smooth_frames(raw, max_sweeps)
-    field_ = FrameField(raw.grid, u, raw.energies)
-    if field_.smoothness > 1.2:
+    field_ = _smooth_frames(raw, max_sweeps)
+    s = field_.smoothness
+    if s > 1.2:
         raise ConvergenceFailure(
-            f"gauge smoothing stalled at deficiency {field_.smoothness:.3f}")
+            f"gauge smoothing stalled at deficiency {s:.3f}")
     return field_
 
 
@@ -524,6 +542,18 @@ def _antisym_trace3(X, Y, Z):
     return out
 
 
+def _link_logs(w: np.ndarray, spacings) -> np.ndarray:
+    """link_log(w, a) / h_a for every axis, stacked on axis 0 and stored
+    matrix-major, so that `_antisym_trace3` runs on long vectors; its values
+    are bitwise those of C order."""
+    m = w.shape[-1]
+    L = np.moveaxis(np.empty((len(spacings), m, m) + w.shape[:-2],
+                             dtype=complex), (1, 2), (-2, -1))
+    for a, h in enumerate(spacings):
+        L[a] = link_log(w, a) / h
+    return L
+
+
 def maurer_cartan_links(wfield: SewingField) -> np.ndarray:
     """Discrete w^{-1} dw per axis: principal log of the forward link unitary.
 
@@ -531,11 +561,7 @@ def maurer_cartan_links(wfield: SewingField) -> np.ndarray:
     quotient to O(h) but keeps the result exactly in the Lie algebra, which
     buys roughly one order of accuracy in the WZW Riemann sums.
     """
-    grid, w = wfield.grid, wfield.w
-    L = np.empty((grid.dim,) + grid.sizes + (wfield.m, wfield.m), dtype=complex)
-    for a, h in enumerate(grid.spacings):
-        L[a] = link_log(w, a) / h
-    return L
+    return _link_logs(wfield.w, wfield.grid.spacings)
 
 
 def wzw_density(wfield: SewingField) -> np.ndarray:

@@ -65,13 +65,15 @@ def _parse_params(parts):
     return out
 
 
-def _parse_extra_params(extra):
-    """Accept bare `--name value` pairs as model parameters."""
+def _parse_extra_params(extra, names):
+    """Accept bare `--name value` pairs as model parameters; the name must
+    be in `names`."""
     out = {}
     i = 0
     while i < len(extra):
         tok = extra[i]
-        if not tok.startswith("--") or i + 1 >= len(extra):
+        if not tok.startswith("--") or tok[2:] not in names \
+                or i + 1 >= len(extra):
             raise UsageError(f"unrecognized argument {tok!r}")
         try:
             out[tok[2:]] = float(extra[i + 1])
@@ -107,9 +109,13 @@ def _parse_grid(text, dim):
 
 
 def _model_params(args, extra):
-    """Model parameters from --params and bare `--name value` pairs."""
+    """Model parameters from --params and bare `--name value` pairs; a bare
+    option must name a parameter the model declares."""
     params = _parse_params((args.params or "").split(","))
-    params.update(_parse_extra_params(extra))
+    names = models.parameter_names(args.model)
+    if args.model == "trivial":
+        names += ("dim",)  # `_build_model` reads it as d
+    params.update(_parse_extra_params(extra, names))
     return params
 
 

@@ -205,6 +205,11 @@ _REGISTRY = {
 }
 
 
+def parameter_names(name) -> tuple:
+    """Parameter names a registry model declares; () for any other name."""
+    return tuple(_REGISTRY.get(name, ()))
+
+
 def make_model(name: str, params: dict | None = None,
                check: bool = True) -> BlochModel:
     if name not in _REGISTRY:

@@ -119,6 +119,75 @@ class TestSmoothGauge:
         assert np.array_equal(um, u)
         assert not np.array_equal(a, u)
 
+    def test_deficiency_max_is_the_smoothness(self, bhz_gauge):
+        # the cached per-link array reproduces the direct max over links,
+        # and a general-m field agrees with LAPACK's spectral norm
+        _, frames, _ = bhz_gauge
+        u = frames.frames
+        direct = max(float(bloch.batched_spectral_norm(
+            bloch._mm(bloch._dag(u), np.roll(u, -1, axis=a))
+            - np.eye(2)).max()) for a in range(2))
+        assert frames.deficiency.shape == (2,) + frames.grid.sizes
+        assert frames.smoothness == direct
+        assert frames.deficiency is frames.deficiency
+        g = BZGrid.cubic(3, 4)
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.standard_normal(g.sizes + (6, 6))
+                            + 1j * rng.standard_normal(g.sizes + (6, 6)))
+        field = bloch.FrameField(g, q[..., :4], np.zeros(g.sizes + (4,)))
+        for a in range(3):
+            O = np.einsum("...ai,...aj->...ij", q[..., :4].conj(),
+                          np.roll(q[..., :4], -1, axis=a))
+            ref = np.linalg.norm(O - np.eye(4), ord=2, axis=(-2, -1))
+            assert np.abs(field.deficiency[a] - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("dt, n, relaxes", [(1.5, 8, 2), (1.0, 24, 3)])
+    def test_anneal_skips_a_lone_hot_node(self, monkeypatch, dt, n, relaxes):
+        # near the gap closing at dt = 2 each seed relaxes to a gauge whose
+        # only links above 0.7 are the six of the Gamma node (at 24^3 on the
+        # 12^3 level); kicks cannot move that spot, so no trial starts and
+        # the relaxed gauge comes back as it is
+        raw = bloch.diagonalize_grid(models.make_model("fkm3d", {"dt": dt}),
+                                     BZGrid.cubic(3, n))
+        relax, anneal = bloch._relax, bloch._anneal
+        sweeps, seen = [], []
+
+        def counted_relax(*args):
+            sweeps.append(args)
+            return relax(*args)
+
+        def seen_anneal(field, *args):
+            out = anneal(field, *args)
+            seen.append((field, out))
+            return out
+
+        monkeypatch.setattr(bloch, "_relax", counted_relax)
+        monkeypatch.setattr(bloch, "_anneal", seen_anneal)
+        bloch.smooth_gauge(raw)
+        assert len(sweeps) == relaxes  # one relax per seed, no trial
+        rough = [(f, out) for f, out in seen if f.smoothness >= 0.7]
+        assert len(rough) == 2
+        for field, (best, s) in rough:
+            assert np.count_nonzero(field.deficiency > 0.7) == 6
+            assert best is field and s == field.smoothness
+
+    def test_anneal_clears_a_vortex_line(self, monkeypatch):
+        # layered3d m = 2 relaxes into a vortex line of many hot links,
+        # which the kicks dissolve
+        raw = bloch.diagonalize_grid(
+            models.make_model("layered3d", {"m": 2.0, "tz": 0.5}),
+            BZGrid.cubic(3, 16))
+        anneal, relaxed = bloch._anneal, []
+
+        def seen_anneal(field, *args):
+            relaxed.append(field)
+            return anneal(field, *args)
+
+        monkeypatch.setattr(bloch, "_anneal", seen_anneal)
+        assert bloch.smooth_gauge(raw).smoothness < 0.7
+        assert relaxed[0].smoothness > 0.7
+        assert np.count_nonzero(relaxed[0].deficiency > 0.7) > 6
+
 
 class TestSewing:
     def test_contracts(self, bhz_gauge):
@@ -214,3 +283,14 @@ class TestWzwDensity:
         w = np.broadcast_to(S, g.sizes + (2, 2)).copy()
         dens = bloch.wzw_density(bloch.SewingField(g, w))
         assert np.abs(dens).max() <= 1e-14
+
+    def test_matrix_major_links_change_no_bit(self, pipeline, monkeypatch):
+        # the Maurer-Cartan links are stored matrix-major; the density must
+        # be bitwise the one of C-ordered links
+        _, wred = pipeline.gauge("fkm3d", {"dt": 0.5}, 16)
+        L = bloch.maurer_cartan_links(wred)
+        assert min(L.strides[-2:]) > max(L.strides[1:-2])
+        dens = bloch.wzw_density(wred)
+        monkeypatch.setattr(bloch, "maurer_cartan_links",
+                            lambda w: np.ascontiguousarray(L))
+        assert np.array_equal(bloch.wzw_density(wred), dens)

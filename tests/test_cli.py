@@ -88,6 +88,12 @@ class TestInvariantCommand:
                      ["validate", "--stable-output"]):
             code, out, err = run(capsys, *argv)
             assert code == 1 and out == "" and err.startswith("error:"), argv
+        # a bare option is named as an option, a --params entry as a
+        # parameter
+        code, _, err = run(capsys, "invariant", *trivial, "--seed", "1")
+        assert code == 1 and "unrecognized argument '--seed'" in err
+        code, _, err = run(capsys, "invariant", *trivial, "--params", "seed=1")
+        assert code == 1 and "has no parameter 'seed'" in err
 
     def test_gapless_model_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "invariant", "--model", "bhz2d",
