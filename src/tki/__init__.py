@@ -5,9 +5,10 @@ Subpackages
 linalg      dense kernels: stacked products, Pfaffian, polar factor, phase tracking
 models      registry of gapped Bloch Hamiltonian families + sampled-Hamiltonian ingest
 bloch       frame fields, the shared gauge pipeline, sewing matrices, Berry connections
-eqforms     cubical cochain calculus and the fixed-point localisation descent
+eqforms     cubical cochain calculus and the one descent step, `push`, with the
+            torus localisation built on it
 invariants  the Kane-Mele routes and the cross-validated report
-sphere      S3 angular meshes and the hemisphere descent for continuum Dirac models
+sphere      S3 angular meshes and the three-push pole descent for continuum Dirac models
 cli         command line front end (`tki`)
 """
 

@@ -15,9 +15,7 @@ Exit codes: 0 success, 1 usage or I/O error, 2 method disagreement,
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
-import glob
 import json
 import os
 import sys
@@ -132,52 +130,6 @@ def _build_model(name, params, check=True):
     for k in intlike & set(params):
         params[k] = int(params[k])
     return models.make_model(name, params, check=check)
-
-
-def _openblas_set_num_threads():
-    """`set_num_threads` of the OpenBLAS bundled with numpy's wheels, or
-    None.  Loading the library by path returns the copy numpy already
-    uses."""
-    base = os.path.dirname(os.path.dirname(np.__file__))
-    pattern = os.path.join(base, "numpy.libs", "libscipy_openblas64_*")
-    for path in sorted(glob.glob(pattern)):
-        try:
-            fn = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        fn.argtypes, fn.restype = [ctypes.c_int], None
-        return fn
-    return None
-
-
-def _set_threads(args):
-    """Limit BLAS threads to --threads or TKI_THREADS.
-
-    numpy reads the thread environment variables only when it loads, so the
-    limit is set on the loaded library: through threadpoolctl when it is
-    installed, otherwise through numpy's bundled OpenBLAS."""
-    n = args.threads if args.threads is not None \
-        else os.environ.get("TKI_THREADS")
-    if n in (None, ""):
-        return
-    try:
-        n = int(n)
-    except ValueError as exc:
-        raise UsageError(f"thread count must be an integer, got {n!r}") \
-            from exc
-    if n < 1:
-        raise UsageError(f"thread count must be >= 1, got {n}")
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        set_num_threads = _openblas_set_num_threads()
-        if set_num_threads is None:
-            raise UsageError(
-                "--threads / TKI_THREADS need threadpoolctl or numpy's "
-                "bundled OpenBLAS; neither was found") from None
-        set_num_threads(n)
-    else:
-        threadpool_limits(limits=n)
 
 
 def _write(text, out_path):
@@ -536,7 +488,6 @@ def _build_parser():
         sp.add_argument("--params", default="")
         sp.add_argument("--grid")
         sp.add_argument("--out")
-        sp.add_argument("--threads", type=int)
         sp.add_argument("--stable-output", action="store_true",
                         help="zero out timing fields for byte-stable output")
         for key, default in _TOL_DEFAULTS.items():
@@ -554,7 +505,6 @@ def _build_parser():
 
     sp = sub.add_parser("validate", allow_abbrev=False, help="run the property suite")
     sp.add_argument("--out")
-    sp.add_argument("--threads", type=int)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--theta-noise", type=float, default=0.0,
                     help="inject a time-reversal-breaking perturbation "
@@ -575,7 +525,6 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 1
     try:
-        _set_threads(args) if hasattr(args, "threads") else None
         return args.func(args, extra)
     except (UsageError, models.ModelError, sphere.SphereError, GridError,
             OSError) as exc:

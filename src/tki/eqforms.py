@@ -8,7 +8,8 @@ and a dimension-descending localisation: an inversion-odd top cochain is
 repeatedly trivialized on half the torus and pushed to the boundary tori,
 ending with one number per inversion-fixed node whose sum equals the
 original integral exactly (up to floating-point roundoff).
-`localise` is the one implementation of the descent step.
+`push` is the one implementation of the descent step; `localise` runs it
+on the torus and `sphere.hemisphere_descent` on S^3.
 """
 
 from __future__ import annotations
@@ -99,16 +100,6 @@ def d(c: Cochain) -> Cochain:
     return Cochain(c.grid, c.degree + 1, np.stack(out))
 
 
-def _subset_involution(grid: BZGrid, S) -> tuple:
-    """Index map realizing the inversion on cubes spanned by axes S:
-    the anchor goes to -n - sum_{a in S} e_a (mod N)."""
-    idx = []
-    for a, n in enumerate(grid.sizes):
-        off = 1 if a in S else 0
-        idx.append((-np.arange(n) - off) % n)
-    return np.ix_(*idx)
-
-
 def involution_pullback(c: Cochain) -> Cochain:
     """Pullback along k -> -k; an exact involution.
 
@@ -119,7 +110,7 @@ def involution_pullback(c: Cochain) -> Cochain:
     sign = (-1.0) ** c.degree
     out = np.empty_like(c.values)
     for i, S in enumerate(c.components):
-        out[i] = sign * c.values[i][_subset_involution(c.grid, S)]
+        out[i] = sign * c.values[i][c.grid.involution_indices(S)]
     return Cochain(c.grid, c.degree, out)
 
 
@@ -135,24 +126,41 @@ def project_pm(c: Cochain):
     return plus, minus
 
 
-def integrate(c: Cochain, region: str = "all", axis: int = None) -> float:
-    """Integral of a top cochain: the sum of its cube values.
-
-    region "all" sums every cube; "fundamental_domain" sums anchors with
-    n_axis in [N/2, N-1] (axis defaults to the grid's fundamental-domain
-    axis).  The two halves add up to the full integral exactly.
-    """
+def integrate(c: Cochain) -> float:
+    """Integral of a top cochain: the sum of its cube values."""
     if c.degree != c.grid.dim:
         raise WrongDegree("integration requires a top cochain")
-    if region == "all":
-        return float(c.values.sum())
-    if region != "fundamental_domain":
-        raise EqformsError(f"unknown region {region!r}")
-    a = c.grid.fdomain_axis if axis is None else axis % c.grid.dim
-    n = c.grid.sizes[a]
-    sel = [slice(None)] * (c.grid.dim + 1)
-    sel[a + 1] = slice(n // 2, n)
-    return float(c.values[tuple(sel)].sum())
+    return float(c.values.sum())
+
+
+def push(density: np.ndarray, axis: int, mirror, sign: float = 1.0):
+    """One descent step: trivialise a density along `axis` over the half
+    n_axis in [N/2, N-1] and push it onto the two boundary slices.
+
+    The primitive eta vanishes on the slice n_axis = N/2, satisfies
+    eta(n + e_axis) - eta(n) = sign * density(n) across the half, and stores
+    the closing fiber sum at n_axis = 0.  `mirror` indexes the inversion on
+    the primitive's cells; the pushed field is sign * (eta + eta o mirror)
+    on the slices n_axis = 0 and N/2 and zero elsewhere.  When the
+    inversion swaps the two halves, maps the boundary slices onto
+    themselves and leaves the density invariant, the push preserves the
+    integral exactly.  Returns (eta, rho) on the shape of `density`.
+    """
+    n = density.shape[axis]
+    dens = np.moveaxis(density, axis, -1)
+    eta_half = sign * np.cumsum(dens[..., n // 2:], axis=-1)
+    eta = np.zeros_like(dens)
+    eta[..., n // 2 + 1:] = eta_half[..., :-1]
+    eta[..., 0] = eta_half[..., -1]
+    eta = np.moveaxis(eta, -1, axis)
+    mirrored = eta[mirror]
+    rho = np.zeros_like(eta)
+    for slice_idx in (0, n // 2):
+        sel = [slice(None)] * density.ndim
+        sel[axis] = slice_idx
+        sel = tuple(sel)
+        rho[sel] = sign * (eta[sel] + mirrored[sel])
+    return eta, rho
 
 
 @dataclass(frozen=True)
@@ -218,26 +226,11 @@ def localise(c: Cochain, axes=None, tol: float = 1e-10) -> LocalisationTrace:
     cur_field = c.values[0]
     cur = c
     for level_dim, a in zip(range(dim, 0, -1), axes):
-        n = grid.sizes[a]
-        s = (-1.0) ** remaining.index(a)
-        # half-torus primitive along axis a, vanishing on the n_a = N/2 slice
-        dens = np.moveaxis(cur_field, a, -1)
-        eta_half = s * np.cumsum(dens[..., n // 2:], axis=-1)
-        eta_field = np.zeros_like(dens)
-        eta_field[..., n // 2 + 1:] = eta_half[..., :-1]
-        eta_field[..., 0] = eta_half[..., -1]
-        eta_field = np.moveaxis(eta_field, -1, a)
         S = tuple(b for b in remaining if b != a)
-        eta = _single_component(grid, S, eta_field)
-        # push to the two inversion-stable boundary slices
-        mirrored = eta_field[_subset_involution(grid, S)]
-        rho_field = np.zeros_like(eta_field)
-        for slice_idx in (0, n // 2):
-            sel = [slice(None)] * dim
-            sel[a] = slice_idx
-            sel = tuple(sel)
-            rho_field[sel] = s * (eta_field[sel] + mirrored[sel])
-        levels.append((level_dim, cur, eta, float(cur_field.sum())))
+        eta_field, rho_field = push(cur_field, a, grid.involution_indices(S),
+                                    (-1.0) ** remaining.index(a))
+        levels.append((level_dim, cur, _single_component(grid, S, eta_field),
+                       float(cur_field.sum())))
         cur_field = rho_field
         cur = _single_component(grid, S, rho_field)
         remaining.remove(a)

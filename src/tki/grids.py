@@ -2,14 +2,12 @@
 
 Nodes are k_a = -pi + 2 pi n_a / N_a.  The momentum inversion k -> -k acts
 on indices as n -> (N - n) mod N per axis; its fixed nodes (n_a in {0, N/2})
-are the time-reversal invariant momenta.  The fundamental domain used by the
-localisation descent is the index half-space n_a in [N/2, N-1] on a chosen
-axis, i.e. k_a in [0, pi].
+are the time-reversal invariant momenta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -23,7 +21,6 @@ class GridError(ValueError):
 class BZGrid:
     dim: int
     sizes: tuple
-    fdomain_axis: int = field(default=-1)
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
@@ -35,8 +32,6 @@ class BZGrid:
             if n < 4 or n % 2:
                 raise GridError("grid sizes must be even and >= 4")
         object.__setattr__(self, "sizes", sizes)
-        ax = self.fdomain_axis % self.dim
-        object.__setattr__(self, "fdomain_axis", ax)
 
     @classmethod
     def cubic(cls, dim: int, n: int) -> "BZGrid":
@@ -55,9 +50,12 @@ class BZGrid:
         axes = [self.axis_nodes(a) for a in range(self.dim)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
-    def involution_indices(self):
-        """Per-axis index arrays realizing n -> (N - n) mod N."""
-        return np.ix_(*[(-np.arange(n)) % n for n in self.sizes])
+    def involution_indices(self, axes=()):
+        """Per-axis index arrays realizing the inversion on the cubes spanned
+        by `axes`: the anchor n goes to -n - sum_{a in axes} e_a (mod N).
+        With no axes this is the node map n -> (N - n) mod N."""
+        return np.ix_(*[(-np.arange(n) - int(a in axes)) % n
+                        for a, n in enumerate(self.sizes)])
 
     def involute(self, values: np.ndarray) -> np.ndarray:
         """Pull a node-indexed array back along the inversion."""

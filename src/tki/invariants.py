@@ -300,10 +300,7 @@ def km_chern_simons(conn: ConnectionField, wfield: SewingField) -> tuple:
         raise NonConvergent(
             f"Chern-Simons / degree relation off by {relation_residual:.3f}")
     # parity is exp(2 pi i cs) rounded: odd multiples of 1/2 give -1
-    n_half = int(round(cs / 0.5))
-    if abs(cs / 0.5 - n_half) > 0.25:
-        raise NonConvergent(f"cs = {cs:.4f} is not near a half-integer")
-    parity = (-1) ** (n_half % 2)
+    parity, _ = _round_parity(cs, lattice=0.5)
     return cs, parity, relation_residual
 
 

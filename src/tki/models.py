@@ -274,20 +274,6 @@ def direct_sum(a: BlochModel, b: BlochModel) -> BlochModel:
 # validation
 # ---------------------------------------------------------------------------
 
-def _sphere_sanity_mesh(n=12):
-    chi = (np.arange(n) + 0.5) * np.pi / n
-    th = (np.arange(n) + 0.5) * np.pi / n
-    ph = -np.pi + 2 * np.pi * np.arange(n) / n
-    return np.stack(np.meshgrid(chi, th, ph, indexing="ij"), axis=-1)
-
-
-def _sphere_involute_mesh(K):
-    out = K.copy()
-    out[..., 1] = np.pi - K[..., 1]
-    out[..., 2] = np.where(K[..., 2] >= 0, K[..., 2] - np.pi, K[..., 2] + np.pi)
-    return out
-
-
 def _tr_residual(U, H, Hm) -> float:
     """Largest entry of U conj(H(k)) U^dagger - H(-k): zero for a
     time-reversal symmetric Hamiltonian."""
@@ -297,14 +283,14 @@ def _tr_residual(U, H, Hm) -> float:
 
 def _sanity_check(model: BlochModel, n: int = 16):
     if model.domain == "torus":
-        grid = BZGrid.cubic(model.dim, n)
-        K = grid.node_mesh()
-        H = model.hamiltonian_batch(K)
-        Hm = grid.involute(H)
+        domain = BZGrid.cubic(model.dim, n)
+        K = domain.node_mesh()
     else:
-        K = _sphere_sanity_mesh(max(8, n // 2))
-        H = model.hamiltonian_batch(K)
-        Hm = model.hamiltonian_batch(_sphere_involute_mesh(K))
+        from .sphere import SphereMesh
+        domain = SphereMesh(10, 10, 8)
+        K = domain.angles()
+    H = model.hamiltonian_batch(K)
+    Hm = domain.involute(H)
     U = model.theta.U
     herm = np.abs(H - np.swapaxes(H, -1, -2).conj()).max()
     if herm > 1e-9:

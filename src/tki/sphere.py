@@ -11,10 +11,10 @@ For the sphere Dirac family the module builds a globally smooth occupied
 gauge from two closed-form charts (the sphere is simply connected, so none
 of the torus obstructions arise; other sphere models are refused, see
 `sphere_frames`), samples the degree density of the sewing map, and
-either integrates it directly or localises it onto the two poles by the
-same cumulative-sum descent used on torus grids: hemisphere -> boundary
-two-sphere -> boundary circles -> poles, each step exactly integral
-preserving.
+either integrates it directly or localises it onto the two poles with the
+descent step of the torus grids, `eqforms.push`, applied three times:
+hemisphere -> boundary two-sphere -> the circle through both poles ->
+poles, each step exactly integral preserving.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from .linalg import _dag, _mm
 from .bloch import GaplessAt, _antisym_trace3, _link_logs
+from .eqforms import push
 from .models import BlochModel
 
 
@@ -219,38 +220,37 @@ def sphere_wzw_density(w: np.ndarray, mesh: SphereMesh):
 def hemisphere_descent(density: np.ndarray, mesh: SphereMesh) -> dict:
     """Localise a symmetrized degree density onto the two poles.
 
-    Step 1 trivializes over the hemisphere phi in (-pi/2, pi/2), pushing the
-    integral to the two boundary half-spheres; step 2 trivializes along
-    theta over one of them (its partner is the inversion mirror); step 3
-    accumulates along chi from the south end.  Every step is a plain
-    telescoping sum, so rho0_N + rho0_S equals the total exactly.
+    Three pushes of the torus descent step, each integral preserving:
+
+    1. the hemisphere phi in (-pi/2, pi/2) onto the boundary two-sphere
+       phi = +-pi/2, whose two half-discs glue along theta into a circle
+       psi on which the inversion is the half-turn;
+    2. half of psi (theta running from pi to 0 on the phi = -pi/2 disc)
+       onto the circle theta in {0, pi} through both poles, on which the
+       inversion is a reflection;
+    3. half of that circle (chi running from pi to 0 at theta = pi) onto
+       its fixed points, the poles chi = 0 (N) and chi = pi (S).
     """
     if density.shape != mesh.shape:
         raise SphereError("density shape does not match the mesh")
-    nphi, nth, nchi = mesh.n_phi, mesh.n_theta, mesh.n_chi
+    nchi, nth, nphi = mesh.shape
+    # phi rolled so that the hemisphere is the upper half of its axis; the
+    # inversion's phi -> phi + pi commutes with the roll
+    _, rho2 = push(np.roll(density, nphi // 4, axis=2), 2,
+                   mesh.involution_indices())
+    # psi: the disc phi = +pi/2 with theta 0 -> pi, then phi = -pi/2 back
+    psi = np.concatenate([rho2[:, :, 0], rho2[:, ::-1, nphi // 2]], axis=1)
+    half_turn = (np.arange(2 * nth) + nth) % (2 * nth)
+    _, rho1 = push(psi, 1, (slice(None), half_turn))
+    # the arc theta = 0 with chi 0 -> pi, then theta = pi back
+    circle = np.concatenate([rho1[:, 0], rho1[::-1, nth]])
+    reflection = -np.arange(2 * nchi) % (2 * nchi)
+    _, rho0 = push(circle, 0, (reflection,))
     total = float(density.sum())
-    l0 = nphi // 4
-    # hemisphere F: phi cells l0 .. l0 + nphi/2 - 1
-    fcells = (np.arange(nphi // 2) + l0) % nphi
-    # eta2 at the closing face phi = +pi/2 equals the full fiber sum over F
-    eta2_face1 = density[:, :, fcells].sum(axis=2)        # (nchi, ntheta)
-    # rho2 on the two faces; face 0 (phi = -pi/2) carries the mirror image
-    rho2 = np.stack([eta2_face1[:, ::-1], eta2_face1])    # (face, chi, theta)
-    level2 = float(rho2.sum())
-    # descend face index 0 along theta; eta1 at the theta = pi edge
-    eta1_edge1 = rho2[0].sum(axis=1)                      # (nchi,)
-    # rho1 on the four boundary circles (face, edge) with the mirrors
-    rho1 = np.zeros((2, 2, nchi))
-    rho1[0, 1] = eta1_edge1
-    rho1[1, 0] = eta1_edge1                               # inversion mirror
-    level1 = float(rho1.sum())
-    # accumulate along chi from the south end (chi = pi): the north pole
-    # receives the full line sums, the south pole nothing
-    rho0_n = float(rho1.sum())
-    rho0_s = 0.0
     return {
         "total": total,
-        "level_integrals": [total, level2, level1, rho0_n + rho0_s],
-        "rho0_N": rho0_n,
-        "rho0_S": rho0_s,
+        "level_integrals": [total] + [float(f.sum())
+                                      for f in (psi, circle, rho0)],
+        "rho0_N": float(rho0[0]),
+        "rho0_S": float(rho0[nchi]),
     }

@@ -1,9 +1,5 @@
-import ctypes
-import glob
 import json
-import os
 
-import numpy as np
 import pytest
 
 from tki import cli, models
@@ -85,7 +81,9 @@ class TestInvariantCommand:
                      ["phase-diagram", *bhz, "--seed", "1"],
                      ["validate", "--grid", "16"],
                      ["validate", "--tol-gap", "10"],
-                     ["validate", "--stable-output"]):
+                     ["validate", "--stable-output"],
+                     ["invariant", *trivial, "--threads", "1"],
+                     ["validate", "--threads", "1"]):
             code, out, err = run(capsys, *argv)
             assert code == 1 and out == "" and err.startswith("error:"), argv
         # a bare option is named as an option, a --params entry as a
@@ -255,37 +253,3 @@ class TestIngestCommand:
         assert doc["methods"]["planes"]["parity"] == 1
         code, out, err = run(capsys, *argv, "--grid", "16")
         assert code == 1 and out == "" and "sampled 8x8x8 grid" in err
-
-
-def _numpy_openblas():
-    base = os.path.dirname(os.path.dirname(np.__file__))
-    paths = glob.glob(os.path.join(base, "numpy.libs",
-                                   "libscipy_openblas64_*"))
-    if not paths:
-        pytest.skip("numpy does not bundle scipy-openblas here")
-    return ctypes.CDLL(paths[0])
-
-
-class TestThreads:
-    def test_env_and_flag_set_blas_threads(self, capsys, monkeypatch):
-        # read the limit back from the BLAS numpy runs on
-        blas = _numpy_openblas()
-        get = blas.scipy_openblas_get_num_threads64_
-        get.argtypes, get.restype = [], ctypes.c_int
-        put = blas.scipy_openblas_set_num_threads64_
-        put.argtypes, put.restype = [ctypes.c_int], None
-        before = get()
-        argv = ["invariant", "--model", "trivial", "--dim", "2", "--m", "2",
-                "--grid", "12", "--methods", "pfaffian"]
-        try:
-            monkeypatch.setenv("TKI_THREADS", "2")
-            assert run(capsys, *argv, "--threads", "1")[0] == 0
-            assert get() == 1
-            assert run(capsys, *argv)[0] == 0
-            assert get() == 2
-            monkeypatch.setenv("TKI_THREADS", "many")
-            assert run(capsys, *argv)[0] == 1
-            assert run(capsys, *argv, "--threads", "0")[0] == 1
-        finally:
-            put(before)
-        assert get() == before

@@ -52,6 +52,18 @@ class TestInvolution:
         vals = np.arange(np.prod(g.sizes)).reshape(g.sizes)
         assert np.array_equal(g.involute(g.involute(vals)), vals)
 
+    def test_cube_map_shifts_spanned_axes(self):
+        # the cube spanned by axis 0 at anchor n covers [n, n + 1], whose
+        # image [-n - 1, -n] is anchored at -n - 1
+        g = BZGrid(2, (6, 8))
+        rows, cols = g.involution_indices((0,))
+        assert np.array_equal(rows.ravel(), (-np.arange(6) - 1) % 6)
+        assert np.array_equal(cols.ravel(), -np.arange(8) % 8)
+        vals = np.arange(48).reshape(6, 8)
+        for axes in ((), (0,), (1,), (0, 1)):
+            idx = g.involution_indices(axes)
+            assert np.array_equal(vals[idx][idx], vals)
+
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from([4, 6, 8, 10]), st.integers(0, 2**32 - 1))
     def test_involution_is_a_permutation(self, n, seed):

@@ -132,6 +132,22 @@ class TestHemisphereDescent:
                                                              abs=1e-9)
         assert out["rho0_S"] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(16, 16, 16), (10, 12, 16),
+                                       (16, 10, 12)])
+    def test_every_level_keeps_the_integral(self, shape):
+        # a random inversion-symmetric density: each push must carry the
+        # full integral, which fails without the mirror term of the step
+        mesh = SphereMesh(*shape)
+        raw = np.random.default_rng(sum(shape)).standard_normal(shape)
+        dens = 0.5 * (raw + mesh.involute(raw))
+        out = sphere.hemisphere_descent(dens, mesh)
+        total = float(dens.sum())
+        bound = 1e-9 * np.abs(dens).sum()
+        assert len(out["level_integrals"]) == 4
+        for integral in out["level_integrals"]:
+            assert abs(integral - total) <= bound
+        assert abs(out["rho0_N"] + out["rho0_S"] - total) <= bound
+
     def test_mass_sweep_single_flip(self):
         # parity flips exactly once, at the pole gap closing
         parities = []
