@@ -13,9 +13,10 @@ log of the link unitaries, behind the Berry connection, the quaternionic
 map, the Maurer-Cartan links and the S^3 density), `plaquette_flux` (behind
 both plane Chern counts) and `_antisym_trace3` over `_PERMS3` (behind both
 WZW densities and the Chern-Simons integral).  The smoother's alignment
-sweeps, `link_log` and `FrameField.deficiency` run on the closed-form 2x2
-kernels of `linalg` (polar factor, principal log, operator norm) when
-m = 2; the transport seed keeps the SVD / eig path for every m.  The
+sweeps, `link_log` and `FrameField.deficiency` run on the stacked
+kernels of `linalg` (polar factor, principal log, operator norm): closed
+forms when m = 2, Newton-Schulz and one Hermitian eigensolver per stack
+for larger m; the transport seed keeps the SVD / eig path for every m.  The
 sweeps hold their frames matrix-major (`linalg._matrix_major`), so that
 each stacked product runs as a few long vector operations instead of a
 2-4 long inner loop per node; the values are bitwise those of C order.

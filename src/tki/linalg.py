@@ -6,8 +6,13 @@ branch tracking of a phase along a discrete path.
 
 The stacked kernels behind the gauge smoother and the link logs --
 `batched_polar_unitary`, `unitary_log` and `batched_spectral_norm` -- have
-closed forms for 2x2 stacks (every Kramers-pair frame with m = 2) and keep
-the SVD / eig path for every other size.
+closed forms for 2x2 stacks (every Kramers-pair frame with m = 2).  Larger
+stacks take batched products and one Hermitian eigensolver per stack: the
+polar factor by a scaled Newton-Schulz iteration, the log from one `eigh`
+of a Hermitian combination of W and W+, the norm from `eigvalsh` of M+M.
+The polar factor and the log certify each node and send the nodes that
+fail to the per-matrix SVD / eig path, which `svd=True` (the transport
+seed) still takes for every node.
 
 Stacks of small matrices are fastest with their two matrix axes outermost
 in memory (`_matrix_major`): each term of an `einsum` product, and each
@@ -116,7 +121,8 @@ def pfaffian(A):
 
 
 def polar_unitary(M):
-    """Nearest unitary to M in Frobenius norm (polar factor via SVD)."""
+    """Nearest unitary to M in Frobenius norm (polar factor); refuses M that
+    the SVD finds too close to singular."""
     M = _as_square(M)
     s = np.linalg.svd(M, compute_uv=False)
     if s[-1] <= 1e-10 * s[0]:
@@ -133,13 +139,16 @@ def batched_polar_unitary(M: np.ndarray, svd: bool = False) -> np.ndarray:
 
     2x2 stacks use the closed form (M + e^{i arg det M} adj(M)+) / tr sqrt(M+M)
     (phase 1 where det M = 0, the identity where M = 0), which agrees with
-    the SVD factor u vh to rounding and stays unitary on rank-1 inputs; other
-    sizes, or `svd=True`, take the SVD path.  The closed form returns its
-    input's memory layout.
+    the SVD factor u vh to rounding and stays unitary on rank-1 inputs; the
+    closed form returns its input's memory layout.  Larger stacks use the
+    scaled Newton-Schulz iteration (`_newton_schulz_polar`), which does too;
+    nodes it cannot certify, and every node with `svd=True`, take the SVD
+    path.
     """
-    if svd or not _is_2x2(M):
-        u, _, vh = np.linalg.svd(M)
-        return _mm(u, vh)
+    if svd:
+        return _svd_polar(M)
+    if not _is_2x2(M):
+        return _newton_schulz_polar(M)
     a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
     det = a * d - b * c
     mag = np.abs(det)
@@ -155,6 +164,108 @@ def batched_polar_unitary(M: np.ndarray, svd: bool = False) -> np.ndarray:
     zero = norm == 0
     N[zero] = np.eye(2)
     return N / np.where(zero, 1.0, norm)[..., None, None]
+
+
+def _svd_polar(M):
+    u, _, vh = np.linalg.svd(M)
+    return _mm(u, vh)
+
+
+# Newton-Schulz certificate: max |X+X - 1| below _NS_TOL before the last
+# step.  A node whose smallest singular value starts at s (relative to the
+# RMS) needs about log(1/s) / log(1.875) + 4 iterations; after _NS_MAX_ITER
+# (s ~ 1e-5) it is left to the SVD.
+_NS_TOL = 1e-8
+_NS_MAX_ITER = 24
+
+
+def _gram_diag_minus_one(X):
+    """Diagonal of X+X - 1 for a (m, m, n) stack, summed from -1 so that no
+    partial sum rounds on the grid near 1."""
+    d = np.full(X.shape[1:], -1.0)
+    for part in (X.real, X.imag):
+        for row in part:
+            d += row * row
+    return d
+
+
+def _newton_schulz_polar(M):
+    """Polar factors of a stack of m x m matrices by a scaled Newton-Schulz
+    iteration on matrix-major stacks (Higham 1986).
+
+    Each matrix is scaled to unit RMS singular value (divided by
+    ||M||_F / sqrt m).  With E = X+X - 1 the first step is
+    X <- X (1 - E/2).  It maps every singular value in (0, sqrt 3) into
+    (0, 1] and keeps the singular vectors, but it sends one in
+    (sqrt 3, sqrt 5) to a negative value, that is towards a wrong unitary,
+    and lets larger ones diverge.  So a node starts only if the Gershgorin
+    bound on its scaled X+X, the max row sum of |X+X|, puts every singular
+    value below sqrt 3.  Later steps, and the first one of a node already
+    done, take the next term of (1 + E)^(-1/2), X <- X (1 - E/2 + 3 E^2/8),
+    which maps (0, 1] monotonically onto 1 at third order.  A node is done
+    once max |E| < _NS_TOL; its last step leaves an error of order
+    _NS_TOL^3.  Nodes that fail the bound or are not done after
+    _NS_MAX_ITER iterations (rank-deficient, zero or non-finite inputs
+    among them) take the SVD path.  Only nodes still iterating are carried
+    into the next iteration.  The result has the input's memory layout.
+
+    A gauge smoother applies the factor hundreds of times to the same
+    frames, so any bias of the factor towards short columns adds up.  Two
+    are removed.  The plain last step X (1 - E/2) leaves each singular
+    value short of 1 by (3/8) max |E|^2, up to 4e-17; the second-order
+    step does not.  And near 1 a column's squared norm rounds to a grid
+    twice as fine below 1 as above it, on which the step stalls more often
+    below 1; so the diagonal of E is summed from -1
+    (`_gram_diag_minus_one`).  Each of the two shrank the frames' columns
+    by ~1e-15 to ~1e-14 over one smoothing.
+    """
+    m = M.shape[-1]
+    nodes = M.shape[:-2]
+    # a matrix-major copy as (m, m, n): one long vector per entry
+    moved = np.moveaxis(M, (-2, -1), (0, 1))
+    fro = np.sqrt((moved.real ** 2 + moved.imag ** 2).sum(axis=(0, 1)))
+    X = np.empty(moved.shape, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply(moved, np.sqrt(m) / fro, out=X)
+    X = X.reshape(m, m, -1)
+    diag = (range(m), range(m))
+    certified = np.zeros(X.shape[-1], dtype=bool)
+    live = np.arange(X.shape[-1])
+    Y = X  # the nodes still iterating; X itself until some are done
+    for it in range(_NS_MAX_ITER):
+        T = np.conj(Y)
+        G = np.einsum("ban,bcn->acn", T, Y)
+        keep = np.abs(G).sum(axis=1).max(axis=0) < 3.0 if it == 0 else True
+        G[diag] = _gram_diag_minus_one(Y)
+        done = np.abs(G).max(axis=(0, 1)) < _NS_TOL
+        G *= 0.5
+        # second order: E/2 - 3 E^2/8 = G - 1.5 G^2 with G = E/2; in the
+        # first step only where done, since it needs singular values below
+        # sqrt(7/3)
+        if it > 0 or done.all():
+            G -= 1.5 * np.einsum("abn,bcn->acn", G, G)
+        elif done.any():
+            Gd = G[..., done]
+            Gd -= 1.5 * np.einsum("abn,bcn->acn", Gd, Gd)
+            G[..., done] = Gd
+            del Gd
+        Y -= np.einsum("abn,bcn->acn", Y, G, out=T)
+        del G, T
+        if Y is not X:
+            X[..., live[done]] = Y[..., done]
+        certified[live[done]] = True
+        keep = keep & ~done
+        if not keep.any():
+            break
+        if not keep.all():
+            live, Y = live[keep], Y[..., keep]
+    out = np.empty_like(M, dtype=complex)
+    out[...] = np.moveaxis(X.reshape((m, m) + nodes), (0, 1), (-2, -1))
+    del X
+    bad = ~certified.reshape(nodes)
+    if bad.any():
+        out[bad] = _svd_polar(M[bad])
+    return out
 
 
 def _unitary_log_phases(W):
@@ -173,6 +284,46 @@ def _eig_log(W):
     return _mm(Q * (1j * phi)[..., None, :], _dag(Q))
 
 
+# c in A + c B: irrational, so that no pair of eigenphases symmetric about
+# arctan c is common in practice; such a pair (a collision) fails the
+# certificate below.  An off-diagonal D_ij of size e moves the log by up to
+# about e pi / 2 per entry pair, so the certificate sits an order of
+# magnitude below the 1e-12 the log is held to.
+_LOG_MIX = 0.5 * (np.sqrt(5.0) - 1.0)
+_LOG_OFFDIAG = 1e-13
+
+
+def _eigh_log(W):
+    """Principal log of a stack of m x m unitaries from one Hermitian eigh.
+
+    W is normal, so A = (W + W+)/2 and B = (W - W+)/2i commute and
+    A + c B = ((1 - ic) W + (1 + ic) W+) / 2 = V diag(cos phi + c sin phi) V+
+    with the eigenvectors of W.  A degenerate eigenvalue is harmless where
+    W is scalar on its eigenspace (degenerate phi); where two distinct
+    phases collide in cos phi + c sin phi, V mixes them and D = V+ W V is
+    not diagonal.  Nodes with an off-diagonal |D_ij| above _LOG_OFFDIAG go
+    through `_eig_log`; the others get V diag(i arg D_jj) V+.
+    """
+    m = W.shape[-1]
+    alpha = 0.5 * (1.0 - 1j * _LOG_MIX)
+    H = _dag(W)
+    H *= np.conj(alpha)
+    H += alpha * W
+    V = np.linalg.eigh(H)[1]
+    del H
+    Vd = _dag(V)
+    D = _mm(Vd, _mm(W, V))
+    phi = np.angle(np.diagonal(D, axis1=-2, axis2=-1))
+    off = np.abs(D)
+    off[..., range(m), range(m)] = 0.0
+    bad = off.max(axis=(-2, -1)) > _LOG_OFFDIAG
+    del D, off
+    L = _mm(V * (1j * phi)[..., None, :], Vd)
+    if bad.any():
+        L[bad] = _eig_log(W[bad])
+    return L
+
+
 def unitary_log(W: np.ndarray) -> np.ndarray:
     """Principal logarithm of a stack of unitary matrices (anti-Hermitian,
     eigenphases in (-pi, pi]).
@@ -181,11 +332,11 @@ def unitary_log(W: np.ndarray) -> np.ndarray:
     the divided difference dd = (i phi_+ - i phi_-) / (lambda_+ - lambda_-)
     written as exp(-i mean phi) / sinc(delta phi / 2 pi), stable through
     degeneracy.  Nodes whose eigenphases straddle the branch cut at +-pi
-    (|phi_+ - phi_-| > pi, where dd grows without bound) and other sizes
-    go through `np.linalg.eig`.
+    (|phi_+ - phi_-| > pi, where dd grows without bound) go through
+    `np.linalg.eig`; larger stacks take one Hermitian eigh (`_eigh_log`).
     """
     if not _is_2x2(W):
-        return _eig_log(W)
+        return _eigh_log(W)
     a, b, c, d = W[..., 0, 0], W[..., 0, 1], W[..., 1, 0], W[..., 1, 1]
     # eigenvalues t +- r from the discriminant in difference form, accurate
     # to rounding at (near-)degenerate nodes
@@ -210,10 +361,12 @@ def batched_spectral_norm(M: np.ndarray) -> np.ndarray:
 
     2x2 stacks use the largest eigenvalue of the Hermitian M+M in the
     cancellation-free form (p + s)/2 + sqrt(((p - s)/2)^2 + |q|^2); other
-    sizes take the SVD.
+    sizes take the largest eigenvalue of M+M from `np.linalg.eigvalsh`,
+    accurate to rounding relative to it, so the norm is too.
     """
     if not _is_2x2(M):
-        return np.linalg.svd(M, compute_uv=False)[..., 0]
+        top = np.linalg.eigvalsh(_mm(_dag(M), M))[..., -1]
+        return np.sqrt(np.maximum(top, 0.0))
     a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
     aa, bb = np.abs(a) ** 2, np.abs(b) ** 2
     cc, dd = np.abs(c) ** 2, np.abs(d) ** 2

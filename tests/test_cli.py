@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from tki import cli, models
+from tki import bloch, cli, models
+from tki.grids import BZGrid
 
 
 def run(capsys, *argv):
@@ -253,3 +255,48 @@ class TestIngestCommand:
         assert doc["methods"]["planes"]["parity"] == 1
         code, out, err = run(capsys, *argv, "--grid", "16")
         assert code == 1 and out == "" and "sampled 8x8x8 grid" in err
+
+
+class TestGeneralMKernels:
+    """m = 4 route inputs whose links are not identities, and the absence
+    of per-matrix LAPACK SVD / eig calls on the m > 2 path."""
+
+    # recorded with the SVD polar factor and the eig log
+    DIRECT_SUM_12 = {"pfaffian": -1.00000000000001, "planes": -1.0,
+                     "wzw": -0.8002181775943494, "winding": -1.0,
+                     "cs": 0.3780290629786872}
+
+    def test_direct_sum_routes(self):
+        model = models.direct_sum(models.make_model("fkm3d", {"dt": 0.5}),
+                                  models.make_model("fkm3d", {"dt": 3.0}))
+        tol = {**cli._TOL_DEFAULTS, "smoothness": 0.75}  # the sweep's gate
+        outputs, statuses = cli._compute_methods(
+            model, BZGrid.cubic(3, 12), list(self.DIRECT_SUM_12), tol)
+        assert not statuses
+        for name, raw in self.DIRECT_SUM_12.items():
+            assert outputs[name]["parity"] == -1
+            assert abs(outputs[name]["raw"] - raw) <= 1e-12
+
+    def test_no_svd_or_eig_outside_the_transport_seed(self, capsys,
+                                                      monkeypatch):
+        calls = {"transport": 0, "elsewhere": 0}
+        depth = []
+        transport = bloch._transport_last_axis
+
+        def in_transport(u):
+            depth.append(1)
+            try:
+                return transport(u)
+            finally:
+                depth.pop()
+        monkeypatch.setattr(bloch, "_transport_last_axis", in_transport)
+        for name in ("svd", "eig"):
+            def counted(*args, _f=getattr(np.linalg, name), **kwargs):
+                calls["transport" if depth else "elsewhere"] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        code, _, _ = run(capsys, "invariant", "--model", "trivial",
+                         "--params", "d=3,m=4", "--grid", "12",
+                         "--methods", "wzw,cs,localise")
+        assert code == 0
+        assert calls["transport"] > 0 and calls["elsewhere"] == 0

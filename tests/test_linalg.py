@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,10 +270,165 @@ class TestClosedForm2x2:
         L = linalg.unitary_log(W)
         assert max(np.abs(expm(x) - w).max() for x, w in zip(L, W)) <= 1e-12
         M = rng.standard_normal((8, 3, 3)) + 1j * rng.standard_normal((8, 3, 3))
-        assert np.array_equal(linalg.batched_polar_unitary(M), _svd_polar(M))
+        u, _, vh = np.linalg.svd(M)
+        assert np.array_equal(_svd_polar(M),
+                              np.einsum("...ab,...bc->...ac", u, vh))
+        for m in (3, 4, 6):
+            M = _conditioned_stack(rng, 64, m, 0.2, 1.0)
+            assert np.abs(linalg.batched_polar_unitary(M)
+                          - _svd_polar(M)).max() <= 1e-12
         assert np.allclose(linalg.batched_spectral_norm(M),
                            np.linalg.svd(M, compute_uv=False)[:, 0],
                            rtol=1e-12, atol=0)
+
+
+def _conditioned_stack(rng, n, m, lo, hi):
+    """U diag(s) V+ with singular values s drawn from [lo, hi] (relative to
+    the largest one, which is 1)."""
+    s = rng.uniform(lo, hi, (n, m))
+    s[:, 0] = hi
+    U, V = _stack_unitaries(rng, n, m), _stack_unitaries(rng, n, m)
+    return (U * s[..., None, :]) @ np.swapaxes(V, -1, -2).conj()
+
+
+def _assert_polar_factor(U, M, tol=1e-12):
+    """U unitary and U+ M Hermitian positive semidefinite."""
+    Ud = np.swapaxes(U, -1, -2).conj()
+    assert np.abs(Ud @ U - np.eye(U.shape[-1])).max() <= tol
+    P = Ud @ M
+    size = np.abs(M).max()
+    assert np.abs(P - np.swapaxes(P, -1, -2).conj()).max() <= tol * size
+    assert np.linalg.eigvalsh(0.5 * (P + np.swapaxes(P, -1, -2).conj())
+                              ).min() >= -tol * size
+
+
+@contextmanager
+def _fallback_nodes(name):
+    """Record the number of nodes each call hands to linalg.<name>."""
+    calls = []
+    original = getattr(linalg, name)
+
+    def spy(A):
+        calls.append(len(A))
+        return original(A)
+    setattr(linalg, name, spy)
+    try:
+        yield calls
+    finally:
+        setattr(linalg, name, original)
+
+
+class TestGeneralM:
+    """The Newton-Schulz polar factor and the one-eigh log for m > 2, and
+    the fallbacks their certificates send nodes to."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 4, 6]),
+           st.floats(1e-2, 1e2))
+    def test_polar_matches_svd(self, seed, m, scale):
+        rng = np.random.default_rng(seed)
+        M = scale * _conditioned_stack(rng, 64, m, 0.05, 1.0)
+        U = linalg.batched_polar_unitary(M)
+        assert np.abs(U - _svd_polar(M)).max() <= 1e-12
+        _assert_polar_factor(U, M)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 4, 6]),
+           st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6]))
+    def test_polar_rank_one_and_near_singular(self, seed, m, eps):
+        rng = np.random.default_rng(seed)
+        M = (_complex_stack(rng, (16, m, 1)) @ _complex_stack(rng, (16, 1, m))
+             + eps * _complex_stack(rng, (16, m, m)))
+        _assert_polar_factor(linalg.batched_polar_unitary(M), M)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([4, 6]),
+           st.floats(3.5, 100.0))
+    def test_polar_large_top_singular_value(self, seed, m, top):
+        # singular values (top, 1, ..., 1): sigma_max / sigma_rms > sqrt 3,
+        # where Newton-Schulz would turn the top one negative
+        rng = np.random.default_rng(seed)
+        s = np.ones((16, m))
+        s[:, 0] = top
+        assert (top / np.sqrt((s ** 2).mean(axis=1)) > np.sqrt(3)).all()
+        U, V = _stack_unitaries(rng, 16, m), _stack_unitaries(rng, 16, m)
+        Vd = np.swapaxes(V, -1, -2).conj()
+        M = (U * s[..., None, :]) @ Vd
+        with _fallback_nodes("_svd_polar") as calls:
+            got = linalg.batched_polar_unitary(M)
+        assert calls == [16]
+        assert np.abs(got - U @ Vd).max() <= 1e-12
+        _assert_polar_factor(got, M)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 4, 6]))
+    def test_polar_fixes_unitaries(self, seed, m):
+        U = _stack_unitaries(np.random.default_rng(seed), 64, m)
+        assert np.abs(linalg.batched_polar_unitary(U) - U).max() <= 1e-12
+
+    def test_polar_of_zero_takes_the_svd(self):
+        M = np.zeros((2, 4, 4), dtype=complex)
+        M[1] = np.eye(4)
+        with _fallback_nodes("_svd_polar") as calls:
+            got = linalg.batched_polar_unitary(M)
+        assert calls == [1]
+        assert np.array_equal(got, _svd_polar(M))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 4, 6]))
+    def test_log_matches_expm(self, seed, m):
+        W = _stack_unitaries(np.random.default_rng(seed), 16, m)
+        L = linalg.unitary_log(W)
+        assert max(np.abs(expm(x) - w).max() for x, w in zip(L, W)) <= 1e-12
+        assert np.abs(L + np.swapaxes(L, -1, -2).conj()).max() <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 4, 6]))
+    def test_log_exactly_degenerate(self, seed, m):
+        rng = np.random.default_rng(seed)
+        # a doubly degenerate phase, and scalar matrices
+        phases = rng.uniform(-np.pi, np.pi, (32, m))
+        phases[:, 1] = phases[:, 0]
+        W, truth = _with_phases(_stack_unitaries(rng, 32, m), phases)
+        W = np.concatenate([W, np.exp(1j * phases[:, :1, None]) * np.eye(m)])
+        truth = np.concatenate([truth, 1j * phases[:, :1, None] * np.eye(m)])
+        assert np.abs(linalg.unitary_log(W) - truth).max() <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 4, 6]),
+           st.sampled_from([1.0, -1.0]))
+    def test_log_near_pi(self, seed, m, side):
+        # every eigenphase within 1e-9 of +pi (or of -pi) is the
+        # well-conditioned case: compared with the exact log
+        rng = np.random.default_rng(seed)
+        V = _stack_unitaries(rng, 32, m)
+        phases = side * (np.pi - rng.uniform(1e-12, 1e-9, (32, m)))
+        W, truth = _with_phases(V, phases)
+        assert np.abs(linalg.unitary_log(W) - truth).max() <= 1e-12
+        # phases on both sides of the cut: the log itself is ill-conditioned
+        # there, so ask for a principal log of W
+        phases *= rng.choice([-1.0, 1.0], phases.shape)
+        W, _ = _with_phases(V, phases)
+        L = linalg.unitary_log(W)
+        assert max(np.abs(expm(x) - w).max() for x, w in zip(L, W)) <= 1e-12
+        assert np.abs(np.linalg.eigvalsh(-1j * L)).max() <= np.pi
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 4, 6]),
+           st.floats(0.1, 1.5))
+    def test_log_collision_takes_eig(self, seed, m, t):
+        # cos phi + c sin phi is the same at phi0 + t and phi0 - t, with
+        # tan phi0 = c: the eigh mixes the two eigenvectors
+        rng = np.random.default_rng(seed)
+        phi0 = np.arctan(linalg._LOG_MIX)
+        phases = rng.uniform(-np.pi, np.pi, (16, m))
+        phases[:, 0], phases[:, 1] = phi0 + t, phi0 - t
+        W, truth = _with_phases(_stack_unitaries(rng, 16, m), phases)
+        with _fallback_nodes("_eig_log") as calls:
+            L = linalg.unitary_log(W)
+        assert calls == [16]
+        assert np.abs(L - truth).max() <= 1e-12
+        assert max(np.abs(expm(x) - w).max() for x, w in zip(L, W)) <= 1e-12
 
 
 def _complex_stack(rng, shape):
