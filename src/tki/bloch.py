@@ -12,14 +12,15 @@ Every gauge-dependent route gets its frames and sewing fields from
 log of the link unitaries, behind the Berry connection, the quaternionic
 map, the Maurer-Cartan links and the S^3 density), `plaquette_flux` (behind
 both plane Chern counts) and `_antisym_trace3` over `_PERMS3` (behind both
-WZW densities and the Chern-Simons integral).  The smoother's alignment
-sweeps, `link_log` and `FrameField.deficiency` run on the stacked
+WZW densities and the Chern-Simons integral).  The torus density is built
+once per sewing field, and the sigma map takes one link log per axis.  The
+alignment sweeps, `link_log` and `FrameField.deficiency` run on the stacked
 kernels of `linalg` (polar factor, principal log, operator norm): closed
-forms when m = 2, Newton-Schulz and one Hermitian eigensolver per stack
-for larger m; the transport seed keeps the SVD / eig path for every m.  The
-sweeps hold their frames matrix-major (`linalg._matrix_major`), so that
-each stacked product runs as a few long vector operations instead of a
-2-4 long inner loop per node; the values are bitwise those of C order.
+forms when m = 2, Newton-Schulz and one Hermitian eigensolver per stack for
+larger m; the transport seed keeps the SVD / eig path for every m.  The
+sweeps hold their frames matrix-major (`linalg._matrix_major`), so that each
+stacked product runs as a few long vector operations instead of a 2-4 long
+inner loop per node; the values are bitwise those of C order.
 
 Conventions.  Frames u(k) are n_bands x m matrices of occupied eigenvectors.
 The sewing matrix is w_ab(k) = <u_a(-k), Theta u_b(k)>; it is unitary when the
@@ -124,6 +125,15 @@ class SewingField:
     @property
     def m(self) -> int:
         return self.w.shape[-1]
+
+    @cached_property
+    def degree_density(self) -> np.ndarray:
+        """The `wzw_density` array, computed once per instance; read-only."""
+        L = maurer_cartan_links(self)
+        dens = (_antisym_trace3(L, L, L).real * self.grid.cell_volume()
+                / (24 * np.pi ** 2))
+        dens.flags.writeable = False
+        return dens
 
     def residuals(self) -> dict:
         w = self.w
@@ -490,41 +500,34 @@ def berry_connection(frames: FrameField,
     return ConnectionField(grid, A)
 
 
-def _sigma_map(A, wfield: SewingField):
-    """Image of the connection under the quaternionic structure.
-
-    sigma(A)_mu(k) = -w(k) conj(A_mu(-k)) w(k)+ + (1/2)[w (Dw+)_mu - (Dw)_mu w+]
-
-    The derivative term uses the symmetrized principal log of the link
-    unitaries, which keeps the stencil at n the mirror of the one at -n, so
-    the map is an exact involution on the index lattice (up to the accuracy
-    of w's unitarity and involution relation).
-    """
-    grid, w = wfield.grid, wfield.w
-    wd = _dag(w)
-    out = np.empty_like(A)
-    for a, h in enumerate(grid.spacings):
-        pull = grid.involute(A[a]).conj()
-        # (1/2)[w dw+ - dw w+] = -w Lambda w+ with Lambda = w+ dw, realized
-        # as the symmetrized principal log of the forward link unitaries
-        L = link_log(w, a) / h
-        Lam = 0.5 * (L + np.roll(L, 1, axis=a))
-        out[a] = -_mm(w, _mm(pull + Lam, wd))
-    return out
-
-
 def quaternionic_average(conn: ConnectionField,
                          wfield: SewingField) -> ConnectionField:
-    """Average the connection with its quaternionic image: A' = (A + sigma A)/2.
+    """Average the connection with its quaternionic image: A' = (A + sigma A)/2,
 
-    The result is fixed by sigma (residual recorded), hence compatible with
-    the quaternionic structure defined by w.
+    sigma(A)_mu(k) = -w(k) conj(A_mu(-k)) w(k)+ + (1/2)[w (Dw+)_mu - (Dw)_mu w+].
+
+    The derivative term is -w Lambda_mu w+ with Lambda = w+ dw, taken once
+    per axis as the symmetrized principal log of w's forward links along mu:
+    the stencil at n mirrors the one at -n, so sigma is an exact involution
+    on the index lattice (up to w's unitarity and involution residuals).  A'
+    is fixed by sigma (residual max |A' - sigma A'| recorded), hence
+    compatible with the quaternionic structure defined by w.
     """
     if conn.grid.sizes != wfield.grid.sizes:
         raise GaugeMismatch("connection and sewing field live on different grids")
-    Ap = 0.5 * (conn.A + _sigma_map(conn.A, wfield))
-    residual = float(np.abs(Ap - _sigma_map(Ap, wfield)).max())
-    return ConnectionField(conn.grid, Ap, quaternionic_residual=residual)
+    grid, w, wd = wfield.grid, wfield.w, _dag(wfield.w)
+    Ap = np.empty_like(conn.A)
+    residuals = []
+    for a, h in enumerate(grid.spacings):
+        L = link_log(w, a) / h
+        lam = 0.5 * (L + np.roll(L, 1, axis=a))
+
+        def sigma(X):
+            return -_mm(w, _mm(grid.involute(X).conj() + lam, wd))
+        Ap[a] = 0.5 * (conn.A[a] + sigma(conn.A[a]))
+        residuals.append(np.abs(Ap[a] - sigma(Ap[a])).max())
+    return ConnectionField(conn.grid, Ap,
+                           quaternionic_residual=float(np.max(residuals)))
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +573,9 @@ def wzw_density(wfield: SewingField) -> np.ndarray:
 
     Full antisymmetrization of tr(L_a L_b L_c) over the three axes, times the
     cube volume, so the plain sum of the returned array is the discretized
-    integral of the 3-form.
+    integral of the 3-form.  Built once per sewing field: every call on the
+    same field returns one read-only array (`SewingField.degree_density`).
     """
-    grid = wfield.grid
-    if grid.dim != 3:
+    if wfield.grid.dim != 3:
         raise BlochError("the WZW density lives on 3-dimensional grids")
-    L = maurer_cartan_links(wfield)
-    dens = _antisym_trace3(L, L, L).real
-    return dens * grid.cell_volume() / (24 * np.pi ** 2)
+    return wfield.degree_density

@@ -9,10 +9,10 @@ Routes to the same Z2 parity:
   Berry phases in a time-reversal-constrained ring gauge, combined into weak
   and strong 3D indices;
 * ``km_wzw`` — the degree integral of the sewing map, whose parity is the
-  invariant;
-* ``km_winding`` — the same integral resummed as a one-parameter family of
-  slice contributions and rounded the same way, so it agrees with
-  ``km_wzw`` by construction and is a diagnostic, not an independent vote;
+  invariant; its density (``bloch.wzw_density``, built once per sewing field)
+  also feeds ``km_winding``, ``km_chern_simons`` and the ``localise`` route;
+* ``km_winding`` — the same integral resummed over slices and rounded the
+  same way: a diagnostic that agrees with ``km_wzw`` by construction;
 * ``km_chern_simons`` — the Chern-Simons integral of the quaternionically
   averaged Berry connection, related to the degree integral by a factor -1/2;
 * ``km_s3`` — for the sphere Dirac model ``dirac_s3``, the degree integral

@@ -275,6 +275,37 @@ class TestQuaternionicAverage:
         with pytest.raises(bloch.GaugeMismatch):
             bloch.quaternionic_average(conn, wfield)
 
+    @staticmethod
+    def _two_pass(conn, wfield):
+        # sigma over all axes, applied once to A and once to the average
+        grid, w = wfield.grid, wfield.w
+
+        def sigma(A):
+            out = np.empty_like(A)
+            for a, h in enumerate(grid.spacings):
+                L = bloch.link_log(w, a) / h
+                lam = 0.5 * (L + np.roll(L, 1, axis=a))
+                out[a] = -bloch._mm(w, bloch._mm(
+                    grid.involute(A[a]).conj() + lam, bloch._dag(w)))
+            return out
+        Ap = 0.5 * (conn.A + sigma(conn.A))
+        return Ap, float(np.abs(Ap - sigma(Ap)).max())
+
+    @pytest.mark.parametrize("parts", [(0.5,), (0.5, 3.0)])
+    def test_per_axis_pass_equals_two_pass_reference(self, parts):
+        model = models.make_model("fkm3d", {"dt": parts[0]})
+        for dt in parts[1:]:
+            model = models.direct_sum(model,
+                                      models.make_model("fkm3d", {"dt": dt}))
+        raw = bloch.diagonalize_grid(model, BZGrid.cubic(3, 12))
+        frames, wfield, _ = bloch.gauge_pipeline(raw, model.theta,
+                                                 smoothness_limit=1.0)
+        conn = bloch.berry_connection(frames, smoothness_limit=1.0)
+        avg = bloch.quaternionic_average(conn, wfield)
+        Ap, residual = self._two_pass(conn, wfield)
+        assert np.array_equal(avg.A, Ap)
+        assert avg.quaternionic_residual == residual
+
 
 class TestWzwDensity:
     def test_vanishes_for_constant_field(self):
@@ -286,11 +317,38 @@ class TestWzwDensity:
 
     def test_matrix_major_links_change_no_bit(self, pipeline, monkeypatch):
         # the Maurer-Cartan links are stored matrix-major; the density must
-        # be bitwise the one of C-ordered links
+        # be bitwise the one of C-ordered links.  The C-ordered density is
+        # built on a fresh field: the shared one may hold its density already
         _, wred = pipeline.gauge("fkm3d", {"dt": 0.5}, 16)
         L = bloch.maurer_cartan_links(wred)
         assert min(L.strides[-2:]) > max(L.strides[1:-2])
         dens = bloch.wzw_density(wred)
+        fresh = bloch.SewingField(wred.grid, wred.w)
+        patched = []
         monkeypatch.setattr(bloch, "maurer_cartan_links",
-                            lambda w: np.ascontiguousarray(L))
-        assert np.array_equal(bloch.wzw_density(wred), dens)
+                            lambda w: patched.append(w)
+                            or np.ascontiguousarray(L))
+        assert np.array_equal(bloch.wzw_density(fresh), dens)
+        assert patched == [fresh]
+
+    def test_density_built_once_per_field(self, pipeline, monkeypatch):
+        _, wred = pipeline.gauge("fkm3d", {"dt": 0.5}, 16)
+        seen = []
+        links = bloch.maurer_cartan_links
+        monkeypatch.setattr(bloch, "maurer_cartan_links",
+                            lambda w: seen.append(w) or links(w))
+        fields = [bloch.SewingField(wred.grid, wred.w) for _ in range(2)]
+        for wfield in fields:
+            first = bloch.wzw_density(wfield)
+            for _ in range(3):
+                assert bloch.wzw_density(wfield) is first
+        assert seen == fields
+        assert np.array_equal(bloch.wzw_density(fields[1]), first)
+
+    def test_density_is_read_only(self, pipeline):
+        _, wred = pipeline.gauge("fkm3d", {"dt": 0.5}, 16)
+        dens = bloch.wzw_density(wred)
+        with pytest.raises(ValueError):
+            dens[0, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            dens += 1.0

@@ -300,3 +300,29 @@ class TestGeneralMKernels:
                          "--methods", "wzw,cs,localise")
         assert code == 0
         assert calls["transport"] > 0 and calls["elsewhere"] == 0
+
+    def test_link_logs_taken_once_per_field_and_axis(self, capsys,
+                                                     monkeypatch):
+        # every route on one m = 4 run: the Berry connection's links of the
+        # frames, the sigma map's of the sewing field and the density's of
+        # the reduced field, three axes each and nothing twice
+        fields, calls = {}, []
+        pipeline, link_log = bloch.gauge_pipeline, bloch.link_log
+
+        def kept(*args, **kwargs):
+            out = pipeline(*args, **kwargs)
+            fields.update(zip(("frames", "wfield", "wred"),
+                              (out[0].frames, out[1].w, out[2].w)))
+            return out
+
+        def counted(u, axis):
+            calls.append((next(k for k, v in fields.items() if v is u), axis))
+            return link_log(u, axis)
+        monkeypatch.setattr(bloch, "gauge_pipeline", kept)
+        monkeypatch.setattr(bloch, "link_log", counted)
+        code, _, _ = run(capsys, "invariant", "--model", "trivial",
+                         "--params", "d=3,m=4", "--grid", "12", "--methods",
+                         "pfaffian,planes,wzw,winding,cs,localise")
+        assert code == 0
+        assert sorted(calls) == sorted(
+            (k, a) for k in ("frames", "wfield", "wred") for a in range(3))

@@ -43,6 +43,17 @@ class TestRegistry:
             H = model.hamiltonian(np.array([1.0, 1.0, 1.0]))
             assert np.abs(np.linalg.eigvalsh(H)).min() > 1e-8
 
+    @pytest.mark.parametrize("mass,gapless", [
+        (0.0, True), (-2.0, True), (-1.0, False), (1.0, False)])
+    def test_dirac_s3_gapless_at_a_pole_refused(self, mass, gapless):
+        # mass 0 closes the gap at chi = 0 and mass -2 at chi = pi; the
+        # cell-centred check mesh holds neither pole
+        if gapless:
+            with pytest.raises(models.Gapless):
+                models.make_model("dirac_s3", {"mass": mass})
+        else:
+            assert models.make_model("dirac_s3", {"mass": mass}).n_occ == 2
+
     def test_dirac_s3_gap_scales_with_mass_at_the_pole(self):
         # the gap closes only at the chi = 0 pole, controlled by the mass
         model = models.make_model("dirac_s3", {"mass": 1e-3})
