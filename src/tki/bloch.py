@@ -17,10 +17,8 @@ once per sewing field, and the sigma map takes one link log per axis.  The
 alignment sweeps, `link_log` and `FrameField.deficiency` run on the stacked
 kernels of `linalg` (polar factor, principal log, operator norm): closed
 forms when m = 2, Newton-Schulz and one Hermitian eigensolver per stack for
-larger m; the transport seed keeps the SVD / eig path for every m.  The
-sweeps hold their frames matrix-major (`linalg._matrix_major`), so that each
-stacked product runs as a few long vector operations instead of a 2-4 long
-inner loop per node; the values are bitwise those of C order.
+larger m; the transport seed keeps the SVD / eig path for every m.  Frames,
+sewing fields, connections and link logs follow the layout rule of `linalg`.
 
 Conventions.  Frames u(k) are n_bands x m matrices of occupied eigenvectors.
 The sewing matrix is w_ab(k) = <u_a(-k), Theta u_b(k)>; it is unitary when the
@@ -34,11 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
 from .grids import BZGrid
-from .linalg import (_AH, _dag, _matrix_major, _mm, _unitary_log_phases,
+from .linalg import (_AH, _dag, _empty_stack, _matrix_major, _mm,
+                     _scale_columns, _unitary_log_phases,
                      batched_polar_unitary, batched_spectral_norm,
                      phase_continue, unitary_log)
 
@@ -172,7 +172,7 @@ def diagonalize_grid(model, grid: BZGrid, gap: float = 1e-8) -> FrameField:
     if below.max() >= -gap or above.min() <= gap:
         node = np.unravel_index(int(np.argmin(above - below)), below.shape)
         raise GaplessAt(f"gap closes near node {node}")
-    return FrameField(grid, vec[..., :, :m], ev[..., :m])
+    return FrameField(grid, _matrix_major(vec[..., :m]), ev[..., :m])
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,7 @@ def _transport_last_axis(u):
     ph = np.exp(1j * steps[:, None] * phi[..., None, :])    # (..., n, m) order fix below
     ph = np.moveaxis(ph, -2, 0)                             # (n, ..., m)
     for i in range(n):
-        G = _mm(V * ph[i][..., None, :], _dag(V))
+        G = _mm(_scale_columns(V, ph[i]), _dag(V))
         u[..., i, :, :] = _mm(u[..., i, :, :], G)
     return u
 
@@ -275,10 +275,7 @@ def _relax(u, dim, max_sweeps, rel_tol=1e-4):
     until the mean link deficiency plateaus.
 
     The sweeps change u only by unitaries on the right, which leave each
-    link's ||O||_F fixed, so those norms are formed once per call.  u is
-    stored matrix-major (`linalg._matrix_major`) for the whole call, which
-    makes the sweep's products several times faster and leaves every value
-    bitwise as it is; the result keeps that layout."""
+    link's ||O||_F fixed, so those norms are formed once per call."""
     u = _matrix_major(u)
     sq_norms = []
     for a in range(dim):
@@ -301,7 +298,9 @@ def _transport_init(raw: FrameField, order=None) -> np.ndarray:
     order."""
     dim = raw.grid.dim
     order = tuple(range(dim)) if order is None else tuple(order)
-    u = np.transpose(raw.frames, order + (dim, dim + 1)).copy()
+    # order "K" copies in raw's memory order, so the transposed-back
+    # result is as matrix-major as raw without a second copy
+    u = np.transpose(raw.frames, order + (dim, dim + 1)).copy(order="K")
     for a in range(dim):
         sel = tuple([slice(None)] * (a + 1) + [0] * (dim - a - 1))
         block = u[sel]
@@ -309,7 +308,7 @@ def _transport_init(raw: FrameField, order=None) -> np.ndarray:
             block = block[np.newaxis]
         _transport_last_axis(block)
     inv = tuple(np.argsort(order))
-    return np.transpose(u, inv + (dim, dim + 1)).copy()
+    return np.transpose(u, inv + (dim, dim + 1))
 
 
 def _multiscale_init(raw: FrameField, max_sweeps: int) -> np.ndarray:
@@ -318,10 +317,12 @@ def _multiscale_init(raw: FrameField, max_sweeps: int) -> np.ndarray:
     grid, dim = raw.grid, raw.grid.dim
     coarse = BZGrid(dim, tuple(n // 2 for n in grid.sizes))
     sub = (slice(None, None, 2),) * dim
-    ref = _smooth_frames(FrameField(coarse, raw.frames[sub],
-                                    raw.energies[sub]), max_sweeps).frames
-    for a in range(dim):
-        ref = np.repeat(ref, 2, axis=a)
+    coarse_ref = _smooth_frames(FrameField(coarse, raw.frames[sub],
+                                           raw.energies[sub]),
+                                max_sweeps).frames
+    ref = _empty_stack(raw.frames.shape)
+    for offset in product((0, 1), repeat=dim):
+        ref[tuple(slice(o, None, 2) for o in offset)] = coarse_ref
     return _mm(raw.frames, batched_polar_unitary(_mm(_dag(raw.frames), ref)))
 
 
@@ -346,7 +347,8 @@ def _anneal(field_: FrameField, raw: FrameField, max_sweeps: int) -> tuple:
         amp = 0.9 * 0.75 ** (trial % 4)
         X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         ev, V = np.linalg.eigh(-1j * amp * _AH(X))
-        kick = _mm(V * np.exp(1j * ev)[..., None, :], _dag(V))
+        V = _matrix_major(V)
+        kick = _mm(_scale_columns(V, np.exp(1j * ev)), _dag(V))
         u = _relax(_mm(best.frames, kick), dim, max_sweeps)
         kicked = FrameField(raw.grid, u, raw.energies)
         s = kicked.smoothness
@@ -493,7 +495,7 @@ def berry_connection(frames: FrameField,
     if s > smoothness_limit:
         raise RoughGauge(f"frame smoothness {s:.3f} exceeds {smoothness_limit}")
     grid, u = frames.grid, frames.frames
-    A = np.empty((grid.dim,) + grid.sizes + (frames.m, frames.m), dtype=complex)
+    A = _empty_stack((grid.dim,) + grid.sizes + (frames.m, frames.m))
     for a, h in enumerate(grid.spacings):
         L = link_log(u, a)
         A[a] = _AH(0.5 * (L + np.roll(L, 1, axis=a)) / h)
@@ -547,12 +549,8 @@ def _antisym_trace3(X, Y, Z):
 
 
 def _link_logs(w: np.ndarray, spacings) -> np.ndarray:
-    """link_log(w, a) / h_a for every axis, stacked on axis 0 and stored
-    matrix-major, so that `_antisym_trace3` runs on long vectors; its values
-    are bitwise those of C order."""
-    m = w.shape[-1]
-    L = np.moveaxis(np.empty((len(spacings), m, m) + w.shape[:-2],
-                             dtype=complex), (1, 2), (-2, -1))
+    """link_log(w, a) / h_a for every axis, stacked on axis 0."""
+    L = _empty_stack((len(spacings),) + w.shape)
     for a, h in enumerate(spacings):
         L[a] = link_log(w, a) / h
     return L

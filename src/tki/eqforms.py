@@ -110,7 +110,7 @@ def involution_pullback(c: Cochain) -> Cochain:
     sign = (-1.0) ** c.degree
     out = np.empty_like(c.values)
     for i, S in enumerate(c.components):
-        out[i] = sign * c.values[i][c.grid.involution_indices(S)]
+        out[i] = sign * c.grid.involute(c.values[i], S)
     return Cochain(c.grid, c.degree, out)
 
 

@@ -57,9 +57,14 @@ class BZGrid:
         return np.ix_(*[(-np.arange(n) - int(a in axes)) % n
                         for a, n in enumerate(self.sizes)])
 
-    def involute(self, values: np.ndarray) -> np.ndarray:
-        """Pull a node-indexed array back along the inversion."""
-        return values[self.involution_indices()]
+    def involute(self, values: np.ndarray, axes=()) -> np.ndarray:
+        """Pull a node-indexed array back along the inversion (on the cubes
+        spanned by `axes`, as `involution_indices`).  A flip and a shift of
+        each axis: the same exact permutation as the index map, and the
+        result keeps the memory layout of `values`."""
+        every = tuple(range(self.dim))
+        shifts = tuple(1 - int(a in axes) for a in every)
+        return np.roll(np.flip(values, axis=every), shifts, axis=every)
 
     @property
     def trims(self):

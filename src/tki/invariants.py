@@ -101,39 +101,48 @@ def km_trim_pfaffian(wfield: SewingField):
     return parity, pfs
 
 
-def _ring_tr_gauge(ring: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Impose a time-reversal-constrained gauge on a closed inversion-stable
-    ring of frames (index j ~ momentum, inversion j -> -j mod N).
+def _ring_tr_gauge(rings: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Impose a time-reversal-constrained gauge on closed inversion-stable
+    rings of frames (index j ~ momentum, inversion j -> -j mod N), stacked
+    as (rings, N, n_bands, m); a plane's two boundary rings go in one call.
 
     At the two fixed points the sewing matrix is rotated to the standard
     symplectic form; between them the gauge is parallel-transported with the
     endpoint mismatch spread evenly along the path, and the second half of
-    the ring is the time-reversal mirror of the first.
+    each ring is the time-reversal mirror of the first.  The rings are
+    transported together, and every endpoint correction of a ring comes
+    from one `eig` and one `inv`.
     """
-    N, m = ring.shape[0], ring.shape[-1]
+    N, m = rings.shape[1], rings.shape[-1]
     half = N // 2
-    v = ring.copy()
-    for t_ in (0, half):
-        s = v[t_].conj().T @ U @ v[t_].conj()
-        if np.abs(s + s.T).max() > 1e-6:
-            raise BoundaryGaugeFailure(
-                "sewing matrix at a ring fixed point is not skew; the ring "
-                "is not inversion-stable or the bands are not gapped on it")
-        v[t_] = v[t_] @ kramers_canonical(s)
-    # transport the canonical frame at j=0 along the half ring
+    v = rings.copy()
+    for r in range(len(v)):
+        for t_ in (0, half):
+            s = v[r, t_].conj().T @ U @ v[r, t_].conj()
+            if np.abs(s + s.T).max() > 1e-6:
+                raise BoundaryGaugeFailure(
+                    "sewing matrix at a ring fixed point is not skew; the "
+                    "ring is not inversion-stable or the bands are not "
+                    "gapped on it")
+            v[r, t_] = v[r, t_] @ kramers_canonical(s)
+    canon = v[:, half].copy()
+    # transport the canonical frames at j=0 along the half rings
     for j in range(1, half + 1):
-        v[j] = v[j] @ polar_unitary(v[j].conj().T @ v[j - 1])
-    # spread the endpoint mismatch so both fixed-point frames stay canonical
-    canon = ring[half] @ kramers_canonical(
-        ring[half].conj().T @ U @ ring[half].conj())
-    mism = v[half].conj().T @ canon
+        v[:, j] = v[:, j] @ polar_unitary(
+            np.swapaxes(v[:, j].conj(), -1, -2) @ v[:, j - 1])
+    # spread the endpoint mismatch so both fixed-point frames stay canonical:
+    # corr_j = P diag(ev^(j/half)) P^-1 for j = 1..half
+    mism = np.swapaxes(v[:, half].conj(), -1, -2) @ canon
     ev, P = np.linalg.eig(mism)
-    for j in range(1, half + 1):
-        corr = P @ np.diag(np.exp((j / half) * np.log(ev))) @ np.linalg.inv(P)
-        v[j] = v[j] @ polar_unitary(corr)
+    powers = np.exp((np.arange(1, half + 1) / half)[:, None, None]
+                    * np.log(ev))
+    D = np.zeros(powers.shape + (m,), dtype=complex)
+    D[..., range(m), range(m)] = powers
+    corr = P @ D @ np.linalg.inv(P)
+    v[:, 1:half + 1] = v[:, 1:half + 1] @ polar_unitary(
+        np.swapaxes(corr, 0, 1))
     # mirror half: the partner of j is N - j
-    for j in range(1, half):
-        v[N - j] = -(U @ v[j].conj()) @ _trivial_sewing(m)
+    v[:, N - 1:half:-1] = -(U @ v[:, 1:half].conj()) @ _trivial_sewing(m)
     return v
 
 
@@ -169,8 +178,8 @@ def km_plane_invariant(frames2d: FrameField, theta) -> tuple:
     u = frames2d.frames
     n1 = grid.sizes[1]
     U = theta.U
-    a_bottom = _ring_phase_sum(_ring_tr_gauge(u[:, n1 // 2], U))
-    a_top = _ring_phase_sum(_ring_tr_gauge(u[:, 0], U))
+    a_bottom, a_top = (_ring_phase_sum(v) for v in _ring_tr_gauge(
+        np.stack([u[:, n1 // 2], u[:, 0]]), U))
     fsum = float(plaquette_flux(u)[:, n1 // 2:].sum())
     raw = (a_top - a_bottom - fsum) / (2 * np.pi)
     parity, _ = _round_parity(raw)

@@ -14,12 +14,17 @@ The polar factor and the log certify each node and send the nodes that
 fail to the per-matrix SVD / eig path, which `svd=True` (the transport
 seed) still takes for every node.
 
-Stacks of small matrices are fastest with their two matrix axes outermost
-in memory (`_matrix_major`): each term of an `einsum` product, and each
-entry of a closed form, is then one long contiguous vector operation rather
-than a loop of length 2-4 per node.  The layout changes neither shapes nor
-values, `einsum` and the ufuncs keep it (order='K'), and every product is
-bitwise equal to the one on C-ordered input.
+Layout.  Every stack of matrices (..., m, n) is stored matrix-major, its
+two matrix axes outermost in memory, from the line that creates it:
+`_empty_stack` allocates one, `_matrix_major` moves a LAPACK result or a
+fancy-indexed copy into that layout, and a new array derived from a stack
+keeps it, because `einsum`, the ufuncs, `empty_like` and `np.roll` follow
+their operands' layout (order='K').  Each term of a product, and each entry
+of a closed form, is then one long contiguous vector operation instead of a
+loop of length 2-4 per node.  The layout changes neither shapes nor values:
+products, closed forms and the LAPACK calls are bitwise those of C order.
+`_mm` is a plain `einsum` and does not convert; a C-ordered stack still
+gives the right values, only slower.
 """
 
 from __future__ import annotations
@@ -33,9 +38,23 @@ def _mm(X, Y):
 
 def _matrix_major(X):
     """X with the same shape and values, its two matrix axes outermost in
-    memory (strides of the node axes smallest)."""
+    memory (strides of the node axes smallest); no copy is made when X is
+    already stored that way."""
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(X, (-2, -1), (0, 1))),
                        (0, 1), (-2, -1))
+
+
+def _empty_stack(shape, dtype=complex):
+    """An uninitialised stack of the given shape (..., m, n), matrix-major."""
+    shape = tuple(shape)
+    return np.moveaxis(np.empty(shape[-2:] + shape[:-2], dtype=dtype),
+                       (0, 1), (-2, -1))
+
+
+def _scale_columns(V, d):
+    """V diag(d) for a stack V (..., m, m) and diagonals d (..., m),
+    allocated matrix-major whatever the layout of d."""
+    return np.multiply(V, d[..., None, :], out=_empty_stack(V.shape))
 
 
 def _dag(X):
@@ -75,9 +94,9 @@ class UndersampledPath(LinalgError):
     pass
 
 
-def _as_square(M) -> np.ndarray:
+def _as_square(M, stacked: bool = False) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if (M.ndim < 2 if stacked else M.ndim != 2) or M.shape[-1] != M.shape[-2]:
         raise NonSquare(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
         raise LinalgError("matrix has non-finite entries")
@@ -121,11 +140,12 @@ def pfaffian(A):
 
 
 def polar_unitary(M):
-    """Nearest unitary to M in Frobenius norm (polar factor); refuses M that
-    the SVD finds too close to singular."""
-    M = _as_square(M)
+    """Nearest unitary in Frobenius norm (polar factor) to a square matrix,
+    or to each matrix of a stack (..., m, m); refuses the input when one
+    batched SVD finds any of its matrices too close to singular."""
+    M = _as_square(M, stacked=True)
     s = np.linalg.svd(M, compute_uv=False)
-    if s[-1] <= 1e-10 * s[0]:
+    if np.any(s[..., -1] <= 1e-10 * s[..., 0]):
         raise NearSingular("matrix too close to singular for a stable polar factor")
     return batched_polar_unitary(M)
 
@@ -168,7 +188,7 @@ def batched_polar_unitary(M: np.ndarray, svd: bool = False) -> np.ndarray:
 
 def _svd_polar(M):
     u, _, vh = np.linalg.svd(M)
-    return _mm(u, vh)
+    return _mm(_matrix_major(u), _matrix_major(vh))
 
 
 # Newton-Schulz certificate: max |X+X - 1| below _NS_TOL before the last
@@ -207,7 +227,8 @@ def _newton_schulz_polar(M):
     _NS_TOL^3.  Nodes that fail the bound or are not done after
     _NS_MAX_ITER iterations (rank-deficient, zero or non-finite inputs
     among them) take the SVD path.  Only nodes still iterating are carried
-    into the next iteration.  The result has the input's memory layout.
+    into the next iteration.  The result has the input's memory layout,
+    and its values do not depend on that layout.
 
     A gauge smoother applies the factor hundreds of times to the same
     frames, so any bias of the factor towards short columns adds up.  Two
@@ -221,12 +242,14 @@ def _newton_schulz_polar(M):
     """
     m = M.shape[-1]
     nodes = M.shape[:-2]
-    # a matrix-major copy as (m, m, n): one long vector per entry
-    moved = np.moveaxis(M, (-2, -1), (0, 1))
-    fro = np.sqrt((moved.real ** 2 + moved.imag ** 2).sum(axis=(0, 1)))
-    X = np.empty(moved.shape, dtype=complex)
+    # a matrix-major copy as (m, m, n): one long vector per entry; the
+    # norm is summed on the copy, so it rounds the same for every layout
+    # of M
+    X = np.empty((m, m) + nodes, dtype=complex)
+    X[...] = np.moveaxis(M, (-2, -1), (0, 1))
+    fro = np.sqrt((X.real ** 2 + X.imag ** 2).sum(axis=(0, 1)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(moved, np.sqrt(m) / fro, out=X)
+        X *= np.sqrt(m) / fro
     X = X.reshape(m, m, -1)
     diag = (range(m), range(m))
     certified = np.zeros(X.shape[-1], dtype=bool)
@@ -281,7 +304,7 @@ def _unitary_log_phases(W):
 def _eig_log(W):
     """Principal log of a stack of unitaries through `np.linalg.eig`."""
     Q, phi = _unitary_log_phases(W)
-    return _mm(Q * (1j * phi)[..., None, :], _dag(Q))
+    return _mm(_scale_columns(Q, 1j * phi), _dag(Q))
 
 
 # c in A + c B: irrational, so that no pair of eigenphases symmetric about
@@ -309,7 +332,7 @@ def _eigh_log(W):
     H = _dag(W)
     H *= np.conj(alpha)
     H += alpha * W
-    V = np.linalg.eigh(H)[1]
+    V = _matrix_major(np.linalg.eigh(H)[1])
     del H
     Vd = _dag(V)
     D = _mm(Vd, _mm(W, V))
@@ -318,7 +341,7 @@ def _eigh_log(W):
     off[..., range(m), range(m)] = 0.0
     bad = off.max(axis=(-2, -1)) > _LOG_OFFDIAG
     del D, off
-    L = _mm(V * (1j * phi)[..., None, :], Vd)
+    L = _mm(_scale_columns(V, 1j * phi), Vd)
     if bad.any():
         L[bad] = _eig_log(W[bad])
     return L

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _dag, _mm
+from .linalg import _dag, _empty_stack, _mm
 from .bloch import GaplessAt, _antisym_trace3, _link_logs
 from .eqforms import push
 from .models import BlochModel
@@ -87,7 +87,9 @@ class SphereMesh:
                       (np.arange(self.n_phi) + self.n_phi // 2) % self.n_phi)
 
     def involute(self, values: np.ndarray) -> np.ndarray:
-        return values[self.involution_indices()]
+        """Pull a cell-indexed array back along the inversion: a flip of
+        theta and a half-turn of phi, which keep the layout of `values`."""
+        return np.roll(np.flip(values, axis=1), self.n_phi // 2, axis=2)
 
 
 def _dirac_charts(mass: float, mesh: SphereMesh):
@@ -106,7 +108,7 @@ def _dirac_charts(mass: float, mesh: SphereMesh):
     a = np.sin(chi)
     f = mass + 1.0 - np.cos(chi)
     r = np.sqrt(a * a + f * f)
-    vs = np.empty(mesh.shape + (2, 2), dtype=complex)
+    vs = _empty_stack(mesh.shape + (2, 2))
     vs[..., 0, 0] = np.cos(th)
     vs[..., 0, 1] = np.sin(th) * np.exp(-1j * ph)
     vs[..., 1, 0] = np.sin(th) * np.exp(1j * ph)
@@ -117,7 +119,7 @@ def _dirac_charts(mass: float, mesh: SphereMesh):
 def _assemble_chart(first_block, second_block):
     """Stack two (..., 2, 2) spin blocks into 4x2 frames with the row order
     (spin, orbital) -> 2*spin + orbital."""
-    out = np.empty(first_block.shape[:-2] + (4, 2), dtype=complex)
+    out = _empty_stack(first_block.shape[:-2] + (4, 2))
     out[..., 0::2, :] = first_block
     out[..., 1::2, :] = second_block
     return out
@@ -157,8 +159,9 @@ def dirac_frames(mass: float, mesh: SphereMesh) -> np.ndarray:
                          a[..., None, None] * vs / n2)
     half = np.pi / 2
     phase = np.exp(-1j * half * s)[..., None, None]
-    hs = phase * (np.cos(half * s)[..., None, None] * eye
-                  + 1j * np.sin(half * s)[..., None, None] * vs)
+    hs = np.multiply(phase, np.cos(half * s)[..., None, None] * eye
+                     + 1j * np.sin(half * s)[..., None, None] * vs,
+                     out=_empty_stack(vs.shape))
     glued = _mm(u1, hs)
     lo = chi < np.pi / 3
     glued[lo] = u2[lo]

@@ -16,6 +16,12 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def matrix_major(X):
+    """True when X is stored matrix-major: its two matrix axes outermost in
+    memory and the node axes one contiguous block under them."""
+    return np.moveaxis(X, (-2, -1), (0, 1)).flags.c_contiguous
+
+
 def cofactor_pfaffian(A):
     """Recursive cofactor expansion; independent reference for small matrices."""
     A = np.asarray(A, dtype=complex)

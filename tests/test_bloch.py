@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from tki import bloch, models
+import contextlib
+import io
+
+from tki import bloch, cli, linalg, models, sphere
 from tki.grids import BZGrid
+from conftest import matrix_major
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +112,7 @@ class TestSmoothGauge:
         # bitwise the same gauge
         model = models.make_model("fkm3d", {"dt": 0.5})
         raw = bloch.diagonalize_grid(model, BZGrid.cubic(3, 8))
-        u = bloch._transport_init(raw)
+        u = np.ascontiguousarray(bloch._transport_init(raw))
         assert u.flags.c_contiguous
         um = bloch._matrix_major(u)
         a = bloch._relax(u, 3, 30)
@@ -345,6 +349,16 @@ class TestWzwDensity:
         assert seen == fields
         assert np.array_equal(bloch.wzw_density(fields[1]), first)
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_triple_trace_independent_of_layout(self, m):
+        rng = np.random.default_rng(6)
+        shape = (3, 6, 5, 4, m, m)
+        X, Y, Z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                   for _ in range(3))
+        ref = bloch._antisym_trace3(X, Y, Z)
+        assert np.array_equal(bloch._antisym_trace3(
+            *(bloch._matrix_major(T) for T in (X, Y, Z))), ref)
+
     def test_density_is_read_only(self, pipeline):
         _, wred = pipeline.gauge("fkm3d", {"dt": 0.5}, 16)
         dens = bloch.wzw_density(wred)
@@ -352,3 +366,88 @@ class TestWzwDensity:
             dens[0, 0, 0] = 0.0
         with pytest.raises(ValueError):
             dens += 1.0
+
+
+@pytest.fixture(scope="module")
+def fkm_fields():
+    model = models.make_model("fkm3d", {"dt": 0.5})
+    raw = bloch.diagonalize_grid(model, BZGrid.cubic(3, 8))
+    frames, wfield, wred = bloch.gauge_pipeline(raw, model.theta,
+                                                smoothness_limit=1.0)
+    conn = bloch.berry_connection(frames, smoothness_limit=1.0)
+    return raw, frames, wfield, wred, conn
+
+
+def _count_layout_conversions(monkeypatch):
+    """Wrap `_mm` wherever it is imported and record every call that gets a
+    stack (ndim > 2) whose node axes are not innermost in memory."""
+    seen = []
+    plain = linalg._mm
+
+    def ordered(X):
+        nodes, matrix = ([abs(s) for s, n in zip(X.strides[part],
+                                                 X.shape[part]) if n > 1]
+                         for part in (slice(None, -2), slice(-2, None)))
+        return not (nodes and matrix) or min(matrix) >= max(nodes)
+
+    def spy(X, Y):
+        if not (ordered(X) and ordered(Y)):
+            seen.append((X.shape, Y.shape))
+        return plain(X, Y)
+    for mod in (linalg, bloch, sphere):
+        monkeypatch.setattr(mod, "_mm", spy)
+    return seen
+
+
+class TestLayout:
+    """Every stacked field is matrix-major where it is created, so no
+    product of the pipeline runs on a C-ordered stack."""
+
+    def test_torus_fields_are_matrix_major(self, fkm_fields):
+        raw, frames, wfield, wred, conn = fkm_fields
+        model = models.make_model("fkm3d", {"dt": 0.5})
+        assert matrix_major(raw.frames)
+        assert matrix_major(bloch._transport_init(raw))
+        assert matrix_major(bloch._transport_init(raw, order=(2, 1, 0)))
+        assert matrix_major(frames.frames)
+        assert matrix_major(wfield.w) and matrix_major(wred.w)
+        assert matrix_major(conn.A)
+        assert matrix_major(bloch.quaternionic_average(conn, wfield).A)
+        assert matrix_major(bloch.maurer_cartan_links(wred))
+        assert matrix_major(model.theta.apply(raw.frames))
+
+    def test_multiscale_seed_is_matrix_major(self, bhz_raw):
+        _, raw = bhz_raw
+        assert matrix_major(bloch._multiscale_init(raw, 400))
+
+    def test_sphere_fields_are_matrix_major(self):
+        model = models.make_model("dirac_s3", {"mass": -1.0})
+        mesh = sphere.SphereMesh.cubic(12)
+        assert matrix_major(sphere._dirac_charts(-1.0, mesh)[3])
+        for mass in (1.0, -1.0, -3.0):  # chart 1, glued, chart 2
+            assert matrix_major(sphere.dirac_frames(mass, mesh))
+        u = sphere.sphere_frames(model, mesh)
+        assert matrix_major(sphere.sphere_sewing(u, model.theta, mesh))
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "trivial", "--params", "d=3,m=2", "--grid", "8"],
+        ["--model", "trivial", "--params", "d=3,m=4", "--grid", "8"],
+        ["--model", "fkm3d", "--params", "dt=0.5", "--grid", "8",
+         "--tol-smoothness", "1.0"],
+        # anneal trials on the 8^3 level
+        ["--model", "layered3d", "--params", "m=2,tz=0.5", "--grid", "8"],
+        # the multiscale seed
+        ["--model", "bhz2d", "--grid", "24", "--methods", "pfaffian,planes"],
+        ["--model", "dirac_s3", "--params", "mass=-1", "--grid", "12",
+         "--methods", "s3"],
+    ])
+    def test_no_product_on_a_c_ordered_stack(self, monkeypatch, argv):
+        seen = _count_layout_conversions(monkeypatch)
+        if "--methods" not in argv:
+            argv = argv + ["--methods",
+                           "pfaffian,planes,wzw,winding,cs,localise"]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["invariant"] + argv + ["--stable-output"])
+        assert code in (0, 3)
+        assert seen == []

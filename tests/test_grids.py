@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tki.grids import BZGrid, GridError
+from tki.linalg import _matrix_major
+from conftest import matrix_major
 
 
 class TestConstruction:
@@ -63,6 +65,19 @@ class TestInvolution:
         for axes in ((), (0,), (1,), (0, 1)):
             idx = g.involution_indices(axes)
             assert np.array_equal(vals[idx][idx], vals)
+
+    def test_involute_matches_index_maps_and_keeps_layout(self):
+        # a flip and a shift per axis: the index map of every cube, bitwise,
+        # on C-ordered and matrix-major stacks alike
+        g = BZGrid(3, (4, 6, 8))
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal(g.sizes + (4, 2)) + 0j
+        Xm = _matrix_major(X)
+        for axes in ((), (0,), (1, 2), (0, 1, 2)):
+            ref = X[g.involution_indices(axes)]
+            out, outm = g.involute(X, axes), g.involute(Xm, axes)
+            assert np.array_equal(out, ref) and np.array_equal(outm, ref)
+            assert out.flags.c_contiguous and matrix_major(outm)
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from([4, 6, 8, 10]), st.integers(0, 2**32 - 1))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tki import bloch, invariants, models
+from tki import bloch, cli, invariants, models
 from tki.grids import BZGrid
 
 
@@ -80,6 +80,31 @@ class TestPlaneInvariant:
         p_ref, _ = invariants.km_plane_invariant(raw, model.theta)
         p_scr, _ = invariants.km_plane_invariant(scrambled, model.theta)
         assert p_scr == p_ref
+
+
+class TestRingGauge:
+    def test_rings_stacked_or_alone_agree(self, pipeline):
+        # the two boundary rings of a plane go through one call; each comes
+        # out bitwise as it does alone
+        model = models.make_model("fkm3d", {"dt": 1.0})
+        u = pipeline.raw("fkm3d", {"dt": 1.0}, 16).restrict_plane(2, 0).frames
+        rings = np.stack([u[:, 8], u[:, 0]])
+        both = invariants._ring_tr_gauge(rings, model.theta.U)
+        for r in range(2):
+            alone = invariants._ring_tr_gauge(rings[r:r + 1], model.theta.U)
+            assert np.array_equal(both[r], alone[0])
+
+    def test_one_polar_call_per_step_for_both_rings(self, pipeline,
+                                                    monkeypatch):
+        model = models.make_model("fkm3d", {"dt": 1.0})
+        plane = pipeline.raw("fkm3d", {"dt": 1.0}, 16).restrict_plane(0, 8)
+        stacks = []
+        polar = invariants.polar_unitary
+        monkeypatch.setattr(invariants, "polar_unitary",
+                            lambda M: stacks.append(M.shape) or polar(M))
+        invariants.km_plane_invariant(plane, model.theta)
+        # eight transport steps on two rings, then all 2 x 8 corrections
+        assert stacks == [(2, 2, 2)] * 8 + [(2, 8, 2, 2)]
 
 
 class TestWeakStrong:
@@ -190,3 +215,65 @@ class TestReport:
         assert not rep.consensus
         assert "error" in rep.methods["cs"]
         assert any("cs" in n for n in rep.notes)
+
+
+_TORUS_ROUTES = ("pfaffian", "planes", "wzw", "winding", "cs", "localise")
+
+
+def _route_parities(model, raw, grid):
+    outputs, _ = cli._compute_methods(
+        model, grid, list(_TORUS_ROUTES), dict(cli._TOL_DEFAULTS),
+        stable=True, raw=raw)
+    return {name: out.get("parity") for name, out in outputs.items()}
+
+
+@pytest.fixture(scope="module")
+def fkm_reference(pipeline):
+    model = models.make_model("fkm3d", {"dt": 0.5})
+    raw = pipeline.raw("fkm3d", {"dt": 0.5}, 16)
+    parities = _route_parities(model, raw, raw.grid)
+    assert parities == dict.fromkeys(_TORUS_ROUTES, -1)
+    return model, raw, parities
+
+
+def _permuted(raw, perm):
+    """The frames with their k-axes permuted: a strided view whose node
+    axes are not contiguous in memory."""
+    perm = tuple(perm)
+    return bloch.FrameField(raw.grid,
+                            np.transpose(raw.frames, perm + (3, 4)),
+                            np.transpose(raw.energies, perm + (3,)))
+
+
+class TestMetamorphic:
+    """Relabelling the input must not move any route's parity."""
+
+    @pytest.mark.parametrize("perm", [(2, 0, 1), (1, 0, 2)])
+    def test_axis_permutation_keeps_every_route(self, fkm_reference, perm):
+        model, raw, parities = fkm_reference
+        moved = _permuted(raw, perm)
+        assert not moved.frames.flags.c_contiguous
+        assert _route_parities(model, moved, raw.grid) == parities
+
+    @pytest.mark.parametrize("perm", [(2, 0, 1), (0, 2, 1), (2, 1, 0)])
+    def test_axis_permutation_moves_the_weak_indices(self, pipeline, perm):
+        model = models.make_model("layered3d", {"m": 2.0, "tz": 0.5})
+        raw = pipeline.raw("layered3d", {"m": 2.0, "tz": 0.5}, 12)
+        strong, weak, _ = invariants.km_weak_strong(raw, model.theta)
+        assert (strong, tuple(weak)) == (1, (1, 1, -1))
+        strong_p, weak_p, _ = invariants.km_weak_strong(_permuted(raw, perm),
+                                                        model.theta)
+        assert strong_p == 1
+        assert tuple(weak_p) == tuple(weak[a] for a in perm)
+
+    def test_random_gauge_keeps_every_route(self, fkm_reference):
+        model, raw, parities = fkm_reference
+        rng = np.random.default_rng(11)
+        shape = raw.grid.sizes + (2, 2)
+        q, r = np.linalg.qr(rng.standard_normal(shape)
+                            + 1j * rng.standard_normal(shape))
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        gauge = q * (d / np.abs(d))[..., None, :]
+        scrambled = bloch.FrameField(raw.grid, raw.frames @ gauge,
+                                     raw.energies)
+        assert _route_parities(model, scrambled, raw.grid) == parities

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from tki import linalg
-from conftest import cofactor_pfaffian, random_skew, random_unitary
+from conftest import (cofactor_pfaffian, matrix_major, random_skew,
+                      random_unitary)
 
 
 class TestPfaffian:
@@ -90,6 +91,29 @@ class TestPolarUnitary:
     def test_rejects_non_square(self):
         with pytest.raises(linalg.NonSquare):
             linalg.polar_unitary(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_stack_matches_single_matrices(self, m):
+        # one batched call factors every matrix as a call per matrix does
+        rng = np.random.default_rng(4)
+        M = rng.standard_normal((2, 5, m, m)) + 1j * rng.standard_normal(
+            (2, 5, m, m))
+        U = linalg.polar_unitary(M)
+        single = np.array([[linalg.polar_unitary(x) for x in row]
+                           for row in M])
+        assert U.shape == M.shape
+        assert np.abs(U - single).max() <= 1e-13
+        if m == 2:  # the closed form is node by node
+            assert np.array_equal(U, single)
+
+    def test_stack_refused_when_any_matrix_is_singular(self):
+        rng = np.random.default_rng(5)
+        M = np.stack([random_unitary(rng, 2) for _ in range(6)])
+        M[4] = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(linalg.NearSingular):
+            linalg.polar_unitary(M)
+        with pytest.raises(linalg.NonSquare):
+            linalg.polar_unitary(np.zeros((3, 2, 4)))
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(5)
@@ -466,3 +490,69 @@ class TestMatrixMajor:
         assert U.flags.c_contiguous
         assert Um.strides == Mm.strides
         assert np.array_equal(Um, U)
+
+
+class TestLayoutIndependence:
+    """Every stacked kernel gives bitwise the same result on a C-ordered
+    stack and on its matrix-major copy, and keeps the matrix-major layout."""
+
+    SHAPE = (6, 5, 4)
+
+    def _stacks(self, M):
+        M = np.ascontiguousarray(M)
+        return M, linalg._matrix_major(M)
+
+    def test_empty_stack(self):
+        X = linalg._empty_stack((3,) + self.SHAPE + (4, 2))
+        assert X.shape == (3,) + self.SHAPE + (4, 2) and X.dtype == complex
+        assert matrix_major(X)
+        assert np.shares_memory(linalg._matrix_major(X), X)
+
+    def test_log_2x2_with_straddling_nodes(self):
+        rng = np.random.default_rng(7)
+        n = int(np.prod(self.SHAPE))
+        phases = rng.uniform(-np.pi, np.pi, (n, 2))
+        # a third of the nodes straddle the branch cut at +-pi
+        phases[::3] = [np.pi - 0.1, -np.pi + 0.2]
+        W, _ = _with_phases(_stack_unitaries(rng, n), phases)
+        C, Mm = self._stacks(W.reshape(self.SHAPE + (2, 2)))
+        with _fallback_nodes("_eig_log") as calls:
+            L, Lm = linalg.unitary_log(C), linalg.unitary_log(Mm)
+        # the forced nodes and random ones more than pi apart
+        assert calls[0] == calls[1] >= len(phases[::3])
+        assert np.array_equal(L, Lm)
+        assert matrix_major(Lm)
+
+    def test_log_4x4_with_failed_certificates(self):
+        rng = np.random.default_rng(8)
+        n = int(np.prod(self.SHAPE))
+        phases = rng.uniform(-np.pi, np.pi, (n, 4))
+        # colliding phases phi0 +- t on every fourth node
+        phi0 = np.arctan(linalg._LOG_MIX)
+        phases[::4, 0], phases[::4, 1] = phi0 + 0.7, phi0 - 0.7
+        W, _ = _with_phases(_stack_unitaries(rng, n, 4), phases)
+        C, Mm = self._stacks(W.reshape(self.SHAPE + (4, 4)))
+        with _fallback_nodes("_eig_log") as calls:
+            L, Lm = linalg.unitary_log(C), linalg.unitary_log(Mm)
+        assert calls == [len(phases[::4])] * 2
+        assert np.array_equal(L, Lm)
+        assert matrix_major(Lm)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_polar_factor(self, m):
+        C, Mm = self._stacks(_complex_stack(np.random.default_rng(10),
+                                            self.SHAPE + (m, m)))
+        U, Um = linalg.batched_polar_unitary(C), linalg.batched_polar_unitary(Mm)
+        assert np.array_equal(U, Um)
+        assert U.flags.c_contiguous and matrix_major(Um)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_spectral_norm_and_svd_polar(self, m):
+        C, Mm = self._stacks(_complex_stack(np.random.default_rng(9),
+                                            self.SHAPE + (m, m)))
+        assert np.array_equal(linalg.batched_spectral_norm(C),
+                              linalg.batched_spectral_norm(Mm))
+        U, Um = linalg._svd_polar(C), linalg._svd_polar(Mm)
+        assert np.array_equal(U, Um)
+        # LAPACK returns C order; the factor is matrix-major either way
+        assert matrix_major(U) and matrix_major(Um)

@@ -5,6 +5,8 @@ import pytest
 
 from tki import models
 from tki.grids import BZGrid
+from tki.linalg import _matrix_major
+from conftest import matrix_major
 
 
 class TestRegistry:
@@ -75,6 +77,17 @@ class TestThetaOperator:
         phi = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
         lhs = np.vdot(model.theta.apply(psi), model.theta.apply(phi))
         assert lhs == pytest.approx(np.vdot(phi, psi))
+
+    def test_apply_independent_of_layout(self):
+        # a matrix-major stack of frames gives bitwise the same result, in
+        # its own layout
+        theta = models.make_model("fkm3d").theta
+        rng = np.random.default_rng(1)
+        psi = rng.standard_normal((6, 5, 4, 4, 2)) + 1j * rng.standard_normal(
+            (6, 5, 4, 4, 2))
+        out = theta.apply(_matrix_major(psi))
+        assert np.array_equal(out, theta.apply(psi))
+        assert matrix_major(out)
 
     def test_rejects_non_symplectic(self):
         with pytest.raises(models.SymmetryViolation):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from tki import invariants, models, sphere
+from tki.linalg import _matrix_major
 from tki.sphere import SphereMesh
+from conftest import matrix_major
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +45,16 @@ class TestMesh:
         wrapped = (mesh.involute(ph) - ph - np.pi + np.pi) % (2 * np.pi) \
             - np.pi
         assert np.abs(wrapped).max() <= 1e-12
+
+
+    def test_involute_matches_index_map_and_keeps_layout(self, mesh):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal(mesh.shape + (2, 2)) + 0j
+        Xm = _matrix_major(X)
+        ref = X[mesh.involution_indices()]
+        out, outm = mesh.involute(X), mesh.involute(Xm)
+        assert np.array_equal(out, ref) and np.array_equal(outm, ref)
+        assert out.flags.c_contiguous and matrix_major(outm)
 
 
 class TestDiracFrames:
