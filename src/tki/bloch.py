@@ -38,9 +38,9 @@ import numpy as np
 
 from .grids import BZGrid
 from .linalg import (_AH, _dag, _empty_stack, _matrix_major, _mm,
-                     _scale_columns, _unitary_log_phases,
-                     batched_polar_unitary, batched_spectral_norm,
-                     phase_continue, unitary_log)
+                     _scale_columns, batched_polar_unitary,
+                     batched_spectral_norm, phase_continue, unitary_log,
+                     unitary_ramp)
 
 
 class BlochError(ValueError):
@@ -227,23 +227,20 @@ def _transport_last_axis(u):
     """Parallel transport along the last grid axis of u (..., N, nb, m),
     then spread the closing holonomy so the gauge is smoothly periodic.
 
-    The seed keeps the SVD polar factor and the eig log of the holonomy even
-    for m = 2: at a Kramers-degenerate holonomy -1, rounding decides which
-    eigenvector gets phase +pi and which -pi, so a kernel that rounds
-    differently seeds a different gauge."""
+    The seed keeps the SVD polar factor and the eig log of the holonomy
+    (`linalg.unitary_ramp`) even for m = 2: at a Kramers-degenerate
+    holonomy -1, rounding decides which eigenvector gets phase +pi and which
+    -pi, so a kernel that rounds differently seeds a different gauge."""
     n = u.shape[-3]
     for i in range(1, n):
         M = _mm(_dag(u[..., i - 1, :, :]), u[..., i, :, :])
         u[..., i, :, :] = _mm(u[..., i, :, :],
                               _dag(batched_polar_unitary(M, svd=True)))
-    V, phi = _unitary_log_phases(batched_polar_unitary(
-        _mm(_dag(u[..., n - 1, :, :]), u[..., 0, :, :]), svd=True))
-    # per node i apply V diag(exp(i * (i/n) * phi)) V+
-    steps = np.arange(n) / n
-    ph = np.exp(1j * steps[:, None] * phi[..., None, :])    # (..., n, m) order fix below
-    ph = np.moveaxis(ph, -2, 0)                             # (n, ..., m)
-    for i in range(n):
-        G = _mm(_scale_columns(V, ph[i]), _dag(V))
+    # node i takes the holonomy's power i/n
+    ramp = unitary_ramp(batched_polar_unitary(
+        _mm(_dag(u[..., n - 1, :, :]), u[..., 0, :, :]), svd=True),
+        np.arange(n) / n)
+    for i, G in enumerate(ramp):
         u[..., i, :, :] = _mm(u[..., i, :, :], G)
     return u
 
@@ -270,7 +267,13 @@ def _link_pass(u, sq_norms):
     return tot / len(sq_norms), T
 
 
-def _relax(u, dim, max_sweeps, rel_tol=1e-4):
+# alignment sweeps per relax, and the relative drop of the mean link
+# deficiency per sweep below which a relax stops
+_MAX_SWEEPS = 400
+_REL_TOL = 1e-4
+
+
+def _relax(u, dim, max_sweeps=_MAX_SWEEPS):
     """Jacobi alignment sweeps: rotate each frame toward its neighbours,
     until the mean link deficiency plateaus.
 
@@ -286,7 +289,7 @@ def _relax(u, dim, max_sweeps, rel_tol=1e-4):
         u = _mm(u, batched_polar_unitary(_mm(_dag(u), T)))
         del T  # free the old sum before the pass allocates the next one
         cur, T = _link_pass(u, sq_norms)
-        if prev - cur < rel_tol * max(prev, 1e-12):
+        if prev - cur < _REL_TOL * max(prev, 1e-12):
             break
         prev = cur
     return u
@@ -311,22 +314,21 @@ def _transport_init(raw: FrameField, order=None) -> np.ndarray:
     return np.transpose(u, inv + (dim, dim + 1))
 
 
-def _multiscale_init(raw: FrameField, max_sweeps: int) -> np.ndarray:
+def _multiscale_init(raw: FrameField) -> np.ndarray:
     """Seed gauge by prolonging a half-resolution smooth gauge and aligning
     the raw frames to it via polar projection."""
     grid, dim = raw.grid, raw.grid.dim
     coarse = BZGrid(dim, tuple(n // 2 for n in grid.sizes))
     sub = (slice(None, None, 2),) * dim
     coarse_ref = _smooth_frames(FrameField(coarse, raw.frames[sub],
-                                           raw.energies[sub]),
-                                max_sweeps).frames
+                                           raw.energies[sub])).frames
     ref = _empty_stack(raw.frames.shape)
     for offset in product((0, 1), repeat=dim):
         ref[tuple(slice(o, None, 2) for o in offset)] = coarse_ref
     return _mm(raw.frames, batched_polar_unitary(_mm(_dag(raw.frames), ref)))
 
 
-def _anneal(field_: FrameField, raw: FrameField, max_sweeps: int) -> tuple:
+def _anneal(field_: FrameField, raw: FrameField) -> tuple:
     """Dissolve residual vortex lines (metastable under pure alignment, e.g.
     when two everywhere-degenerate columns lock into conjugate Chern sectors)
     with deterministic random kicks followed by re-relaxation.
@@ -349,7 +351,7 @@ def _anneal(field_: FrameField, raw: FrameField, max_sweeps: int) -> tuple:
         ev, V = np.linalg.eigh(-1j * amp * _AH(X))
         V = _matrix_major(V)
         kick = _mm(_scale_columns(V, np.exp(1j * ev)), _dag(V))
-        u = _relax(_mm(best.frames, kick), dim, max_sweeps)
+        u = _relax(_mm(best.frames, kick), dim)
         kicked = FrameField(raw.grid, u, raw.energies)
         s = kicked.smoothness
         if s < best_s:
@@ -357,7 +359,7 @@ def _anneal(field_: FrameField, raw: FrameField, max_sweeps: int) -> tuple:
     return best, best_s
 
 
-def _smooth_frames(raw: FrameField, max_sweeps: int) -> FrameField:
+def _smooth_frames(raw: FrameField) -> FrameField:
     """Recursive gauge construction: seed from a half-resolution smooth gauge
     when the grid allows it, otherwise from nested parallel transport; relax
     and anneal, falling back to the alternate seeding when the first one
@@ -367,14 +369,13 @@ def _smooth_frames(raw: FrameField, max_sweeps: int) -> FrameField:
     multiscale_ok = all(n % 4 == 0 and n >= 24 for n in grid.sizes)
     inits = [lambda: _transport_init(raw)]
     if multiscale_ok:
-        inits.insert(0, lambda: _multiscale_init(raw, max_sweeps))
+        inits.insert(0, lambda: _multiscale_init(raw))
     if dim > 1:
         inits.append(lambda: _transport_init(raw, order=range(dim)[::-1]))
     best, best_s = None, np.inf
     for make_init in inits:
-        relaxed = FrameField(grid, _relax(make_init(), dim, max_sweeps),
-                             raw.energies)
-        field_, s = _anneal(relaxed, raw, max_sweeps)
+        relaxed = FrameField(grid, _relax(make_init(), dim), raw.energies)
+        field_, s = _anneal(relaxed, raw)
         if s < best_s:
             best, best_s = field_, s
         if best_s < 0.7:
@@ -382,7 +383,7 @@ def _smooth_frames(raw: FrameField, max_sweeps: int) -> FrameField:
     return best
 
 
-def smooth_gauge(raw: FrameField, max_sweeps: int = 400) -> FrameField:
+def smooth_gauge(raw: FrameField) -> FrameField:
     """Smooth periodic gauge for the occupied frames.
 
     Multiscale: the gauge is first built on a half-resolution subgrid
@@ -398,7 +399,7 @@ def smooth_gauge(raw: FrameField, max_sweeps: int = 400) -> FrameField:
     for plane, (c, _) in plane_chern_numbers(raw).items():
         if c != 0:
             raise ChernObstruction(plane[:2], c)
-    field_ = _smooth_frames(raw, max_sweeps)
+    field_ = _smooth_frames(raw)
     s = field_.smoothness
     if s > 1.2:
         raise ConvergenceFailure(

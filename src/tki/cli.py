@@ -36,6 +36,8 @@ class UsageError(ValueError):
 # ---------------------------------------------------------------------------
 
 _METHODS = ("pfaffian", "planes", "wzw", "winding", "cs", "s3", "localise")
+# the routes that integrate a 3-form: torus models of dimension 3 only
+_DENSITY_ROUTES = ("wzw", "winding", "cs", "localise")
 
 # documented tolerance defaults; every entry has a --tol-<name> override
 # on the commands that build a model
@@ -79,6 +81,17 @@ def _parse_extra_params(extra, names):
             raise UsageError(f"unrecognized argument {tok!r}") from exc
         i += 2
     return out
+
+
+def _finite(text, what):
+    """float(text), refused unless it is a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not np.isfinite(value):
+        raise UsageError(f"{what} needs a finite number, got {text!r}")
+    return value
 
 
 def _grid_sizes(text):
@@ -128,6 +141,9 @@ def _build_model(name, params, check=True):
         params["d"] = params.pop("dim")
     intlike = {"d", "m"} if name == "trivial" else set()
     for k in intlike & set(params):
+        if not float(params[k]).is_integer():
+            raise UsageError(f"trivial parameter {k!r} must be an integer, "
+                             f"got {params[k]!r}")
         params[k] = int(params[k])
     return models.make_model(name, params, check=check)
 
@@ -149,6 +165,8 @@ def _tols(args):
     for key in t:
         v = getattr(args, "tol_" + key)
         if v is not None:
+            if not 0 <= v < np.inf:  # nan would switch the gate off
+                raise UsageError(f"--tol-{key} needs a finite number >= 0")
             t[key] = v
     return t
 
@@ -195,16 +213,11 @@ def _compute_methods(model, grid, methods, tol, stable=False, raw=None):
         t0 = time.perf_counter()
         try:
             if name == "pfaffian":
-                if grid.dim == 2:
-                    parity, _ = invariants.km_plane_pfaffian(wred)
-                    out = {"parity": parity, "raw": float(parity),
-                           "residual": 0.0}
-                else:
-                    parity, pfs = invariants.km_trim_pfaffian(wred)
-                    raw_val = float(np.prod([p.real for p in pfs]))
-                    out = {"parity": parity, "raw": raw_val,
-                           "residual": abs(abs(raw_val) - 1.0),
-                           "pfaffians": pfs}
+                parity, pfs = invariants.km_trim_pfaffian(wred)
+                raw_val = float(np.prod([p.real for p in pfs]))
+                out = {"parity": parity, "raw": raw_val,
+                       "residual": abs(abs(raw_val) - 1.0),
+                       "pfaffians": pfs}
             elif name == "planes":
                 if grid.dim == 2:
                     parity, raw_val = invariants.km_plane_invariant(
@@ -275,12 +288,16 @@ def cmd_invariant(args, extra) -> int:
         default = "pfaffian,planes,wzw,winding" if model.dim == 3 \
             else "pfaffian,planes"
     methods = [m for m in (args.methods or default).split(",") if m]
+    if not methods:
+        raise UsageError("--methods names no method")
     for m in methods:
         if m not in _METHODS:
             raise UsageError(f"unknown method {m!r}")
         if (m == "s3") != (model.domain == "sphere3"):
             raise UsageError(
                 f"method {m!r} does not apply to a {model.domain} model")
+        if m in _DENSITY_ROUTES and model.dim != 3:
+            raise UsageError(f"method {m!r} needs a 3-d model")
     outputs, statuses = _compute_methods(model, grid, methods, tol,
                                          stable=args.stable_output)
 
@@ -299,9 +316,12 @@ def cmd_phase_diagram(args, extra) -> int:
         raise UsageError("--sweep name:start:stop:steps is required")
     try:
         pname, start, stop, steps = args.sweep.split(":")
-        start, stop, steps = float(start), float(stop), int(steps)
+        steps = int(steps)
     except ValueError as exc:
         raise UsageError("--sweep must be name:start:stop:steps") from exc
+    start, stop = _finite(start, "--sweep start"), _finite(stop, "--sweep stop")
+    if steps < 1:
+        raise UsageError(f"--sweep needs at least one step, got {steps}")
     base = _model_params(args, extra)
     tol = _tols(args)
     if args.tol_smoothness is None:
@@ -321,7 +341,9 @@ def cmd_phase_diagram(args, extra) -> int:
                 grid = _parse_grid(args.grid or "16", model.dim)
                 raw = bloch.diagonalize_grid(model, grid, gap=tol["gap"])
                 gap = float(np.abs(raw.energies).min())
-                columns = ("pfaffian", "planes", "wzw")
+                # a 2-d model leaves the wzw cell nan
+                columns = ("pfaffian", "planes",
+                           "wzw" if model.dim == 3 else None)
             outputs, _ = _compute_methods(
                 model, grid, [c for c in columns if c], tol, stable=True,
                 raw=raw)
@@ -348,10 +370,7 @@ def cmd_localise(args, extra) -> int:
         if args.model or args.params or extra:
             raise UsageError("--form uniform:<v> takes no model or model "
                              "parameters")
-        try:
-            upsilon = float(form.split(":", 1)[1])
-        except ValueError as exc:
-            raise UsageError("--form uniform:<number>") from exc
+        upsilon = _finite(form.split(":", 1)[1], "--form uniform:<v>")
         grid = _parse_grid(args.grid or "32", 3)
         dens = np.full(grid.sizes, upsilon / np.prod(grid.sizes))
         trace = eqforms.localise(eqforms.Cochain.from_density(grid, dens))

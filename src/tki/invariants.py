@@ -3,7 +3,7 @@
 Routes to the same Z2 parity:
 
 * ``km_trim_pfaffian``  — product of sewing-matrix Pfaffians over the
-  inversion-fixed momenta of an SU-reduced sewing field;
+  inversion-fixed momenta of an SU-reduced sewing field, in 2D and 3D alike;
 * ``km_plane_invariant`` / ``km_weak_strong`` — the 2D invariant of each
   inversion-stable plane from Berry fluxes over half the plane and boundary
   Berry phases in a time-reversal-constrained ring gauge, combined into weak
@@ -14,9 +14,13 @@ Routes to the same Z2 parity:
 * ``km_winding`` — the same integral resummed over slices and rounded the
   same way: a diagnostic that agrees with ``km_wzw`` by construction;
 * ``km_chern_simons`` — the Chern-Simons integral of the quaternionically
-  averaged Berry connection, related to the degree integral by a factor -1/2;
+  averaged Berry connection, related to the degree integral by a factor -1/2
+  (its cubic term is ``bloch._antisym_trace3``, the density's kernel);
 * ``km_s3`` — for the sphere Dirac model ``dirac_s3``, the degree integral
   of the sewing map, localised onto the two poles.
+
+The density routes (``km_wzw``, ``km_winding``, ``km_chern_simons`` and the
+``localise`` route) need a 3-d grid; the other two take a 2-d one too.
 
 ``assemble_report`` collects any subset of method outputs into a
 cross-validated report with a consensus flag.
@@ -29,9 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import BZGrid
-from .linalg import pfaffian, polar_unitary, phase_continue, kramers_canonical
+from .linalg import (_dag, kramers_canonical, pfaffian, polar_unitary,
+                     unitary_ramp)
 from .bloch import (FrameField, SewingField, ConnectionField, _PERMS3,
-                    wzw_density, plaquette_flux)
+                    _antisym_trace3, wzw_density, plaquette_flux)
 
 _W0 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -110,8 +115,8 @@ def _ring_tr_gauge(rings: np.ndarray, U: np.ndarray) -> np.ndarray:
     symplectic form; between them the gauge is parallel-transported with the
     endpoint mismatch spread evenly along the path, and the second half of
     each ring is the time-reversal mirror of the first.  The rings are
-    transported together, and every endpoint correction of a ring comes
-    from one `eig` and one `inv`.
+    transported together, and the endpoint corrections of all rings come
+    from one `linalg.unitary_ramp`, the transport seed's holonomy ramp.
     """
     N, m = rings.shape[1], rings.shape[-1]
     half = N // 2
@@ -128,29 +133,18 @@ def _ring_tr_gauge(rings: np.ndarray, U: np.ndarray) -> np.ndarray:
     canon = v[:, half].copy()
     # transport the canonical frames at j=0 along the half rings
     for j in range(1, half + 1):
-        v[:, j] = v[:, j] @ polar_unitary(
-            np.swapaxes(v[:, j].conj(), -1, -2) @ v[:, j - 1])
-    # spread the endpoint mismatch so both fixed-point frames stay canonical:
-    # corr_j = P diag(ev^(j/half)) P^-1 for j = 1..half
-    mism = np.swapaxes(v[:, half].conj(), -1, -2) @ canon
-    ev, P = np.linalg.eig(mism)
-    powers = np.exp((np.arange(1, half + 1) / half)[:, None, None]
-                    * np.log(ev))
-    D = np.zeros(powers.shape + (m,), dtype=complex)
-    D[..., range(m), range(m)] = powers
-    corr = P @ D @ np.linalg.inv(P)
-    v[:, 1:half + 1] = v[:, 1:half + 1] @ polar_unitary(
-        np.swapaxes(corr, 0, 1))
-    # mirror half: the partner of j is N - j
-    v[:, N - 1:half:-1] = -(U @ v[:, 1:half].conj()) @ _trivial_sewing(m)
+        v[:, j] = v[:, j] @ polar_unitary(_dag(v[:, j]) @ v[:, j - 1])
+    # spread the endpoint mismatch so both fixed-point frames stay
+    # canonical: step j takes the mismatch's power j/half
+    ramp = unitary_ramp(_dag(v[:, half]) @ canon,
+                        np.arange(1, half + 1) / half)
+    for j, G in enumerate(ramp, 1):
+        v[:, j] = v[:, j] @ G
+    # mirror half: the partner of j is N - j, and the trivial sewing matrix
+    # is _W0 on each Kramers pair
+    v[:, N - 1:half:-1] = -(U @ v[:, 1:half].conj()) @ np.kron(
+        np.eye(m // 2), _W0)
     return v
-
-
-def _trivial_sewing(m: int) -> np.ndarray:
-    out = np.zeros((m, m), dtype=complex)
-    for i in range(m // 2):
-        out[2 * i:2 * i + 2, 2 * i:2 * i + 2] = _W0
-    return out
 
 
 def _ring_phase_sum(v: np.ndarray) -> float:
@@ -184,40 +178,6 @@ def km_plane_invariant(frames2d: FrameField, theta) -> tuple:
     raw = (a_top - a_bottom - fsum) / (2 * np.pi)
     parity, _ = _round_parity(raw)
     return parity, raw
-
-
-def km_plane_pfaffian(wfield: SewingField) -> tuple:
-    """Oracle for the 2D invariant: fixed-node Pfaffians against the
-    path-continued square root of the sewing determinant.
-
-    Needs a smooth (not necessarily determinant-reduced) 2D sewing field.
-    The determinant phase is continued from (0,0) to the other three fixed
-    nodes along grid lines; each ratio pf(w)/exp(i*phi/2) is then ±1 and
-    their product is the invariant.  Returns (parity, the four ratios).
-    """
-    grid = wfield.grid
-    if grid.dim != 2:
-        raise InvariantError("expected a 2-d sewing field")
-    n0, n1 = grid.sizes
-    det = np.linalg.det(wfield.w)
-    phi = {}
-    phi[(0, 0)] = float(np.angle(det[0, 0]))
-    p, _ = phase_continue(det[:n0 // 2 + 1, 0])
-    phi[(n0 // 2, 0)] = phi[(0, 0)] + float(p[-1] - p[0])
-    for start in ((0, 0), (n0 // 2, 0)):
-        p, _ = phase_continue(det[start[0], :n1 // 2 + 1])
-        phi[(start[0], n1 // 2)] = phi[start] + float(p[-1] - p[0])
-    deltas = []
-    for t in grid.trims:
-        W = wfield.w[t]
-        if np.abs(W + W.T).max() > 1e-8:
-            raise NonSkewTrim(f"sewing matrix at fixed node {t} is not skew")
-        delta = pfaffian(0.5 * (W - W.T)) * np.exp(-0.5j * phi[t])
-        if abs(abs(delta) - 1.0) > 1e-4 or abs(delta.imag) > 1e-2:
-            raise PfaffianOffCircle(
-                f"pf/sqrt(det) = {delta:.6f} at {t} is not a sign")
-        deltas.append(1 if delta.real > 0 else -1)
-    return int(np.prod(deltas)), deltas
 
 
 def km_weak_strong(raw: FrameField, theta) -> tuple:
@@ -287,6 +247,8 @@ def km_chern_simons(conn: ConnectionField, wfield: SewingField) -> tuple:
             f"connection residual {conn.quaternionic_residual:.2e} exceeds "
             "1e-6; average it first")
     grid = conn.grid
+    if grid.dim != 3:
+        raise InvariantError("the Chern-Simons integral needs a 3-d grid")
     A = conn.A  # (3, *sizes, m, m), anti-Hermitian
 
     def dmu(f, mu):
@@ -297,11 +259,10 @@ def km_chern_simons(conn: ConnectionField, wfield: SewingField) -> tuple:
         return np.fft.ifft(np.fft.fft(f, axis=mu) * (1j * wave.reshape(shape)),
                            axis=mu)
 
-    total = 0.0 + 0.0j
+    total = (2.0 / 3.0) * _antisym_trace3(A, A, A).sum()
     for (m0, m1, m2), s in _PERMS3:
-        t1 = np.einsum("...ab,...ba->...", A[m0], dmu(A[m2], m1))
-        t2 = np.einsum("...ab,...bc,...ca->...", A[m0], A[m1], A[m2])
-        total += s * (t1 + (2.0 / 3.0) * t2).sum()
+        total += s * np.einsum("...ab,...ba->...", A[m0],
+                               dmu(A[m2], m1)).sum()
     cs = -float((total * grid.cell_volume()).real) / (8 * np.pi ** 2)
     wzw_integral = float(wzw_density(wfield).sum())
     relation_residual = abs(cs + 0.5 * wzw_integral)

@@ -1,8 +1,10 @@
 """Dense complex matrix kernels.
 
 Small-matrix routines used throughout: stacked products and adjoints, the
-Pfaffian of a skew-symmetric matrix, projection onto the unitary group, and
-branch tracking of a phase along a discrete path.
+Pfaffian of a skew-symmetric matrix, projection onto the unitary group, the
+powers of a unitary along a ramp (`unitary_ramp`, behind the transport
+seed's holonomy spreading and the planes route's ring gauge), and branch
+tracking of a phase along a discrete path.
 
 The stacked kernels behind the gauge smoother and the link logs --
 `batched_polar_unitary`, `unitary_log` and `batched_spectral_norm` -- have
@@ -299,6 +301,16 @@ def _unitary_log_phases(W):
     vals, vecs = np.linalg.eig(W)
     V = batched_polar_unitary(vecs, svd=True)
     return V, np.angle(vals)
+
+
+def unitary_ramp(W, steps):
+    """Yield the powers W^s of a stack of unitaries (..., m, m) for each s
+    in `steps`: V diag(exp(i s phi)) V+ from one `_unitary_log_phases` of
+    W, so every power takes the principal branch."""
+    V, phi = _unitary_log_phases(W)
+    Vd = _dag(V)
+    for s in steps:
+        yield _mm(_scale_columns(V, np.exp(1j * s * phi)), Vd)
 
 
 def _eig_log(W):

@@ -218,6 +218,8 @@ def make_model(name: str, params: dict | None = None,
     for key, val in (params or {}).items():
         if key not in p:
             raise BadParams(f"{name} has no parameter {key!r}")
+        if not np.isfinite(val):
+            raise BadParams(f"{name} parameter {key!r} is {val}, not finite")
         p[key] = val
 
     if name == "trivial":

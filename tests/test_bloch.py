@@ -175,6 +175,26 @@ class TestSmoothGauge:
             assert np.count_nonzero(field.deficiency > 0.7) == 6
             assert best is field and s == field.smoothness
 
+    @pytest.mark.parametrize("m, n", [(7.5, 32), (0.25, 24)])
+    def test_fallback_seed_rescues_a_lone_hot_node(self, monkeypatch, m, n):
+        # the first seed relaxes to a rough gauge with no more than 2 dim
+        # links above 0.7, which a kick cannot move; the next seed still
+        # reaches a gauge below 0.7, so a rule that stops at that count
+        # would lose these levels
+        raw = bloch.diagonalize_grid(models.make_model("bhz2d", {"m": m}),
+                                     BZGrid.cubic(2, n))
+        anneal, seeds = bloch._anneal, []
+
+        def seen_anneal(field, *args):
+            if field.grid.sizes == raw.grid.sizes:  # not a coarser level
+                seeds.append(field)
+            return anneal(field, *args)
+
+        monkeypatch.setattr(bloch, "_anneal", seen_anneal)
+        assert bloch.smooth_gauge(raw).smoothness < 0.7
+        assert len(seeds) >= 2 and seeds[0].smoothness > 0.7
+        assert np.count_nonzero(seeds[0].deficiency > 0.7) <= 4
+
     def test_anneal_clears_a_vortex_line(self, monkeypatch):
         # layered3d m = 2 relaxes into a vortex line of many hot links,
         # which the kicks dissolve
@@ -418,7 +438,7 @@ class TestLayout:
 
     def test_multiscale_seed_is_matrix_major(self, bhz_raw):
         _, raw = bhz_raw
-        assert matrix_major(bloch._multiscale_init(raw, 400))
+        assert matrix_major(bloch._multiscale_init(raw))
 
     def test_sphere_fields_are_matrix_major(self):
         model = models.make_model("dirac_s3", {"mass": -1.0})

@@ -94,6 +94,37 @@ class TestInvariantCommand:
         assert code == 1 and "unrecognized argument '--seed'" in err
         code, _, err = run(capsys, "invariant", *trivial, "--params", "seed=1")
         assert code == 1 and "has no parameter 'seed'" in err
+        # inputs no route can take: an error line, not a traceback, a route
+        # error or a silently changed value
+        bhz8 = ["invariant", "--model", "bhz2d", "--grid", "8"]
+        for argv in ([*bhz8, "--methods", "cs"],
+                     [*bhz8, "--methods", "wzw"],
+                     [*bhz8, "--methods", "winding"],
+                     [*bhz8, "--methods", "localise"],
+                     ["invariant", "--model", "fkm3d", "--grid", "8",
+                      "--params", "dt=nan"],
+                     ["invariant", "--model", "fkm3d", "--grid", "8",
+                      "--dt", "inf"],
+                     ["phase-diagram", "--model", "bhz2d", "--grid", "8",
+                      "--sweep", "m:0:1:-1"],
+                     ["phase-diagram", "--model", "bhz2d", "--grid", "8",
+                      "--sweep", "m:0:1:0"],
+                     ["phase-diagram", "--model", "bhz2d", "--grid", "8",
+                      "--sweep", "m:nan:1:2"],
+                     ["localise", "--form", "uniform:nan"],
+                     ["localise", "--form", "uniform:inf"],
+                     ["invariant", "--model", "trivial", "--grid", "8",
+                      "--params", "d=2.5"],
+                     ["invariant", "--model", "trivial", "--grid", "8",
+                      "--params", "m=2.7"],
+                     ["invariant", "--model", "trivial", "--grid", "8",
+                      "--m", "inf"],
+                     ["invariant", "--model", "trivial", "--grid", "8",
+                      "--methods", ",,"],
+                     [*bhz8, "--tol-smoothness", "nan"],
+                     [*bhz8, "--tol-gap", "-1"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "" and err.startswith("error:"), argv
 
     def test_gapless_model_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "invariant", "--model", "bhz2d",

@@ -459,6 +459,18 @@ def _complex_stack(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+class TestUnitaryRamp:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4]))
+    def test_powers_of_the_principal_log(self, seed, m):
+        W = _stack_unitaries(np.random.default_rng(seed), 8, m)
+        L = linalg.unitary_log(W)
+        steps = [0.0, 0.25, 0.5, 1.0]
+        for s, G in zip(steps, linalg.unitary_ramp(W, steps)):
+            ref = np.stack([expm(s * x) for x in L])
+            assert np.abs(G - ref).max() <= 1e-12, s
+
+
 class TestMatrixMajor:
     def test_keeps_shape_and_values(self):
         X = _complex_stack(np.random.default_rng(0), (6, 5, 4, 3, 2))
