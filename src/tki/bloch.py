@@ -14,13 +14,15 @@ map, the Maurer-Cartan links and the S^3 density), `plaquette_flux` (behind
 both plane Chern counts) and `_antisym_trace3` over `_PERMS3` (behind both
 WZW densities and the Chern-Simons integral).  The torus density is built
 once per sewing field, and the sigma map takes one link log per axis.  The
-smooth gauge comes from red-black alignment sweeps, over-relaxed, on frames
-held as two half-stacks of the even and the odd nodes (`_relax`).  The
-sweeps, `link_log` and `FrameField.deficiency` run on the stacked kernels
-of `linalg` (polar factor, principal log, operator norm): closed forms when
-m = 2, Newton-Schulz and one Hermitian eigensolver per stack for larger m;
-the transport seed keeps the SVD / eig path for every m.  Frames, sewing
-fields, connections and link logs follow the layout rule of `linalg`.
+smooth gauge comes from Fourier-accelerated gauge-fixing steps (`_relax`):
+each rotates every node at once by the inverse lattice Laplacian, applied
+with `np.fft`, of the alignment gradient.  The steps, `link_log` and
+`FrameField.deficiency` run on the stacked kernels of `linalg` (polar
+factor, principal log, operator norm): closed forms when m = 2,
+Newton-Schulz and one Hermitian eigensolver per stack for larger m; the
+transport seed keeps the SVD / eig path for every m.  Frames, sewing
+fields, connections, link logs and the Fourier transforms of the steps
+follow the layout rule of `linalg`.
 
 Conventions.  Frames u(k) are n_bands x m matrices of occupied eigenvectors.
 The sewing matrix is w_ab(k) = <u_a(-k), Theta u_b(k)>; it is unitary when the
@@ -247,143 +249,77 @@ def _transport_last_axis(u):
     return u
 
 
-def _colour_rows(dim):
-    """The checkerboard classes of rows along the last axis: (index of the
-    rows, parity of their other indices) for every offset in {0, 1}^(dim-1)."""
-    for offset in product((0, 1), repeat=dim - 1):
-        yield tuple(slice(o, None, 2) for o in offset), sum(offset) % 2
+def _link_products(u, dim):
+    """One pass over the forward link products O_a = u(k)+ u(k + e_a) of
+    every axis: the mean over the links of ||O - 1||_F, the convergence
+    measure of `_relax`, and the alignment target M = sum_a [O_a(k) +
+    O_a(k - e_a)+] = u(k)+ sum of u's 2 dim neighbours.
 
-
-def _pack(u, dim):
-    """Split frames (*sizes, nb, m) into the half-stacks of the even and the
-    odd nodes (sum of indices even / odd), each (*sizes[:-1], N/2, nb, m),
-    matrix-major: on a row whose other indices have parity p, the even nodes
-    sit at the last-axis indices 2j + p and the odd ones at 2j + 1 - p."""
-    half = u.shape[:dim - 1] + (u.shape[dim - 1] // 2,) + u.shape[dim:]
-    even, odd = _empty_stack(half), _empty_stack(half)
-    for rows, p in _colour_rows(dim):
-        even[rows] = u[rows + (slice(p, None, 2),)]
-        odd[rows] = u[rows + (slice(1 - p, None, 2),)]
-    return even, odd
-
-
-def _unpack(even, odd, dim):
-    """The inverse of `_pack`."""
-    full = even.shape[:dim - 1] + (2 * even.shape[dim - 1],) + even.shape[dim:]
-    u = _empty_stack(full)
-    for rows, p in _colour_rows(dim):
-        u[rows + (slice(p, None, 2),)] = even[rows]
-        u[rows + (slice(1 - p, None, 2),)] = odd[rows]
-    return u
-
-
-def _neighbours(other, colour, dim):
-    """The 2 dim neighbours of the nodes of one colour (0 even, 1 odd) as
-    half-stacks aligned with that colour's, taken from the half-stack of
-    the other colour and yielded one at a time.
-
-    Every size is even, so along an axis a < dim - 1 a neighbour is the
-    other stack rolled by -+1.  Along the last axis one neighbour sits at
-    the same half index and the other one step off, forward or backward as
-    the row's parity p differs from the colour or not."""
-    last = dim - 1
-    for a in range(last):
-        yield np.roll(other, -1, axis=a)
-        yield np.roll(other, 1, axis=a)
-    yield other
-    f = np.empty_like(other)
-    for rows, p in _colour_rows(dim):
-        f[rows] = np.roll(other[rows], 1 if p == colour else -1, axis=last)
-    yield f
-
-
-def _link_pass(u, neighbours, sq_norms=None):
-    """One pass over the neighbour half-stacks of u: the neighbour sum T
-    that u's colour is aligned to, and, given the per-link ||O||^2 of every
-    neighbour, the mean over those links of ||O - 1||_F, O = u(k)+ u(k').
-
-    Every link joins an even and an odd node, so the 2 dim neighbours of one
-    colour count each link of the grid exactly once.  ||O - 1||^2 =
-    ||O||^2 - 2 Re tr O + m; each neighbour stack serves both Re tr O and T
-    and is dropped after its turn."""
+    ||O - 1||^2 = ||O||^2 - 2 Re tr O + m.  Each axis's rolled frames serve
+    one product and are dropped before the next axis rolls."""
     m = u.shape[-1]
-    uc = None if sq_norms is None else u.conj()
-    T = np.zeros_like(u)
+    M = _empty_stack(u.shape[:-2] + (m, m))
+    M.fill(0)
     tot = 0.0
-    for i, f in enumerate(neighbours):
-        if sq_norms is not None:
-            re_tr = np.einsum("...ij,...ij->...", uc, f).real
-            tot += float(np.sqrt(np.maximum(sq_norms[i] - 2 * re_tr + m,
-                                            0.0)).mean())
-        T += f
-        del f
-    return (None if sq_norms is None else tot / len(sq_norms)), T
+    for a in range(dim):
+        O = _mm(_dag(u), np.roll(u, -1, axis=a))
+        sq = (O.real ** 2 + O.imag ** 2).sum(axis=(-2, -1))
+        re_tr = np.trace(O, axis1=-2, axis2=-1).real
+        tot += float(np.sqrt(np.maximum(sq - 2 * re_tr + m, 0.0)).mean())
+        M += O
+        M += _dag(np.roll(O, 1, axis=a))
+        del O
+    return tot / dim, M
 
 
-def _align(u, T, omega):
-    """u g^omega with g = polar(u+ T), the rotation that aligns each node to
-    its neighbour sum T; for omega != 1 g^omega is the second-order series
-    of (1 + D)^omega, D = g - 1, projected back onto the unitaries."""
-    g = batched_polar_unitary(_mm(_dag(u), T))
-    if omega != 1.0:
-        D = g - np.eye(g.shape[-1])
-        h = _mm(D, D)
-        h *= 0.5 * omega
-        h += D
-        h *= omega - 1.0
-        h += g
-        del D
-        g = batched_polar_unitary(h)
-    return _mm(u, g)
+def _inverse_laplacian(X, dim):
+    """L^-1 X over the grid axes of a stack X (*sizes, m, m): Fourier mode p
+    is divided by p^2 = sum_a 4 sin^2(p_a / 2), the symbol of the periodic
+    lattice Laplacian, and the constant mode is dropped."""
+    p2 = sum(np.ix_(*(4 * np.sin(np.pi * np.arange(n) / n) ** 2
+                      for n in X.shape[:dim])))
+    p2[(0,) * dim] = np.inf  # drops the constant mode
+    axes = tuple(range(dim))
+    Xh = np.fft.fftn(X, axes=axes)
+    Xh /= p2[..., None, None]
+    return np.fft.ifftn(Xh, axes=axes)
 
 
-# alignment sweeps per relax, the relative change of the mean link
-# deficiency per sweep below which a relax stops, and the over-relaxation
-# exponent of the sweeps after a relax's first
+# Fourier-accelerated steps per relax, and the relative change of the mean
+# link deficiency per step below which a relax stops
 _MAX_SWEEPS = 400
 _REL_TOL = 1e-4
-_OMEGA = 1.5
 
 
-def _relax(u, dim, max_sweeps=_MAX_SWEEPS):
-    """Red-black over-relaxed alignment sweeps for lattice Landau gauge
-    (Mandula-Ogilvie): raise sum Re tr O over the links by per-node
-    rotations, turning the even nodes toward their neighbours, then the odd
-    ones, until the mean link deficiency plateaus.
+def _relax(u, dim, max_steps=_MAX_SWEEPS):
+    """Fourier-accelerated gauge fixing for lattice Landau gauge (Davies et
+    al.): raise sum Re tr O over the links by per-node rotations, until the
+    mean link deficiency plateaus.
 
-    The frames stay in the even-odd layout of `_pack` for the whole call.
-    The first sweep is plain (omega = 1); later ones over-relax with
-    _OMEGA until the deficiency rises once, after which the call sweeps
-    plainly.  A sweep that moves the deficiency by less than _REL_TOL of
-    itself ends the call, and so does a rise in a plain sweep other than
-    the first: on a transport seed the first sweep can raise the mean of
-    ||O - 1||_F while it lowers its mean square, the sum the sweep
-    minimises.  The sweeps change u only by unitaries on the right, which
-    leave each link's ||O||_F fixed, so those norms are formed once per
-    call."""
-    even, odd = _pack(_matrix_major(u), dim)
-    sq_norms = []
-    for f in _neighbours(odd, 0, dim):
-        O = _mm(_dag(even), f)
-        sq_norms.append((O.real ** 2 + O.imag ** 2).sum(axis=(-2, -1)))
-        del O, f
-    prev, T = _link_pass(even, _neighbours(odd, 0, dim), sq_norms)
-    omega, over = 1.0, _OMEGA
-    for sweep in range(max_sweeps):
-        even = _align(even, T, omega)
-        del T  # free each sum before the pass allocates the next one
-        _, T = _link_pass(odd, _neighbours(even, 1, dim))
-        odd = _align(odd, T, omega)
-        del T
-        cur, T = _link_pass(even, _neighbours(odd, 0, dim), sq_norms)
+    Each step turns every node at once by polar(1 + theta), theta = L^-1
+    AH(M) from `_link_products` and `_inverse_laplacian`: the exact step of
+    the functional linearised about the current gauge, so no step size is
+    tuned and the long-wavelength modes fall as fast as the short ones.  A
+    step that moves the deficiency by less than _REL_TOL of itself ends
+    the call, and so does a rise after the first step: a step lowers the
+    functional, not the mean of ||O - 1||_F, and a first step from a seed
+    or a kick can raise that mean."""
+    u = _matrix_major(u)
+    eye = np.eye(u.shape[-1])
+    prev, M = _link_products(u, dim)
+    for step in range(max_steps):
+        theta = _inverse_laplacian(_AH(M), dim)
+        del M  # free the target before the step allocates the next one
+        theta += eye
+        u = _mm(u, batched_polar_unitary(theta))
+        del theta
+        cur, M = _link_products(u, dim)
         if abs(prev - cur) < _REL_TOL * max(prev, 1e-12):
             break
-        if cur > prev and omega > 1.0:
-            over = 1.0  # a rise: plain sweeps for the rest of the call
-        elif cur > prev and sweep > 0:
+        if cur > prev and step > 0:
             break
-        omega, prev = over, cur
-    return _unpack(even, odd, dim)
+        prev = cur
+    return u
 
 
 def _transport_init(raw: FrameField, order=None) -> np.ndarray:
@@ -479,8 +415,8 @@ def smooth_gauge(raw: FrameField) -> FrameField:
 
     Multiscale: the gauge is first built on a half-resolution subgrid
     (recursively; nested parallel transport with Wilson-loop closure at the
-    coarsest level), prolonged, and relaxed by red-black over-relaxed
-    alignment sweeps (`_relax`) until the mean link deficiency plateaus; a
+    coarsest level), prolonged, and relaxed by Fourier-accelerated
+    gauge-fixing steps (`_relax`) until the mean link deficiency plateaus; a
     level whose relaxed gauge still holds a defect line is kicked and
     relaxed again (`_anneal`).  The returned field caches its per-link
     deficiency, which the smoothness gates downstream read.  Fails with

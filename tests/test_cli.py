@@ -293,10 +293,10 @@ class TestGeneralMKernels:
     of per-matrix LAPACK SVD / eig calls on the m > 2 path."""
 
     # recorded with the SVD polar factor and the eig log, on the gauge of
-    # the red-black sweeps
+    # the Fourier-accelerated steps
     DIRECT_SUM_12 = {"pfaffian": -1.00000000000001, "planes": -1.0,
-                     "wzw": -0.7986311021079135, "winding": -1.0,
-                     "cs": 0.3759601043088092}
+                     "wzw": -0.7987196529470392, "winding": -1.0,
+                     "cs": 0.37601597002747783}
 
     def test_direct_sum_routes(self):
         model = models.direct_sum(models.make_model("fkm3d", {"dt": 0.5}),
