@@ -16,12 +16,13 @@ WZW densities and the Chern-Simons integral).  The torus density is built
 once per sewing field, and the sigma map takes one link log per axis.  The
 smooth gauge comes from Fourier-accelerated gauge-fixing steps (`_relax`):
 each rotates every node at once by the inverse lattice Laplacian, applied
-with `np.fft`, of the alignment gradient.  The steps, `link_log` and
-`FrameField.deficiency` run on the stacked kernels of `linalg` (polar
-factor, principal log, operator norm): closed forms when m = 2,
-Newton-Schulz and one Hermitian eigensolver per stack for larger m; the
-transport seed keeps the SVD / eig path for every m.  Frames, sewing
-fields, connections, link logs and the Fourier transforms of the steps
+with `np.fft`, of the alignment gradient.  Each multiscale level relaxes one
+seed, and random kicks (`_anneal`) are the one escape from a rough relaxed
+gauge.  The steps, `link_log` and `FrameField.deficiency` run on the stacked
+kernels of `linalg` (polar factor, principal log, operator norm): closed
+forms when m = 2, Newton-Schulz and one Hermitian eigensolver per stack for
+larger m; the transport seed keeps the SVD / eig path for every m.  Frames,
+sewing fields, connections, link logs and the Fourier transforms of the steps
 follow the layout rule of `linalg`.
 
 Conventions.  Frames u(k) are n_bands x m matrices of occupied eigenvectors.
@@ -287,11 +288,11 @@ def _inverse_laplacian(X, dim):
 
 # Fourier-accelerated steps per relax, and the relative change of the mean
 # link deficiency per step below which a relax stops
-_MAX_SWEEPS = 400
+_MAX_STEPS = 400
 _REL_TOL = 1e-4
 
 
-def _relax(u, dim, max_steps=_MAX_SWEEPS):
+def _relax(u, dim, max_steps=_MAX_STEPS):
     """Fourier-accelerated gauge fixing for lattice Landau gauge (Davies et
     al.): raise sum Re tr O over the links by per-node rotations, until the
     mean link deficiency plateaus.
@@ -322,23 +323,19 @@ def _relax(u, dim, max_steps=_MAX_SWEEPS):
     return u
 
 
-def _transport_init(raw: FrameField, order=None) -> np.ndarray:
+def _transport_init(raw: FrameField) -> np.ndarray:
     """Seed gauge from nested parallel transport (line, then sheet, then
-    bulk, each with Wilson-loop closure spreading) along the given axis
+    bulk, each with Wilson-loop closure spreading) along the grid axes in
     order."""
     dim = raw.grid.dim
-    order = tuple(range(dim)) if order is None else tuple(order)
-    # order "K" copies in raw's memory order, so the transposed-back
-    # result is as matrix-major as raw without a second copy
-    u = np.transpose(raw.frames, order + (dim, dim + 1)).copy(order="K")
+    u = raw.frames.copy(order="K")  # keeps raw's matrix-major layout
     for a in range(dim):
         sel = tuple([slice(None)] * (a + 1) + [0] * (dim - a - 1))
         block = u[sel]
         if a == 0:
             block = block[np.newaxis]
         _transport_last_axis(block)
-    inv = tuple(np.argsort(order))
-    return np.transpose(u, inv + (dim, dim + 1))
+    return u
 
 
 def _multiscale_init(raw: FrameField) -> np.ndarray:
@@ -355,22 +352,23 @@ def _multiscale_init(raw: FrameField) -> np.ndarray:
     return _mm(raw.frames, batched_polar_unitary(_mm(_dag(raw.frames), ref)))
 
 
-def _anneal(field_: FrameField, raw: FrameField) -> tuple:
+def _anneal(field_: FrameField, raw: FrameField) -> FrameField:
     """Dissolve residual vortex lines (metastable under pure alignment, e.g.
     when two everywhere-degenerate columns lock into conjugate Chern sectors)
-    with deterministic random kicks followed by re-relaxation.
+    with deterministic random kicks followed by re-relaxation.  The kicks are
+    the one escape from a rough relaxed gauge: each level has a single seed.
 
     Trials start only on a defect line: more than 2 dim links (the star of
     one node) with deficiency above 0.7.  A lone hot node, such as the
     six-link Gamma spot of a gauge near a gap closing, is left as relaxed:
-    kicks do not move it.  Returns the best field and its smoothness."""
+    kicks do not move it.  Returns the smoothest field met."""
     dim = raw.grid.dim
     best, best_s = field_, field_.smoothness
     if np.count_nonzero(field_.deficiency > 0.7) <= 2 * dim:
-        return best, best_s
+        return best
     rng = np.random.default_rng(12345)
     shape = raw.grid.sizes + (field_.m,) * 2
-    for trial in range(12):
+    for trial in range(24):
         if best_s < 0.7:
             break
         amp = 0.9 * 0.75 ** (trial % 4)
@@ -383,45 +381,37 @@ def _anneal(field_: FrameField, raw: FrameField) -> tuple:
         s = kicked.smoothness
         if s < best_s:
             best, best_s = kicked, s
-    return best, best_s
+    return best
 
 
 def _smooth_frames(raw: FrameField) -> FrameField:
-    """Recursive gauge construction: seed from a half-resolution smooth gauge
-    when the grid allows it, otherwise from nested parallel transport; relax
-    and anneal, falling back to the alternate seeding when the first one
-    settles above deficiency 0.7.  Each seed's relaxed gauge starts anneal
-    trials only when it holds a defect line (`_anneal`)."""
+    """Recursive gauge construction with one seed per level: a prolonged
+    half-resolution smooth gauge when every size is a multiple of 4 and at
+    least 24, otherwise nested parallel transport.  The seed is relaxed
+    once, and a relaxed gauge that still holds a defect line is kicked
+    (`_anneal`)."""
     grid, dim = raw.grid, raw.grid.dim
-    multiscale_ok = all(n % 4 == 0 and n >= 24 for n in grid.sizes)
-    inits = [lambda: _transport_init(raw)]
-    if multiscale_ok:
-        inits.insert(0, lambda: _multiscale_init(raw))
-    if dim > 1:
-        inits.append(lambda: _transport_init(raw, order=range(dim)[::-1]))
-    best, best_s = None, np.inf
-    for make_init in inits:
-        relaxed = FrameField(grid, _relax(make_init(), dim), raw.energies)
-        field_, s = _anneal(relaxed, raw)
-        if s < best_s:
-            best, best_s = field_, s
-        if best_s < 0.7:
-            break
-    return best
+    if all(n % 4 == 0 and n >= 24 for n in grid.sizes):
+        seed = _multiscale_init(raw)
+    else:
+        seed = _transport_init(raw)
+    relaxed = FrameField(grid, _relax(seed, dim), raw.energies)
+    return _anneal(relaxed, raw)
 
 
 def smooth_gauge(raw: FrameField) -> FrameField:
     """Smooth periodic gauge for the occupied frames.
 
-    Multiscale: the gauge is first built on a half-resolution subgrid
-    (recursively; nested parallel transport with Wilson-loop closure at the
-    coarsest level), prolonged, and relaxed by Fourier-accelerated
-    gauge-fixing steps (`_relax`) until the mean link deficiency plateaus; a
-    level whose relaxed gauge still holds a defect line is kicked and
-    relaxed again (`_anneal`).  The returned field caches its per-link
-    deficiency, which the smoothness gates downstream read.  Fails with
-    ChernObstruction when an invariant plane carries a nonzero Chern
-    number, in which case no smooth periodic gauge exists.
+    Multiscale, one seed per level: the gauge is first built on a
+    half-resolution subgrid (recursively, down to a level seeded by nested
+    parallel transport with Wilson-loop closure), prolonged, and relaxed by
+    Fourier-accelerated gauge-fixing steps (`_relax`) until the mean link
+    deficiency plateaus; a level whose relaxed gauge still holds a defect
+    line is kicked and relaxed again (`_anneal`).  The returned field caches
+    its per-link deficiency, which the smoothness gates downstream read.
+    Fails with ChernObstruction when an invariant plane carries a nonzero
+    Chern number, in which case no smooth periodic gauge exists, and with
+    ConvergenceFailure when the kicks leave the gauge above deficiency 1.2.
     """
     for plane, (c, _) in plane_chern_numbers(raw).items():
         if c != 0:

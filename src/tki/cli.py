@@ -245,16 +245,15 @@ def _compute_methods(model, grid, methods, tol, stable=False, raw=None):
                 cs, parity, rel = invariants.km_chern_simons(conn, wred)
                 out = {"parity": parity, "raw": cs, "residual": rel}
             elif name == "localise":
-                trace, discarded = _localise_wzw(wred)
+                trace, _ = _localise_wzw(wred)
                 total = sum(trace.fixed_values.values())
                 parity, resid = invariants._round_parity(total)
                 out = {"parity": parity, "raw": float(total),
-                       "residual": resid, "discarded": discarded}
+                       "residual": resid}
             else:  # s3
                 out = invariants.km_s3(model, grid.sizes[0])
                 out = {"parity": out["parity"], "raw": out["upsilon"],
-                       "residual": out["residual"],
-                       "rho0_N": out["rho0_N"], "rho0_S": out["rho0_S"]}
+                       "residual": out["residual"]}
         except bloch.GaplessAt:
             raise  # an input error, not a failed route
         except (invariants.InvariantError, bloch.BlochError,
@@ -508,7 +507,9 @@ def _build_parser():
         sp.add_argument("--grid")
         sp.add_argument("--out")
         sp.add_argument("--stable-output", action="store_true",
-                        help="zero out timing fields for byte-stable output")
+                        help="zero the runtime_ms fields of an invariant "
+                             "report; changes no byte on phase-diagram and "
+                             "localise")
         for key, default in _TOL_DEFAULTS.items():
             sp.add_argument(f"--tol-{key}", type=float, default=None,
                             help=f"override tolerance (default {default})")

@@ -71,8 +71,5 @@ class BZGrid:
         """The 2^dim inversion-fixed node index tuples."""
         return [t for t in product(*[(0, n // 2) for n in self.sizes])]
 
-    def trim_momentum(self, t) -> np.ndarray:
-        return np.array([self.axis_nodes(a)[t[a]] for a in range(self.dim)])
-
     def cell_volume(self) -> float:
         return float(np.prod(self.spacings))

