@@ -16,14 +16,14 @@ WZW densities and the Chern-Simons integral).  The torus density is built
 once per sewing field, and the sigma map takes one link log per axis.  The
 smooth gauge comes from Fourier-accelerated gauge-fixing steps (`_relax`):
 each rotates every node at once by the inverse lattice Laplacian, applied
-with `np.fft`, of the alignment gradient.  Each multiscale level relaxes one
-seed, and random kicks (`_anneal`) are the one escape from a rough relaxed
-gauge.  The steps, `link_log` and `FrameField.deficiency` run on the stacked
-kernels of `linalg` (polar factor, principal log, operator norm): closed
-forms when m = 2, Newton-Schulz and one Hermitian eigensolver per stack for
-larger m; the transport seed keeps the SVD / eig path for every m.  Frames,
-sewing fields, connections, link logs and the Fourier transforms of the steps
-follow the layout rule of `linalg`.
+with `np.fft`, of the alignment gradient.  A rough relaxed gauge escapes by
+random kicks (`_anneal`) or by the next seed of its multiscale level
+(`_smooth_frames`).  The steps, `link_log` and `FrameField.deficiency` run
+on the stacked kernels of `linalg` (polar factor, principal log, operator
+norm): closed forms when m = 2, Newton-Schulz and one Hermitian eigensolver
+per stack for larger m; the transport seed keeps the SVD / eig path for
+every m.  Frames, sewing fields, connections, link logs and the Fourier
+transforms of the steps follow the layout rule of `linalg`.
 
 Conventions.  Frames u(k) are n_bands x m matrices of occupied eigenvectors.
 The sewing matrix is w_ab(k) = <u_a(-k), Theta u_b(k)>; it is unitary when the
@@ -323,19 +323,23 @@ def _relax(u, dim, max_steps=_MAX_STEPS):
     return u
 
 
-def _transport_init(raw: FrameField) -> np.ndarray:
+def _transport_init(raw: FrameField, order=None) -> np.ndarray:
     """Seed gauge from nested parallel transport (line, then sheet, then
-    bulk, each with Wilson-loop closure spreading) along the grid axes in
+    bulk, each with Wilson-loop closure spreading) along the given axis
     order."""
     dim = raw.grid.dim
-    u = raw.frames.copy(order="K")  # keeps raw's matrix-major layout
+    order = tuple(range(dim)) if order is None else tuple(order)
+    # order "K" copies in raw's memory order, so the transposed-back
+    # result is as matrix-major as raw without a second copy
+    u = np.transpose(raw.frames, order + (dim, dim + 1)).copy(order="K")
     for a in range(dim):
         sel = tuple([slice(None)] * (a + 1) + [0] * (dim - a - 1))
         block = u[sel]
         if a == 0:
             block = block[np.newaxis]
         _transport_last_axis(block)
-    return u
+    inv = tuple(np.argsort(order))
+    return np.transpose(u, inv + (dim, dim + 1))
 
 
 def _multiscale_init(raw: FrameField) -> np.ndarray:
@@ -344,31 +348,36 @@ def _multiscale_init(raw: FrameField) -> np.ndarray:
     grid, dim = raw.grid, raw.grid.dim
     coarse = BZGrid(dim, tuple(n // 2 for n in grid.sizes))
     sub = (slice(None, None, 2),) * dim
-    coarse_ref = _smooth_frames(FrameField(coarse, raw.frames[sub],
-                                           raw.energies[sub])).frames
+    coarse_raw = FrameField(coarse, raw.frames[sub], raw.energies[sub])
+    coarse_ref = _smooth_frames(coarse_raw, finest=False).frames
     ref = _empty_stack(raw.frames.shape)
     for offset in product((0, 1), repeat=dim):
         ref[tuple(slice(o, None, 2) for o in offset)] = coarse_ref
     return _mm(raw.frames, batched_polar_unitary(_mm(_dag(raw.frames), ref)))
 
 
-def _anneal(field_: FrameField, raw: FrameField) -> FrameField:
+def _defect_line(field_: FrameField) -> bool:
+    """More than 2 dim links (the star of one node) with deficiency above
+    0.7: a vortex line rather than a lone hot node."""
+    return np.count_nonzero(field_.deficiency > 0.7) > 2 * field_.grid.dim
+
+
+def _anneal(field_: FrameField, raw: FrameField) -> tuple:
     """Dissolve residual vortex lines (metastable under pure alignment, e.g.
     when two everywhere-degenerate columns lock into conjugate Chern sectors)
-    with deterministic random kicks followed by re-relaxation.  The kicks are
-    the one escape from a rough relaxed gauge: each level has a single seed.
+    with deterministic random kicks followed by re-relaxation.
 
-    Trials start only on a defect line: more than 2 dim links (the star of
-    one node) with deficiency above 0.7.  A lone hot node, such as the
-    six-link Gamma spot of a gauge near a gap closing, is left as relaxed:
-    kicks do not move it.  Returns the smoothest field met."""
+    Trials start only on a defect line (`_defect_line`).  A lone hot node,
+    such as the six-link Gamma spot of a gauge near a gap closing, is left
+    as relaxed: kicks do not move it.  Returns the best field and its
+    smoothness."""
     dim = raw.grid.dim
     best, best_s = field_, field_.smoothness
-    if np.count_nonzero(field_.deficiency > 0.7) <= 2 * dim:
-        return best
+    if not _defect_line(field_):
+        return best, best_s
     rng = np.random.default_rng(12345)
     shape = raw.grid.sizes + (field_.m,) * 2
-    for trial in range(24):
+    for trial in range(12):
         if best_s < 0.7:
             break
         amp = 0.9 * 0.75 ** (trial % 4)
@@ -381,37 +390,49 @@ def _anneal(field_: FrameField, raw: FrameField) -> FrameField:
         s = kicked.smoothness
         if s < best_s:
             best, best_s = kicked, s
-    return best
+    return best, best_s
 
 
-def _smooth_frames(raw: FrameField) -> FrameField:
-    """Recursive gauge construction with one seed per level: a prolonged
-    half-resolution smooth gauge when every size is a multiple of 4 and at
-    least 24, otherwise nested parallel transport.  The seed is relaxed
-    once, and a relaxed gauge that still holds a defect line is kicked
-    (`_anneal`)."""
+def _smooth_frames(raw: FrameField, finest=True) -> FrameField:
+    """Recursive gauge construction: seed from a half-resolution smooth gauge
+    when the grid allows it, otherwise from nested parallel transport; relax
+    and anneal, falling back to the next seed (transport, then reversed axis
+    order) while the best gauge is above deficiency 0.7.  On the finest
+    level a lone hot node ends the loop, as every seed leaves it hot; a
+    coarser level tries every seed, as near-equal coarse gauges can lead the
+    next level to different ends (bhz2d m = 0.3 at 24^2: 0.50 or 0.57)."""
     grid, dim = raw.grid, raw.grid.dim
-    if all(n % 4 == 0 and n >= 24 for n in grid.sizes):
-        seed = _multiscale_init(raw)
-    else:
-        seed = _transport_init(raw)
-    relaxed = FrameField(grid, _relax(seed, dim), raw.energies)
-    return _anneal(relaxed, raw)
+    multiscale_ok = all(n % 4 == 0 and n >= 24 for n in grid.sizes)
+    inits = [lambda: _transport_init(raw)]
+    if multiscale_ok:
+        inits.insert(0, lambda: _multiscale_init(raw))
+    if dim > 1:
+        inits.append(lambda: _transport_init(raw, order=range(dim)[::-1]))
+    best, best_s = None, np.inf
+    for make_init in inits:
+        relaxed = FrameField(grid, _relax(make_init(), dim), raw.energies)
+        field_, s = _anneal(relaxed, raw)
+        if s < best_s:
+            best, best_s = field_, s
+        if best_s < 0.7 or (finest and not _defect_line(best)):
+            break
+    return best
 
 
 def smooth_gauge(raw: FrameField) -> FrameField:
     """Smooth periodic gauge for the occupied frames.
 
-    Multiscale, one seed per level: the gauge is first built on a
-    half-resolution subgrid (recursively, down to a level seeded by nested
-    parallel transport with Wilson-loop closure), prolonged, and relaxed by
-    Fourier-accelerated gauge-fixing steps (`_relax`) until the mean link
-    deficiency plateaus; a level whose relaxed gauge still holds a defect
-    line is kicked and relaxed again (`_anneal`).  The returned field caches
-    its per-link deficiency, which the smoothness gates downstream read.
-    Fails with ChernObstruction when an invariant plane carries a nonzero
-    Chern number, in which case no smooth periodic gauge exists, and with
-    ConvergenceFailure when the kicks leave the gauge above deficiency 1.2.
+    Multiscale: the gauge is first built on a half-resolution subgrid
+    (recursively; nested parallel transport with Wilson-loop closure at the
+    coarsest level), prolonged, and relaxed by Fourier-accelerated
+    gauge-fixing steps (`_relax`) until the mean link deficiency plateaus; a
+    level whose relaxed gauge still holds a defect line is kicked and
+    relaxed again (`_anneal`), and a level left above deficiency 0.7 tries
+    its next seed (`_smooth_frames`).  The returned field caches its
+    per-link deficiency, which the smoothness gates downstream read.  Fails
+    with ChernObstruction when an invariant plane carries a nonzero Chern
+    number, in which case no smooth periodic gauge exists, and with
+    ConvergenceFailure when the gauge stays above deficiency 1.2.
     """
     for plane, (c, _) in plane_chern_numbers(raw).items():
         if c != 0:
