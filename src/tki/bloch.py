@@ -9,21 +9,23 @@ The pipeline here feeds every invariant route:
 
 Every gauge-dependent route gets its frames and sewing fields from
 `gauge_pipeline`.  The shared kernels live here too: `link_log` (principal
-log of the link unitaries, behind the Berry connection, the quaternionic
-map, the Maurer-Cartan links and the S^3 density), `plaquette_flux` (behind
-both plane Chern counts) and `_antisym_trace3` over `_PERMS3` (behind both
-WZW densities and the Chern-Simons integral).  The torus density is built
-once per sewing field, and the sigma map takes one link log per axis.  The
-smooth gauge comes from Fourier-accelerated gauge-fixing steps (`_relax`):
-each rotates every node at once by the inverse lattice Laplacian, applied
-with `np.fft`, of the alignment gradient.  A rough relaxed gauge escapes by
-random kicks (`_anneal`) or by the next seed of its multiscale level
-(`_smooth_frames`).  The steps, `link_log` and `FrameField.deficiency` run
-on the stacked kernels of `linalg` (polar factor, principal log, operator
-norm): closed forms when m = 2, Newton-Schulz and one Hermitian eigensolver
-per stack for larger m; the transport seed keeps the SVD / eig path for
-every m.  Frames, sewing fields, connections, link logs and the Fourier
-transforms of the steps follow the layout rule of `linalg`.
+log of the link unitaries, behind the Berry connection, the Maurer-Cartan
+links and the S^3 density), `plaquette_flux` (behind both plane Chern
+counts) and `_antisym_trace3` over `_PERMS3` (behind both WZW densities and
+the Chern-Simons integral).  A sewing field takes its Maurer-Cartan links
+once (`SewingField.links`); the degree density and the quaternionic map's
+derivative term both read the reduced field's, and no link of an unreduced
+field is logged.  The smooth gauge comes from Fourier-accelerated
+gauge-fixing steps (`_relax`): each rotates every node at once by the
+inverse lattice Laplacian, applied with `np.fft`, of the alignment
+gradient.  A rough relaxed gauge escapes by random kicks (`_anneal`) or
+by the next seed of its multiscale level (`_smooth_frames`).  The steps,
+`link_log` and `FrameField.deficiency` run on the stacked kernels of
+`linalg` (polar factor, principal log, operator norm): closed forms when
+m = 2, Newton-Schulz and one Hermitian eigensolver per stack for larger m;
+the transport seed keeps the SVD / eig path for every m.  Frames, sewing
+fields, connections, link logs and the Fourier transforms of the steps
+follow the layout rule of `linalg`.
 
 Conventions.  Frames u(k) are n_bands x m matrices of occupied eigenvectors.
 The sewing matrix is w_ab(k) = <u_a(-k), Theta u_b(k)>; it is unitary when the
@@ -122,6 +124,14 @@ class FrameField:
 
 @dataclass(frozen=True)
 class SewingField:
+    """Sewing matrices w(k) on a grid.  An SU-reduced field (`su_reduce`)
+    keeps the phase it divided out, w_original = exp(i phi / m) w with phi =
+    2 pi m det_phase, and its `links` stand for the original's up to the
+    scalar i dphi / m while every eigenphase of a reduced link, shifted by
+    dphi / m, stays inside (-pi, pi); if one crosses, the |cs + wzw/2| <=
+    0.1 check of `invariants.km_chern_simons` refuses the result
+    (`quaternionic_average`)."""
+
     grid: BZGrid
     w: np.ndarray               # (*sizes, m, m)
     det_phase: np.ndarray | None = field(default=None)  # continuous f with
@@ -132,9 +142,17 @@ class SewingField:
         return self.w.shape[-1]
 
     @cached_property
+    def links(self) -> np.ndarray:
+        """The `maurer_cartan_links` array, computed once per instance;
+        read-only."""
+        L = maurer_cartan_links(self)
+        L.flags.writeable = False
+        return L
+
+    @cached_property
     def degree_density(self) -> np.ndarray:
         """The `wzw_density` array, computed once per instance; read-only."""
-        L = maurer_cartan_links(self)
+        L = self.links
         dens = (_antisym_trace3(L, L, L).real * self.grid.cell_volume()
                 / (24 * np.pi ** 2))
         dens.flags.writeable = False
@@ -547,21 +565,39 @@ def quaternionic_average(conn: ConnectionField,
 
     sigma(A)_mu(k) = -w(k) conj(A_mu(-k)) w(k)+ + (1/2)[w (Dw+)_mu - (Dw)_mu w+].
 
-    The derivative term is -w Lambda_mu w+ with Lambda = w+ dw, taken once
-    per axis as the symmetrized principal log of w's forward links along mu:
-    the stencil at n mirrors the one at -n, so sigma is an exact involution
-    on the index lattice (up to w's unitarity and involution residuals).  A'
-    is fixed by sigma (residual max |A' - sigma A'| recorded), hence
-    compatible with the quaternionic structure defined by w.
+    The derivative term is -w Lambda_mu w+ with Lambda = w+ dw, the
+    symmetrized Maurer-Cartan link of w along mu (`SewingField.links`): the
+    stencil at n mirrors the one at -n, so sigma is an exact involution on
+    the index lattice (up to w's unitarity and involution residuals).  A' is
+    fixed by sigma (residual max |A' - sigma A'| recorded), hence compatible
+    with the quaternionic structure defined by w.
+
+    An SU-reduced field stands for the unreduced one it came from, w_original
+    = exp(i phi / m) w: the conjugation w (.) w+ does not see the phase, and
+    Lambda gains i wrap(phi(k + e_mu) - phi(k)) / (m h_mu), wrap into
+    [-pi, pi].  That is the principal log of the original field's link when
+    every eigenphase of the reduced link, shifted by the link's dphi / m,
+    stays inside (-pi, pi).  If one crosses, the averaged connection is off
+    by a multiple of 2 pi / m on that link, and the |cs + wzw/2| <= 0.1
+    check of `invariants.km_chern_simons` refuses the result.
     """
     if conn.grid.sizes != wfield.grid.sizes:
         raise GaugeMismatch("connection and sewing field live on different grids")
-    grid, w, wd = wfield.grid, wfield.w, _dag(wfield.w)
+    grid, m = wfield.grid, wfield.m
+    w, wd, links = wfield.w, _dag(wfield.w), wfield.links
+    phi = (None if wfield.det_phase is None
+           else 2 * np.pi * m * wfield.det_phase)
     Ap = np.empty_like(conn.A)
     residuals = []
     for a, h in enumerate(grid.spacings):
-        L = link_log(w, a) / h
+        L = links[a]
         lam = 0.5 * (L + np.roll(L, 1, axis=a))
+        if phi is not None:
+            dphi = np.roll(phi, -1, axis=a) - phi
+            dphi -= 2 * np.pi * np.round(dphi / (2 * np.pi))
+            shift = 0.5j * (dphi + np.roll(dphi, 1, axis=a)) / (m * h)
+            for i in range(m):
+                lam[..., i, i] += shift
 
         def sigma(X):
             return -_mm(w, _mm(grid.involute(X).conj() + lam, wd))

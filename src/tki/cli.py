@@ -196,11 +196,11 @@ def _compute_methods(model, grid, methods, tol, stable=False, raw=None):
 
     needs_gauge = {"pfaffian", "wzw", "winding", "cs", "localise"} \
         & set(methods)
-    frames = wred = wfield = None
+    frames = wred = None
     gauge_error = None
     if needs_gauge:
         try:
-            frames, wfield, wred = bloch.gauge_pipeline(
+            frames, _, wred = bloch.gauge_pipeline(
                 raw, model.theta, smoothness_limit=tol["smoothness"])
         except bloch.BlochError as exc:
             gauge_error = f"{type(exc).__name__}: {exc}"
@@ -241,7 +241,7 @@ def _compute_methods(model, grid, methods, tol, stable=False, raw=None):
                 conn = bloch.quaternionic_average(
                     bloch.berry_connection(
                         frames, smoothness_limit=tol["smoothness"]),
-                    wfield)
+                    wred)
                 cs, parity, rel = invariants.km_chern_simons(conn, wred)
                 out = {"parity": parity, "raw": cs, "residual": rel}
             elif name == "localise":

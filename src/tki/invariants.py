@@ -109,7 +109,8 @@ def km_trim_pfaffian(wfield: SewingField):
 def _ring_tr_gauge(rings: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Impose a time-reversal-constrained gauge on closed inversion-stable
     rings of frames (index j ~ momentum, inversion j -> -j mod N), stacked
-    as (rings, N, n_bands, m); a plane's two boundary rings go in one call.
+    as (rings, N, n_bands, m); a plane's two boundary rings go in one call,
+    and so do the boundary rings of all planes whose rings have one length.
 
     At the two fixed points the sewing matrix is rotated to the standard
     symplectic form; between them the gauge is parallel-transported with the
@@ -156,6 +157,20 @@ def _ring_phase_sum(v: np.ndarray) -> float:
     return float(np.angle(dets).sum())
 
 
+def _boundary_rings(u: np.ndarray) -> tuple:
+    """The boundary rings n1 = N/2 and n1 = 0 of a plane's frames u."""
+    return u[:, u.shape[1] // 2], u[:, 0]
+
+
+def _plane_raw(u: np.ndarray, bottom: np.ndarray, top: np.ndarray) -> float:
+    """The plane count before rounding: boundary Berry phases of the gauged
+    rings n1 = N/2 (bottom) and n1 = 0 (top) against the Berry flux over
+    the half plane n1 in [N/2, N-1]."""
+    fsum = float(plaquette_flux(u)[:, u.shape[1] // 2:].sum())
+    return ((_ring_phase_sum(top) - _ring_phase_sum(bottom) - fsum)
+            / (2 * np.pi))
+
+
 def km_plane_invariant(frames2d: FrameField, theta) -> tuple:
     """The 2D invariant of an inversion-stable plane.
 
@@ -170,12 +185,8 @@ def km_plane_invariant(frames2d: FrameField, theta) -> tuple:
     if grid.dim != 2:
         raise InvariantError("plane invariant expects a 2-d frame field")
     u = frames2d.frames
-    n1 = grid.sizes[1]
-    U = theta.U
-    a_bottom, a_top = (_ring_phase_sum(v) for v in _ring_tr_gauge(
-        np.stack([u[:, n1 // 2], u[:, 0]]), U))
-    fsum = float(plaquette_flux(u)[:, n1 // 2:].sum())
-    raw = (a_top - a_bottom - fsum) / (2 * np.pi)
+    bottom, top = _ring_tr_gauge(np.stack(_boundary_rings(u)), theta.U)
+    raw = _plane_raw(u, bottom, top)
     parity, _ = _round_parity(raw)
     return parity, raw
 
@@ -186,16 +197,26 @@ def km_weak_strong(raw: FrameField, theta) -> tuple:
     For each axis the invariants of its two stable planes (momentum 0 and
     pi) multiply to the strong index; the three axis estimates must agree.
     weak[a] is the invariant of the momentum-pi plane normal to axis a.
+    Each plane is counted as by `km_plane_invariant`, but the boundary rings
+    of all six planes are gauged together, one `_ring_tr_gauge` call per
+    ring length (one on a cubic grid).
     Returns (strong, weak triple, per-plane dict keyed by (axis, index)).
     """
     grid = raw.grid
     if grid.dim != 3:
         raise InvariantError("weak/strong indices require a 3-d frame field")
+    keys = [(a, idx) for a in range(3) for idx in (0, grid.sizes[a] // 2)]
+    planes = {k: raw.restrict_plane(*k).frames for k in keys}
+    gauged = {}
+    for n in sorted({u.shape[0] for u in planes.values()}):
+        group = [k for k in keys if planes[k].shape[0] == n]
+        v = _ring_tr_gauge(np.stack([r for k in group
+                                     for r in _boundary_rings(planes[k])]),
+                           theta.U)
+        gauged.update(zip(group, v.reshape((len(group), 2) + v.shape[1:])))
     nu = {}
-    for a in range(3):
-        for idx in (0, grid.sizes[a] // 2):
-            plane = raw.restrict_plane(a, idx)
-            nu[(a, idx)], _ = km_plane_invariant(plane, theta)
+    for k in keys:
+        nu[k], _ = _round_parity(_plane_raw(planes[k], *gauged[k]))
     strong_by_axis = [nu[(a, 0)] * nu[(a, grid.sizes[a] // 2)]
                       for a in range(3)]
     if len(set(strong_by_axis)) != 1:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import BZGrid
+from .linalg import polar_unitary
 
 sx = np.array([[0, 1], [1, 0]], dtype=complex)
 sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -389,11 +390,13 @@ def ingest_sampled(source) -> BlochModel:
     try:
         theta = TimeReversalOperator(U)
     except SymmetryViolation:
-        # relax the constructor tolerance to the ingest tolerance
+        # relax the constructor tolerance to the ingest tolerance: a U within
+        # it is replaced by the nearest skew-symmetric unitary, the polar
+        # factor of its skew part, for which U conj(U) = -1 to rounding
         if (np.abs(U @ U.conj().T - np.eye(nb)).max() > 1e-8
                 or np.abs(U @ U.conj() + np.eye(nb)).max() > 1e-8):
             raise
-        theta = TimeReversalOperator(np.round(U, 12))
+        theta = TimeReversalOperator(polar_unitary(0.5 * (U - U.T)))
 
     grid = BZGrid(dim, sizes)
     if np.abs(H - np.swapaxes(H, -1, -2).conj()).max() > 1e-8:

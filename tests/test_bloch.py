@@ -429,6 +429,37 @@ class TestQuaternionicAverage:
         assert np.array_equal(avg.A, Ap)
         assert avg.quaternionic_residual == residual
 
+    @pytest.mark.parametrize("parts", [(0.5,), (0.5, 3.0)])
+    def test_reduced_field_stands_for_the_unreduced(self, parts):
+        # the reduced field's links plus the divided-out phase's scalar give
+        # the sigma map of the unreduced field.  The relaxed gauge keeps
+        # det w constant, so a smooth inversion-even U(1) twist of the frames
+        # makes the phase move between neighbours, and dropping its term
+        # would show
+        model = models.make_model("fkm3d", {"dt": parts[0]})
+        for dt in parts[1:]:
+            model = models.direct_sum(model,
+                                      models.make_model("fkm3d", {"dt": dt}))
+        raw = bloch.diagonalize_grid(model, BZGrid.cubic(3, 12))
+        frames = bloch.smooth_gauge(raw)
+        k = frames.grid.node_mesh()
+        twist = np.exp(1j * (0.15 * np.cos(k[..., 0])
+                             + 0.1 * np.cos(k[..., 1])))
+        frames = bloch.FrameField(frames.grid,
+                                  frames.frames * twist[..., None, None],
+                                  frames.energies)
+        wfield = bloch.sewing_field(frames, model.theta, smoothness_limit=1.0)
+        wred = bloch.su_reduce(wfield)
+        phi = 2 * np.pi * wred.m * wred.det_phase
+        assert max(np.abs(np.angle(np.exp(1j * (np.roll(phi, -1, axis=a)
+                                                 - phi)))).max()
+                   for a in range(3)) > 1e-3
+        conn = bloch.berry_connection(frames, smoothness_limit=1.0)
+        Ap, residual = self._two_pass(conn, wfield)
+        reduced = bloch.quaternionic_average(conn, wred)
+        assert np.abs(reduced.A - Ap).max() <= 1e-12
+        assert abs(reduced.quaternionic_residual - residual) <= 1e-12
+
 
 class TestWzwDensity:
     def test_vanishes_for_constant_field(self):

@@ -272,6 +272,31 @@ class TestIngestCommand:
         src.write_text("{}")
         assert run(capsys, "ingest", str(src))[0] == 1
 
+    def test_near_skew_theta_is_projected(self, capsys, tmp_path):
+        # a Theta off by 1e-10 (within the 1e-8 ingest tolerance, above the
+        # operator's 1e-12) is replaced by the nearest skew unitary and keeps
+        # the parity; one off by 1e-7 is still refused
+        model = models.make_model("fkm3d", {"dt": 0.5})
+        argv = ["--grid", "8", "--methods", "pfaffian,planes",
+                "--tol-smoothness", "1.0"]
+        parities = []
+        for eps in (0.0, 1e-10, 1e-7):
+            doc = models.export_sampled(model, (8, 8, 8))
+            doc["theta_real"][1] += eps  # U[0, 1]
+            src = tmp_path / f"fk8_{eps}.json"
+            src.write_text(json.dumps(doc))
+            if eps == 1e-7:
+                code, _, err = run(capsys, "ingest", str(src))
+                assert code == 1 and "not unitary" in err
+                continue
+            assert run(capsys, "ingest", str(src))[0] == 0
+            code, out, _ = run(capsys, "invariant", "--model", str(src),
+                               *argv)
+            assert code == 0
+            parities.append({name: route["parity"] for name, route
+                             in json.loads(out)["methods"].items()})
+        assert parities[0] == parities[1] == {"pfaffian": -1, "planes": -1}
+
     def test_sample_answers_only_on_its_grid(self, capsys, tmp_path):
         # a 16^3 grid would alias onto the 8^3 sample's nearest nodes
         model = models.make_model("fkm3d", {"dt": 3.0})
@@ -335,9 +360,11 @@ class TestGeneralMKernels:
 
     def test_link_logs_taken_once_per_field_and_axis(self, capsys,
                                                      monkeypatch):
-        # every route on one m = 4 run: the Berry connection's links of the
-        # frames, the sigma map's of the sewing field and the density's of
-        # the reduced field, three axes each and nothing twice
+        # one m = 4 run, with every route and with cs alone: the Berry
+        # connection's links of the frames and the reduced field's
+        # Maurer-Cartan links, which the sigma map and the density share,
+        # three axes each and nothing twice; no link of the unreduced sewing
+        # field is logged
         fields, calls = {}, []
         pipeline, link_log = bloch.gauge_pipeline, bloch.link_log
 
@@ -352,9 +379,11 @@ class TestGeneralMKernels:
             return link_log(u, axis)
         monkeypatch.setattr(bloch, "gauge_pipeline", kept)
         monkeypatch.setattr(bloch, "link_log", counted)
-        code, _, _ = run(capsys, "invariant", "--model", "trivial",
-                         "--params", "d=3,m=4", "--grid", "12", "--methods",
-                         "pfaffian,planes,wzw,winding,cs,localise")
-        assert code == 0
-        assert sorted(calls) == sorted(
-            (k, a) for k in ("frames", "wfield", "wred") for a in range(3))
+        for methods in ("pfaffian,planes,wzw,winding,cs,localise", "cs"):
+            calls.clear()
+            code, _, _ = run(capsys, "invariant", "--model", "trivial",
+                             "--params", "d=3,m=4", "--grid", "12",
+                             "--methods", methods)
+            assert code == 0
+            assert sorted(calls) == sorted(
+                (k, a) for k in ("frames", "wred") for a in range(3))

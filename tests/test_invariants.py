@@ -117,6 +117,33 @@ class TestRingGauge:
 
 
 class TestWeakStrong:
+    @pytest.mark.parametrize("sizes, stacks", [
+        ((8, 8, 8), [(12, 8)]), ((24, 24, 24), [(12, 24)]),
+        ((12, 16, 8), [(8, 12), (4, 16)])])
+    def test_one_ring_gauge_per_ring_length(self, sizes, stacks, monkeypatch):
+        # the six planes' twelve rings are gauged in one call per ring
+        # length (a plane normal to axis 0 has rings of length N_1, the
+        # others of length N_0), and every plane's raw count is bitwise the
+        # one km_plane_invariant finds on the plane alone
+        model = models.make_model("fkm3d", {"dt": 1.0})
+        raw = bloch.diagonalize_grid(model, BZGrid(3, sizes))
+        alone = [invariants.km_plane_invariant(raw.restrict_plane(a, idx),
+                                               model.theta)[1]
+                 for a in range(3) for idx in (0, sizes[a] // 2)]
+        gauges, raws = [], []
+        ring_gauge = invariants._ring_tr_gauge
+        plane_raw = invariants._plane_raw
+        monkeypatch.setattr(invariants, "_ring_tr_gauge",
+                            lambda rings, U: gauges.append(rings.shape[:2])
+                            or ring_gauge(rings, U))
+        monkeypatch.setattr(invariants, "_plane_raw",
+                            lambda *args: raws.append(plane_raw(*args))
+                            or raws[-1])
+        strong, _, _ = invariants.km_weak_strong(raw, model.theta)
+        assert strong == -1
+        assert raws == alone
+        assert gauges == stacks
+
     def test_layered_weak_pattern(self, pipeline):
         # decoupled-layer stack of an inverted 2D phase: strong parity even,
         # the stacking-axis planes carry the 2D invariant
