@@ -310,7 +310,7 @@ _MAX_STEPS = 400
 _REL_TOL = 1e-4
 
 
-def _relax(u, dim, max_steps=_MAX_STEPS):
+def _relax(u, dim):
     """Fourier-accelerated gauge fixing for lattice Landau gauge (Davies et
     al.): raise sum Re tr O over the links by per-node rotations, until the
     mean link deficiency plateaus.
@@ -326,7 +326,7 @@ def _relax(u, dim, max_steps=_MAX_STEPS):
     u = _matrix_major(u)
     eye = np.eye(u.shape[-1])
     prev, M = _link_products(u, dim)
-    for step in range(max_steps):
+    for step in range(_MAX_STEPS):
         theta = _inverse_laplacian(_AH(M), dim)
         del M  # free the target before the step allocates the next one
         theta += eye

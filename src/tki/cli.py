@@ -302,10 +302,10 @@ def cmd_invariant(args, extra) -> int:
 
     report = invariants.assemble_report(
         {"name": model.name, "params": dict(model.params)}, grid, outputs)
-    _emit(report.as_dict(), args.out)
+    _emit(report, args.out)
     if "nonconvergent" in statuses:
         return 3
-    if not report.consensus:
+    if not report["consensus"]:
         return 2
     return 0
 
@@ -467,7 +467,8 @@ def _validate_suite(seed, noise):
 def cmd_validate(args, extra) -> int:
     if extra:
         raise UsageError(f"unrecognized arguments {extra}")
-    checks = _validate_suite(args.seed, args.theta_noise)
+    noise = _finite(args.theta_noise, "--theta-noise")
+    checks = _validate_suite(args.seed, noise)
     ok = all(c["ok"] for c in checks)
     doc = {"ok": ok, "seed": args.seed, "checks": checks}
     _emit(doc, args.out)

@@ -7,7 +7,7 @@ Routes to the same Z2 parity:
 * ``km_plane_invariant`` / ``km_weak_strong`` — the 2D invariant of each
   inversion-stable plane from Berry fluxes over half the plane and boundary
   Berry phases in a time-reversal-constrained ring gauge, combined into weak
-  and strong 3D indices;
+  and strong 3D indices; both count their planes through ``_plane_raws``;
 * ``km_wzw`` — the degree integral of the sewing map, whose parity is the
   invariant; its density (``bloch.wzw_density``, built once per sewing field)
   also feeds ``km_winding``, ``km_chern_simons`` and the ``localise`` route;
@@ -22,13 +22,11 @@ Routes to the same Z2 parity:
 The density routes (``km_wzw``, ``km_winding``, ``km_chern_simons`` and the
 ``localise`` route) need a 3-d grid; the other two take a 2-d one too.
 
-``assemble_report`` collects any subset of method outputs into a
-cross-validated report with a consensus flag.
+``assemble_report`` collects any subset of method outputs into the JSON
+report, with a consensus flag.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -157,11 +155,6 @@ def _ring_phase_sum(v: np.ndarray) -> float:
     return float(np.angle(dets).sum())
 
 
-def _boundary_rings(u: np.ndarray) -> tuple:
-    """The boundary rings n1 = N/2 and n1 = 0 of a plane's frames u."""
-    return u[:, u.shape[1] // 2], u[:, 0]
-
-
 def _plane_raw(u: np.ndarray, bottom: np.ndarray, top: np.ndarray) -> float:
     """The plane count before rounding: boundary Berry phases of the gauged
     rings n1 = N/2 (bottom) and n1 = 0 (top) against the Berry flux over
@@ -169,6 +162,22 @@ def _plane_raw(u: np.ndarray, bottom: np.ndarray, top: np.ndarray) -> float:
     fsum = float(plaquette_flux(u)[:, u.shape[1] // 2:].sum())
     return ((_ring_phase_sum(top) - _ring_phase_sum(bottom) - fsum)
             / (2 * np.pi))
+
+
+def _plane_raws(planes: dict, U: np.ndarray) -> list:
+    """Raw counts of planes given as {key: frames}, in key order.
+
+    The boundary rings n1 = N/2 and n1 = 0 of all planes whose rings have
+    one length are gauged together, one `_ring_tr_gauge` call per length.
+    """
+    gauged = {}
+    for n in sorted({u.shape[0] for u in planes.values()}):
+        group = [k for k, u in planes.items() if u.shape[0] == n]
+        rings = np.stack([planes[k][:, j] for k in group
+                          for j in (planes[k].shape[1] // 2, 0)])
+        v = _ring_tr_gauge(rings, U)
+        gauged.update(zip(group, v.reshape((len(group), 2) + v.shape[1:])))
+    return [_plane_raw(u, *gauged[k]) for k, u in planes.items()]
 
 
 def km_plane_invariant(frames2d: FrameField, theta) -> tuple:
@@ -181,12 +190,9 @@ def km_plane_invariant(frames2d: FrameField, theta) -> tuple:
     integer whose parity is the invariant.  Returns (parity, raw integer
     estimate before rounding).
     """
-    grid = frames2d.grid
-    if grid.dim != 2:
+    if frames2d.grid.dim != 2:
         raise InvariantError("plane invariant expects a 2-d frame field")
-    u = frames2d.frames
-    bottom, top = _ring_tr_gauge(np.stack(_boundary_rings(u)), theta.U)
-    raw = _plane_raw(u, bottom, top)
+    raw, = _plane_raws({0: frames2d.frames}, theta.U)
     parity, _ = _round_parity(raw)
     return parity, raw
 
@@ -197,26 +203,17 @@ def km_weak_strong(raw: FrameField, theta) -> tuple:
     For each axis the invariants of its two stable planes (momentum 0 and
     pi) multiply to the strong index; the three axis estimates must agree.
     weak[a] is the invariant of the momentum-pi plane normal to axis a.
-    Each plane is counted as by `km_plane_invariant`, but the boundary rings
-    of all six planes are gauged together, one `_ring_tr_gauge` call per
-    ring length (one on a cubic grid).
+    The six planes are counted as by `km_plane_invariant`, in one
+    `_plane_raws` call.
     Returns (strong, weak triple, per-plane dict keyed by (axis, index)).
     """
     grid = raw.grid
     if grid.dim != 3:
         raise InvariantError("weak/strong indices require a 3-d frame field")
     keys = [(a, idx) for a in range(3) for idx in (0, grid.sizes[a] // 2)]
-    planes = {k: raw.restrict_plane(*k).frames for k in keys}
-    gauged = {}
-    for n in sorted({u.shape[0] for u in planes.values()}):
-        group = [k for k in keys if planes[k].shape[0] == n]
-        v = _ring_tr_gauge(np.stack([r for k in group
-                                     for r in _boundary_rings(planes[k])]),
-                           theta.U)
-        gauged.update(zip(group, v.reshape((len(group), 2) + v.shape[1:])))
-    nu = {}
-    for k in keys:
-        nu[k], _ = _round_parity(_plane_raw(planes[k], *gauged[k]))
+    raws = _plane_raws({k: raw.restrict_plane(*k).frames for k in keys},
+                       theta.U)
+    nu = {k: _round_parity(r)[0] for k, r in zip(keys, raws)}
     strong_by_axis = [nu[(a, 0)] * nu[(a, grid.sizes[a] // 2)]
                       for a in range(3)]
     if len(set(strong_by_axis)) != 1:
@@ -326,42 +323,16 @@ def km_s3(model, mesh_size: int = 48) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    model: dict
-    grid: tuple
-    methods: dict = field(default_factory=dict)
-    trim_pfaffians: list = field(default_factory=list)
-    weak_indices: list = field(default_factory=list)
-    strong: int = None
-    consensus: bool = False
-    notes: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        pf = [[p.real, p.imag] for p in self.trim_pfaffians]
-        return {
-            "model": self.model,
-            "grid": list(self.grid),
-            "methods": self.methods,
-            "trim_pfaffians": pf,
-            "weak": list(self.weak_indices),
-            "strong": self.strong,
-            "consensus": self.consensus,
-            "notes": list(self.notes),
-        }
-
-
-def assemble_report(model_desc: dict, grid: BZGrid, method_outputs: dict,
-                    notes=()) -> InvariantReport:
-    """Combine per-method outputs into a cross-validated report.
+def assemble_report(model_desc: dict, grid: BZGrid,
+                    method_outputs: dict) -> dict:
+    """Combine per-method outputs into the JSON report.
 
     method_outputs maps method name to a dict with at least {"parity", "raw",
     "residual", "runtime_ms"}; non-convergent methods may instead carry an
-    {"error"} entry.  Consensus is true iff all computed parities agree.
+    {"error"} entry, which also goes into the notes.  Consensus is true iff
+    at least one parity was computed and all computed parities agree.
     """
-    methods = {}
-    parities = []
-    notes = list(notes)
+    methods, parities, notes = {}, set(), []
     for name, out in method_outputs.items():
         if "error" in out:
             methods[name] = {"error": out["error"]}
@@ -373,17 +344,16 @@ def assemble_report(model_desc: dict, grid: BZGrid, method_outputs: dict,
             "residual": float(out["residual"]),
             "runtime_ms": float(out.get("runtime_ms", 0.0)),
         }
-        parities.append(int(out["parity"]))
-    consensus = bool(parities) and len(set(parities)) == 1
-    return InvariantReport(
-        model=model_desc,
-        grid=grid.sizes,
-        methods=methods,
-        trim_pfaffians=list(method_outputs.get(
-            "pfaffian", {}).get("pfaffians", [])),
-        weak_indices=list(method_outputs.get(
-            "planes", {}).get("weak", [])),
-        strong=method_outputs.get("planes", {}).get("parity"),
-        consensus=consensus,
-        notes=notes,
-    )
+        parities.add(int(out["parity"]))
+    planes = method_outputs.get("planes", {})
+    return {
+        "model": model_desc,
+        "grid": list(grid.sizes),
+        "methods": methods,
+        "trim_pfaffians": [[p.real, p.imag] for p in method_outputs.get(
+            "pfaffian", {}).get("pfaffians", [])],
+        "weak": list(planes.get("weak", [])),
+        "strong": planes.get("parity"),
+        "consensus": len(parities) == 1,
+        "notes": notes,
+    }

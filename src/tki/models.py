@@ -76,6 +76,9 @@ class TimeReversalOperator:
         U = np.asarray(self.U, dtype=complex)
         object.__setattr__(self, "U", U)
         n = U.shape[0]
+        if not np.isfinite(U).all():
+            raise SymmetryViolation("time-reversal unitary part has "
+                                    "non-finite entries")
         if np.abs(U @ U.conj().T - np.eye(n)).max() > 1e-12:
             raise SymmetryViolation("time-reversal unitary part not unitary")
         if np.abs(U @ U.conj() + np.eye(n)).max() > 1e-12:
@@ -383,6 +386,8 @@ def ingest_sampled(source) -> BlochModel:
         want = int(np.prod(shape))
         if re.size != want or im.size != want:
             raise SchemaError(f"{re_key}/{im_key} must have {want} entries")
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise SchemaError(f"{re_key}/{im_key} has non-finite entries")
         return (re + 1j * im).reshape(shape)
 
     U = _cplx("theta_real", "theta_imag", (nb, nb))

@@ -85,7 +85,9 @@ class TestInvariantCommand:
                      ["validate", "--tol-gap", "10"],
                      ["validate", "--stable-output"],
                      ["invariant", *trivial, "--threads", "1"],
-                     ["validate", "--threads", "1"]):
+                     ["validate", "--threads", "1"],
+                     ["validate", "--theta-noise", "nan"],
+                     ["validate", "--theta-noise", "inf"]):
             code, out, err = run(capsys, *argv)
             assert code == 1 and out == "" and err.startswith("error:"), argv
         # a bare option is named as an option, a --params entry as a
@@ -296,6 +298,22 @@ class TestIngestCommand:
             parities.append({name: route["parity"] for name, route
                              in json.loads(out)["methods"].items()})
         assert parities[0] == parities[1] == {"pfaffian": -1, "planes": -1}
+
+    @pytest.mark.parametrize("key", ["h_real", "theta_real"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_entries_are_refused(self, capsys, tmp_path, key,
+                                            value):
+        # every contract check compares a max residual with a tolerance,
+        # which NaN passes; the entries themselves must be refused
+        doc = models.export_sampled(models.make_model("fkm3d", {"dt": 0.5}),
+                                    (8, 8, 8))
+        doc[key][1] = value
+        src = tmp_path / "fk8.json"
+        src.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "ingest", str(src))
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert "non-finite" in err
+        assert not (tmp_path / "fk8.normalized.json").exists()
 
     def test_sample_answers_only_on_its_grid(self, capsys, tmp_path):
         # a 16^3 grid would alias onto the 8^3 sample's nearest nodes

@@ -233,11 +233,10 @@ class TestReport:
         }
         rep = invariants.assemble_report({"name": "x", "params": {}},
                                          grid, outputs)
-        assert rep.consensus
-        doc = rep.as_dict()
-        assert set(doc) == {"model", "grid", "methods", "trim_pfaffians",
+        assert rep["consensus"]
+        assert set(rep) == {"model", "grid", "methods", "trim_pfaffians",
                             "weak", "strong", "consensus", "notes"}
-        assert doc["trim_pfaffians"] == [[-1.0, 0.0]]
+        assert rep["trim_pfaffians"] == [[-1.0, 0.0]]
 
     def test_disagreement_and_errors(self):
         grid = BZGrid.cubic(3, 16)
@@ -248,9 +247,9 @@ class TestReport:
         }
         rep = invariants.assemble_report({"name": "x", "params": {}},
                                          grid, outputs)
-        assert not rep.consensus
-        assert "error" in rep.methods["cs"]
-        assert any("cs" in n for n in rep.notes)
+        assert not rep["consensus"]
+        assert "error" in rep["methods"]["cs"]
+        assert any("cs" in n for n in rep["notes"])
 
 
 _TORUS_ROUTES = ("pfaffian", "planes", "wzw", "winding", "cs", "localise")

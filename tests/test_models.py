@@ -97,6 +97,11 @@ class TestThetaOperator:
     def test_rejects_non_symplectic(self):
         with pytest.raises(models.SymmetryViolation):
             models.TimeReversalOperator(np.eye(4, dtype=complex))
+        # NaN passes every residual-above-tolerance comparison
+        U = models.make_model("bhz2d", {}).theta.U.copy()
+        U[0, 0] = np.nan
+        with pytest.raises(models.SymmetryViolation, match="non-finite"):
+            models.TimeReversalOperator(U)
 
 
 class TestEvaluate:
