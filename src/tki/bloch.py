@@ -11,15 +11,19 @@ Every gauge-dependent route gets its frames and sewing fields from
 `gauge_pipeline`.  The shared kernels live here too: `link_log` (principal
 log of the link unitaries, behind the Berry connection, the Maurer-Cartan
 links and the S^3 density), `plaquette_flux` (behind both plane Chern
-counts) and `_antisym_trace3` over `_PERMS3` (behind both WZW densities and
-the Chern-Simons integral).  A sewing field takes its Maurer-Cartan links
-once (`SewingField.links`); the degree density and the quaternionic map's
+counts) and `_antisym_trace3`, the antisymmetrised triple trace taken as
+3 tr(L_0 [L_1, L_2]) (behind both WZW densities and the Chern-Simons
+integral).  A sewing field takes its Maurer-Cartan links once
+(`SewingField.links`); the degree density and the quaternionic map's
 derivative term both read the reduced field's, and no link of an unreduced
 field is logged.  The smooth gauge comes from Fourier-accelerated
 gauge-fixing steps (`_relax`): each rotates every node at once by the
 inverse lattice Laplacian, applied with `np.fft`, of the alignment
 gradient.  A rough relaxed gauge escapes by random kicks (`_anneal`) or
-by the next seed of its multiscale level (`_smooth_frames`).  The steps,
+by the next seed of its multiscale level (`_smooth_frames`).  Frames that
+do not depend on k (every node's equal to node 0's bit for bit, as for an
+atomic insulator) are their own smooth gauge: every link is u+ u, so
+`smooth_gauge` returns them with no seed, relax or anneal.  The steps,
 `link_log` and `FrameField.deficiency` run on the stacked kernels of
 `linalg` (polar factor, principal log, operator norm): closed forms when
 m = 2, Newton-Schulz and one Hermitian eigensolver per stack for larger m;
@@ -153,7 +157,7 @@ class SewingField:
     def degree_density(self) -> np.ndarray:
         """The `wzw_density` array, computed once per instance; read-only."""
         L = self.links
-        dens = (_antisym_trace3(L, L, L).real * self.grid.cell_volume()
+        dens = (_antisym_trace3(L).real * self.grid.cell_volume()
                 / (24 * np.pi ** 2))
         dens.flags.writeable = False
         return dens
@@ -451,10 +455,16 @@ def smooth_gauge(raw: FrameField) -> FrameField:
     with ChernObstruction when an invariant plane carries a nonzero Chern
     number, in which case no smooth periodic gauge exists, and with
     ConvergenceFailure when the gauge stays above deficiency 1.2.
+
+    k-independent frames (every node's bitwise equal to node 0's) come back
+    as they are: each link is u+ u, and every seed and relax would return
+    them unchanged.  The test is exact; dispersive frames always fail it.
     """
     for plane, (c, _) in plane_chern_numbers(raw).items():
         if c != 0:
             raise ChernObstruction(plane[:2], c)
+    if (raw.frames == raw.frames[(0,) * raw.grid.dim]).all():
+        return raw
     field_ = _smooth_frames(raw)
     s = field_.smoothness
     if s > 1.2:
@@ -615,12 +625,14 @@ _PERMS3 = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
            ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)]
 
 
-def _antisym_trace3(X, Y, Z):
-    """sum_{perm} sign tr(X_a Y_b Z_c) over nodes; X, Y, Z stacked on axis 0."""
-    out = 0.0
-    for (a, b, c), s in _PERMS3:
-        out = out + s * np.einsum("...ij,...jk,...ki->...", X[a], Y[b], Z[c])
-    return out
+def _antisym_trace3(L):
+    """sum_{perm} sign tr(L_a L_b L_c) over nodes, for a stack L with its
+    three axes on axis 0: by cyclicity the six signed traces are 3 tr(L_0
+    [L_1, L_2]).  The trace is summed entry by entry in a fixed order, so
+    the result does not depend on the stack's layout."""
+    C = _mm(L[1], L[2]) - _mm(L[2], L[1])
+    return 3 * sum(L[0][..., i, j] * C[..., j, i]
+                   for i, j in product(range(L.shape[-1]), repeat=2))
 
 
 def _link_logs(w: np.ndarray, spacings) -> np.ndarray:

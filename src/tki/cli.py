@@ -163,10 +163,12 @@ def _emit(doc, out_path):
 def _tols(args):
     t = dict(_TOL_DEFAULTS)
     for key in t:
-        v = getattr(args, "tol_" + key)
-        if v is not None:
-            if not 0 <= v < np.inf:  # nan would switch the gate off
-                raise UsageError(f"--tol-{key} needs a finite number >= 0")
+        text = getattr(args, "tol_" + key)
+        if text is not None:
+            v = _finite(text, f"--tol-{key}")  # nan would switch the gate off
+            if v < 0:
+                raise UsageError(f"--tol-{key} needs a number >= 0, "
+                                 f"got {text!r}")
             t[key] = v
     return t
 
@@ -468,9 +470,15 @@ def cmd_validate(args, extra) -> int:
     if extra:
         raise UsageError(f"unrecognized arguments {extra}")
     noise = _finite(args.theta_noise, "--theta-noise")
-    checks = _validate_suite(args.seed, noise)
+    try:
+        seed = int(args.seed)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise UsageError(f"--seed needs an integer >= 0, got {args.seed!r}")
+    checks = _validate_suite(seed, noise)
     ok = all(c["ok"] for c in checks)
-    doc = {"ok": ok, "seed": args.seed, "checks": checks}
+    doc = {"ok": ok, "seed": seed, "checks": checks}
     _emit(doc, args.out)
     return 0 if ok else 4
 
@@ -512,7 +520,7 @@ def _build_parser():
                              "report; changes no byte on phase-diagram and "
                              "localise")
         for key, default in _TOL_DEFAULTS.items():
-            sp.add_argument(f"--tol-{key}", type=float, default=None,
+            sp.add_argument(f"--tol-{key}", default=None,
                             help=f"override tolerance (default {default})")
         sp.set_defaults(func=func)
         return sp
@@ -526,8 +534,8 @@ def _build_parser():
 
     sp = sub.add_parser("validate", allow_abbrev=False, help="run the property suite")
     sp.add_argument("--out")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--theta-noise", type=float, default=0.0,
+    sp.add_argument("--seed", default=0)
+    sp.add_argument("--theta-noise", default=0.0,
                     help="inject a time-reversal-breaking perturbation "
                          "(negative testing)")
     sp.set_defaults(func=cmd_validate)

@@ -15,7 +15,8 @@ Routes to the same Z2 parity:
   same way: a diagnostic that agrees with ``km_wzw`` by construction;
 * ``km_chern_simons`` — the Chern-Simons integral of the quaternionically
   averaged Berry connection, related to the degree integral by a factor -1/2
-  (its cubic term is ``bloch._antisym_trace3``, the density's kernel);
+  (its cubic term is ``bloch._antisym_trace3``, the density's kernel, one
+  commutator trace per node);
 * ``km_s3`` — for the sphere Dirac model ``dirac_s3``, the degree integral
   of the sewing map, localised onto the two poles.
 
@@ -277,7 +278,7 @@ def km_chern_simons(conn: ConnectionField, wfield: SewingField) -> tuple:
         return np.fft.ifft(np.fft.fft(f, axis=mu) * (1j * wave.reshape(shape)),
                            axis=mu)
 
-    total = (2.0 / 3.0) * _antisym_trace3(A, A, A).sum()
+    total = (2.0 / 3.0) * _antisym_trace3(A).sum()
     for (m0, m1, m2), s in _PERMS3:
         total += s * np.einsum("...ab,...ba->...", A[m0],
                                dmu(A[m2], m1)).sum()

@@ -16,6 +16,11 @@ The registry families are
 
 Externally sampled Hamiltonians enter through `ingest_sampled` (JSON; see
 `export_sampled` for the exact layout).
+
+A constant operator acts on a whole grid through one GEMM: Theta's U on a
+matrix-major stack of frames, U* kron U on the rows of the Hamiltonians in
+the time-reversal residual, and the gamma matrices against the coefficient
+rows of `_dvec_to_h`.
 """
 
 from __future__ import annotations
@@ -85,8 +90,12 @@ class TimeReversalOperator:
             raise SymmetryViolation("time reversal must square to -1")
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        """Apply Theta to vectors stored in the last-but-one index."""
-        return np.einsum("ab,...bc->...ac", self.U, psi.conj())
+        """Apply Theta to vectors stored in the last-but-one index: one GEMM
+        on the stack's matrix-major view (copied into that layout first only
+        when psi is not stored so); the result is matrix-major."""
+        P = np.ascontiguousarray(np.moveaxis(psi.conj(), (-2, -1), (0, 1)))
+        out = self.U @ P.reshape(len(P), -1)
+        return np.moveaxis(out.reshape(P.shape), (0, 1), (-2, -1))
 
 
 @dataclass(frozen=True)
@@ -109,9 +118,11 @@ class BlochModel:
 # ---------------------------------------------------------------------------
 
 def _dvec_to_h(d, gammas):
-    """Sum_a d_a Gamma_a for stacked coefficient arrays d[a] of shape (...)."""
-    G = np.stack(gammas)
-    return np.einsum("a...,aij->...ij", np.stack(d), G)
+    """Sum_a d_a Gamma_a for stacked coefficient arrays d[a] of shape (...):
+    one GEMM of the nodes' coefficient rows against the flattened gammas."""
+    D, G = np.stack(d), np.stack(gammas)
+    H = D.reshape(len(D), -1).T @ G.reshape(len(G), -1)
+    return H.reshape(D.shape[1:] + G.shape[1:])
 
 
 def _trivial_batch(dim, m):
@@ -270,8 +281,14 @@ def direct_sum(a: BlochModel, b: BlochModel) -> BlochModel:
 
 def _tr_residual(U, H, Hm) -> float:
     """Largest entry of U conj(H(k)) U^dagger - H(-k): zero for a
-    time-reversal symmetric Hamiltonian."""
-    return float(np.abs(U @ H.conj() @ U.conj().T - Hm).max())
+    time-reversal symmetric Hamiltonian.  One GEMM on the rows of H: the
+    conjugate of U conj(H) U^dagger is U* H U^T, whose row-major flattening
+    is that of H times (U* kron U)^T."""
+    n = U.shape[0]
+    Z = np.reshape(H, (-1, n * n)) @ np.kron(U.conj(), U).T
+    np.conjugate(Z, out=Z)
+    Z -= np.reshape(Hm, Z.shape)
+    return float(np.abs(Z).max())
 
 
 def _sanity_check(model: BlochModel, n: int = 16):

@@ -213,7 +213,7 @@ def sphere_wzw_density(w: np.ndarray, mesh: SphereMesh):
     L = _link_logs(w, hs)
     for a in (0, 1):  # open axes: the last slice reuses its backward link
         L[a][(slice(None),) * a + (-1,)] = L[a][(slice(None),) * a + (-2,)]
-    dens = (_antisym_trace3(L, L, L).real * (hs[0] * hs[1] * hs[2])
+    dens = (_antisym_trace3(L).real * (hs[0] * hs[1] * hs[2])
             / (24 * np.pi ** 2))
     sym = 0.5 * (dens + mesh.involute(dens))
     discarded = float(np.abs(dens - sym).sum())

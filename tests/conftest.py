@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,15 @@ def random_unitary(rng, n):
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(A)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def in_random_basis(model, seed):
+    """The model in a seeded random orbital basis: H -> V H V+, and
+    Theta = U K -> V Theta V+, that is U -> V U V^T."""
+    V = random_unitary(np.random.default_rng(seed), model.n_bands)
+    return dataclasses.replace(
+        model, theta=models.TimeReversalOperator(V @ model.theta.U @ V.T),
+        _batch=lambda K, f=model._batch: V @ f(K) @ V.conj().T)
 
 
 def matrix_major(X):

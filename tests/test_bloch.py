@@ -7,7 +7,7 @@ import json
 
 from tki import bloch, cli, linalg, models, sphere
 from tki.grids import BZGrid
-from conftest import matrix_major
+from conftest import in_random_basis, matrix_major
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +154,51 @@ class TestSmoothGauge:
                             + 1j * rng.standard_normal((nb, m)))
         u = np.broadcast_to(q, (4, 6, 8, nb, m)).copy()
         assert np.abs(bloch._relax(u, 3) - u).max() <= 1e-15
+
+    @staticmethod
+    def _seed_calls(monkeypatch):
+        """Names of the seed and relax functions called, in order."""
+        calls = []
+        for name in ("_transport_init", "_multiscale_init", "_relax"):
+            def counted(*args, _f=getattr(bloch, name), _name=name,
+                        **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(bloch, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("m, basis", [(2, None), (4, None), (2, 7)],
+                             ids=["m2", "m4", "m2-random-basis"])
+    def test_k_independent_frames_are_their_own_gauge(self, monkeypatch, m,
+                                                      basis):
+        # an atomic insulator's frames equal node 0's bit for bit, so
+        # every link is u+ u and no seed, relax or anneal runs; every torus
+        # route still reads +1
+        model = models.make_model("trivial", {"d": 3, "m": m})
+        if basis is not None:
+            model = in_random_basis(model, basis)
+        grid = BZGrid.cubic(3, 16)
+        raw = bloch.diagonalize_grid(model, grid)
+        calls = self._seed_calls(monkeypatch)
+        frames = bloch.smooth_gauge(raw)
+        assert calls == []
+        assert np.array_equal(frames.frames, raw.frames)
+        # the links of a random basis are 1 up to its rounding
+        assert frames.smoothness <= (0.0 if basis is None else 1e-15)
+        routes = ["pfaffian", "planes", "wzw", "winding", "cs", "localise"]
+        outputs, statuses = cli._compute_methods(model, grid, routes,
+                                                 dict(cli._TOL_DEFAULTS))
+        assert not statuses
+        assert {name: out["parity"] for name, out in outputs.items()} \
+            == dict.fromkeys(routes, 1)
+
+    def test_k_dependent_frames_run_the_seed(self, monkeypatch):
+        raw = bloch.diagonalize_grid(models.make_model("fkm3d", {"dt": 0.5}),
+                                     BZGrid.cubic(3, 8))
+        calls = self._seed_calls(monkeypatch)
+        frames = bloch.smooth_gauge(raw)
+        assert calls[:2] == ["_transport_init", "_relax"]
+        assert not np.array_equal(frames.frames, raw.frames)
 
     def test_fourier_step_counts(self, monkeypatch):
         # the steps of the benchmark's gauge requests, per level: fkm3d
@@ -505,11 +550,27 @@ class TestWzwDensity:
     def test_triple_trace_independent_of_layout(self, m):
         rng = np.random.default_rng(6)
         shape = (3, 6, 5, 4, m, m)
-        X, Y, Z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                   for _ in range(3))
-        ref = bloch._antisym_trace3(X, Y, Z)
-        assert np.array_equal(bloch._antisym_trace3(
-            *(bloch._matrix_major(T) for T in (X, Y, Z))), ref)
+        L = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = bloch._antisym_trace3(L)
+        assert np.array_equal(bloch._antisym_trace3(bloch._matrix_major(L)),
+                              ref)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_triple_trace_is_the_signed_permutation_sum(self, m):
+        # the commutator form against the six signed traces; each trace is
+        # m^3 products of size <= max|L|^3, so float64 rounding stays far
+        # below 1e-12 max|L|^3
+        perms = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                 ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)]
+        rng = np.random.default_rng(13)
+        shape = (3, 6, 5, 4, m, m)
+        L = bloch._matrix_major(rng.standard_normal(shape)
+                                + 1j * rng.standard_normal(shape))
+        ref = sum(s * np.einsum("...ij,...jk,...ki->...", L[a], L[b], L[c])
+                  for (a, b, c), s in perms)
+        out = bloch._antisym_trace3(L)
+        assert out.shape == shape[1:-2]
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(L).max() ** 3
 
     def test_density_is_read_only(self, pipeline):
         _, wred = pipeline.gauge("fkm3d", {"dt": 0.5}, 16)

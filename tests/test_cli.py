@@ -87,7 +87,19 @@ class TestInvariantCommand:
                      ["invariant", *trivial, "--threads", "1"],
                      ["validate", "--threads", "1"],
                      ["validate", "--theta-noise", "nan"],
-                     ["validate", "--theta-noise", "inf"]):
+                     ["validate", "--theta-noise", "inf"],
+                     # typed option values argparse used to refuse with
+                     # its usage block and exit 2, the disagreement code
+                     ["invariant", "--model", "trivial", "--grid", "8",
+                      "--tol-gap", "abc"],
+                     ["invariant", *trivial, "--tol-smoothness", "x"],
+                     ["phase-diagram", *bhz, "--tol-smoothness", "x"],
+                     ["localise", "--form", "wzw", "--model", "fkm3d",
+                      "--grid", "8", "--tol-gap", "abc"],
+                     ["validate", "--seed", "x"],
+                     ["validate", "--seed", "1.5"],
+                     ["validate", "--seed", "-1"],
+                     ["validate", "--theta-noise", "abc"]):
             code, out, err = run(capsys, *argv)
             assert code == 1 and out == "" and err.startswith("error:"), argv
         # a bare option is named as an option, a --params entry as a
@@ -352,8 +364,7 @@ class TestGeneralMKernels:
             assert outputs[name]["parity"] == -1
             assert abs(outputs[name]["raw"] - raw) <= 1e-12
 
-    def test_no_svd_or_eig_outside_the_transport_seed(self, capsys,
-                                                      monkeypatch):
+    def test_no_svd_or_eig_outside_the_transport_seed(self, monkeypatch):
         calls = {"transport": 0, "elsewhere": 0}
         depth = []
         transport = bloch._transport_last_axis
@@ -370,10 +381,17 @@ class TestGeneralMKernels:
                 calls["transport" if depth else "elsewhere"] += 1
                 return _f(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
-        code, _, _ = run(capsys, "invariant", "--model", "trivial",
-                         "--params", "d=3,m=4", "--grid", "12",
-                         "--methods", "wzw,cs,localise")
-        assert code == 0
+        # an m = 4 input whose frames depend on k, so the seed runs (the
+        # k-independent frames of trivial m = 4 skip the smoother); at 12^3
+        # the sampling gate of `localise` refuses it after its link norms,
+        # as it refuses fkm3d alone (test_invariants)
+        model = models.direct_sum(models.make_model("fkm3d", {"dt": 0.5}),
+                                  models.make_model("fkm3d", {"dt": 3.0}))
+        tol = {**cli._TOL_DEFAULTS, "smoothness": 0.75}  # the sweep's gate
+        outputs, _ = cli._compute_methods(
+            model, BZGrid.cubic(3, 12), ["wzw", "cs", "localise"], tol)
+        assert outputs["wzw"]["parity"] == outputs["cs"]["parity"] == -1
+        assert outputs["localise"]["error"].startswith("RoughGauge")
         assert calls["transport"] > 0 and calls["elsewhere"] == 0
 
     def test_link_logs_taken_once_per_field_and_axis(self, capsys,

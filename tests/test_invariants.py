@@ -1,9 +1,7 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from conftest import random_unitary
+from conftest import in_random_basis
 from tki import bloch, cli, invariants, models
 from tki.grids import BZGrid
 
@@ -314,15 +312,6 @@ class TestMetamorphic:
         assert _route_parities(model, scrambled, raw.grid) == parities
 
 
-def _in_random_basis(model, seed):
-    """The model in a seeded random orbital basis: H -> V H V+, and
-    Theta = U K -> V Theta V+, that is U -> V U V^T."""
-    V = random_unitary(np.random.default_rng(seed), model.n_bands)
-    return dataclasses.replace(
-        model, theta=models.TimeReversalOperator(V @ model.theta.U @ V.T),
-        _batch=lambda K, f=model._batch: V @ f(K) @ V.conj().T)
-
-
 # each route's parity, or the error that refuses it: at 12^3 the sampling
 # gate of `localise` refuses the fkm3d gauge (sewing link deficiency 1.095
 # against 1.0), in every basis and beside a trivial summand alike
@@ -338,7 +327,7 @@ def test_orbital_basis_and_trivial_summand_keep_every_route(
     model = models.make_model(name, params)
     trivial = models.make_model("trivial", {"d": dim, "m": 2})
     tol = {**cli._TOL_DEFAULTS, "smoothness": 0.75}  # the sweep's gate
-    for variant in (model, _in_random_basis(model, 7),
+    for variant in (model, in_random_basis(model, 7),
                     models.direct_sum(model, trivial)):
         outputs, _ = cli._compute_methods(
             variant, BZGrid.cubic(dim, n), list(expected), tol)

@@ -6,7 +6,7 @@ import pytest
 from tki import models
 from tki.grids import BZGrid
 from tki.linalg import _matrix_major
-from conftest import matrix_major
+from conftest import in_random_basis, matrix_major
 
 
 def _h(model, k):
@@ -116,6 +116,50 @@ class TestEvaluate:
         U = model.theta.U
         lhs = U @ _h(model, k).conj() @ U.conj().T
         assert np.abs(lhs - _h(model, -k)).max() <= 1e-12
+
+
+class TestConstantProducts:
+    """The constant matrices applied to stacks by one GEMM give what the
+    per-node products gave."""
+
+    @pytest.mark.parametrize("name, params", [
+        ("bhz2d", {}), ("layered3d", {"tz": 0.5}), ("fkm3d", {"dt": 0.5}),
+        ("dirac_s3", {"mass": -1.0})])
+    def test_dvec_to_h_is_the_einsum_bit_for_bit(self, monkeypatch, name,
+                                                 params):
+        # signs of zeros included: these Hamiltonians feed the eigensolver
+        # whose frames seed the gauge
+        calls, dvec_to_h = [], models._dvec_to_h
+
+        def kept(d, gammas):
+            out = dvec_to_h(d, gammas)
+            calls.append((d, gammas, out))
+            return out
+        monkeypatch.setattr(models, "_dvec_to_h", kept)
+        model = models.make_model(name, params, check=False)
+        K = BZGrid.cubic(3, 12).node_mesh()
+        model.hamiltonian_batch(K[..., :model.dim])
+        assert calls
+        for d, gammas, out in calls:
+            ref = np.einsum("a...,aij->...ij", np.stack(d), np.stack(gammas))
+            assert np.array_equal(out, ref)
+            for part in ("real", "imag"):
+                assert np.array_equal(np.signbit(getattr(out, part)),
+                                      np.signbit(getattr(ref, part)))
+
+    def test_tr_residual_matches_the_per_node_products(self):
+        rng = np.random.default_rng(4)
+        for name, params in (("fkm3d", {"dt": 0.5}), ("layered3d", {}),
+                             ("trivial", {"m": 4})):
+            model = in_random_basis(models.make_model(name, params), 3)
+            grid = BZGrid.cubic(3, 8)
+            H = model.hamiltonian_batch(grid.node_mesh())
+            pert = 1e-3 * rng.standard_normal(H.shape[-2:])
+            U = model.theta.U
+            for Hk in (H, H + pert + pert.T):
+                Hm = grid.involute(Hk)
+                ref = float(np.abs(U @ Hk.conj() @ U.conj().T - Hm).max())
+                assert abs(models._tr_residual(U, Hk, Hm) - ref) <= 1e-15
 
 
 class TestDirectSum:
