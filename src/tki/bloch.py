@@ -20,11 +20,12 @@ field is logged.  The smooth gauge comes from Fourier-accelerated
 gauge-fixing steps (`_relax`): each rotates every node at once by the
 inverse lattice Laplacian, applied with `np.fft`, of the alignment
 gradient.  A rough relaxed gauge escapes by random kicks (`_anneal`) or
-by the next seed of its multiscale level (`_smooth_frames`).  Frames that
-do not depend on k (every node's equal to node 0's bit for bit, as for an
-atomic insulator) are their own smooth gauge: every link is u+ u, so
-`smooth_gauge` returns them with no seed, relax or anneal.  The steps,
-`link_log` and `FrameField.deficiency` run on the stacked kernels of
+by the next seed of its multiscale level (`_smooth_frames`).  A field
+that does not depend on k (every node equal to node 0 by the exact test
+`_k_independent`, as for an atomic insulator) has every link u+ u:
+`smooth_gauge` returns such frames as they are, and `link_log` and
+`link_deficiency` run on node 0 alone and fill a full array, which
+changes no bit.  The steps and the link kernels run on the stacked kernels of
 `linalg` (polar factor, principal log, operator norm): closed forms when
 m = 2, Newton-Schulz and one Hermitian eigensolver per stack for larger m;
 the transport seed keeps the SVD / eig path for every m.  Frames, sewing
@@ -104,13 +105,8 @@ class FrameField:
     def deficiency(self) -> np.ndarray:
         """Operator-norm deficiency ||1 - u(k)+ u(k + e_a)|| of every forward
         link, periodic, shape (dim, *sizes); computed once per instance."""
-        u = self.frames
-        eye = np.eye(self.m)
-        out = np.empty((self.grid.dim,) + self.grid.sizes)
-        for a in range(self.grid.dim):
-            out[a] = batched_spectral_norm(
-                _mm(_dag(u), np.roll(u, -1, axis=a)) - eye)
-        return out
+        return np.stack([link_deficiency(self.frames, a)
+                         for a in range(self.grid.dim)])
 
     @property
     def smoothness(self) -> float:
@@ -243,11 +239,38 @@ def plane_chern_numbers(raw: FrameField) -> dict:
 # smooth periodic gauge
 # ---------------------------------------------------------------------------
 
+def _k_independent(x: np.ndarray) -> bool:
+    """True iff every node of a stack (*sizes, n, m) equals node 0 (==)."""
+    return bool((x == x[(0,) * (x.ndim - 2)]).all())
+
+
+def _per_link(kernel, u, axis, alloc):
+    """kernel(u(k)+ u(k + e_axis)), periodic along `axis`; a k-independent
+    u runs it on the link u0+ u0 alone, copied into a full `alloc` array."""
+    if not _k_independent(u):
+        return kernel(_mm(_dag(u), np.roll(u, -1, axis=axis)))
+    dim = u.ndim - 2
+    u0 = u[(slice(0, 1),) * dim]
+    one = kernel(_mm(_dag(u0), u0))
+    out = alloc(u.shape[:dim] + one.shape[dim:], dtype=one.dtype)
+    out[...] = one
+    return out
+
+
 def link_log(u: np.ndarray, axis: int) -> np.ndarray:
     """Principal log of the forward link unitaries polar(u(k)+ u(k + e_axis)),
-    periodic along `axis` and not divided by the spacing."""
-    return unitary_log(batched_polar_unitary(
-        _mm(_dag(u), np.roll(u, -1, axis=axis))))
+    periodic along `axis` and not divided by the spacing; one node of a
+    k-independent u, an exact test that changes no bit."""
+    return _per_link(lambda O: unitary_log(batched_polar_unitary(O)),
+                     u, axis, _empty_stack)
+
+
+def link_deficiency(u: np.ndarray, axis: int) -> np.ndarray:
+    """Operator-norm deficiency ||u(k)+ u(k + e_axis) - 1|| of every forward
+    link, periodic along `axis`; one node of a k-independent u, an exact
+    test that changes no bit."""
+    return _per_link(lambda O: batched_spectral_norm(O - np.eye(O.shape[-1])),
+                     u, axis, np.empty)
 
 
 def _transport_last_axis(u):
@@ -456,14 +479,13 @@ def smooth_gauge(raw: FrameField) -> FrameField:
     number, in which case no smooth periodic gauge exists, and with
     ConvergenceFailure when the gauge stays above deficiency 1.2.
 
-    k-independent frames (every node's bitwise equal to node 0's) come back
-    as they are: each link is u+ u, and every seed and relax would return
-    them unchanged.  The test is exact; dispersive frames always fail it.
+    k-independent frames (`_k_independent`) come back as they are: each
+    link is u+ u, and every seed and relax would return them unchanged.
     """
     for plane, (c, _) in plane_chern_numbers(raw).items():
         if c != 0:
             raise ChernObstruction(plane[:2], c)
-    if (raw.frames == raw.frames[(0,) * raw.grid.dim]).all():
+    if _k_independent(raw.frames):
         return raw
     field_ = _smooth_frames(raw)
     s = field_.smoothness

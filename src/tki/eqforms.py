@@ -20,8 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .grids import BZGrid
-from .bloch import RoughGauge, SewingField, wzw_density
-from .linalg import batched_spectral_norm
+from .bloch import RoughGauge, SewingField, link_deficiency, wzw_density
 
 
 class EqformsError(ValueError):
@@ -256,18 +255,16 @@ def sample_wzw(wfield: SewingField, smoothness_limit: float = 1.0):
     artifact that must shrink under grid refinement).  Raises RoughGauge
     when the field varies too fast between neighbouring nodes for the link
     logarithms to be trustworthy.  The gate measures the largest link
-    ||w(k + e_a) - w(k)||, whose scale in a smooth gauge is about a constant
-    over N; band-inverted models exceed 0.3 on every practical grid, so the
-    default admits links up to 1.0 and still refuses a field with a jump.
+    ||w(k + e_a) - w(k)|| = ||w(k)+ w(k + e_a) - 1|| (`bloch.link_deficiency`:
+    one node of a k-independent w, an exact test that changes no bit), whose
+    scale in a smooth gauge is about a constant over N; band-inverted models
+    exceed 0.3 on every practical grid, so the default admits links up to
+    1.0 and still refuses a field with a jump.
     """
     grid = wfield.grid
     if grid.dim != 3:
         raise WrongDegree("the trivialisation density lives on 3-d grids")
-    w = wfield.w
-    worst = 0.0
-    for a in range(3):
-        diff = np.roll(w, -1, axis=a) - w
-        worst = max(worst, float(batched_spectral_norm(diff).max()))
+    worst = max(float(link_deficiency(wfield.w, a).max()) for a in range(3))
     if worst > smoothness_limit:
         raise RoughGauge(
             f"sewing field link deficiency {worst:.3f} exceeds "

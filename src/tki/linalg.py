@@ -245,11 +245,12 @@ def _newton_schulz_polar(M):
     m = M.shape[-1]
     nodes = M.shape[:-2]
     # a matrix-major copy as (m, m, n): one long vector per entry; the
-    # norm is summed on the copy, so it rounds the same for every layout
-    # of M
+    # norm adds the entries one by one in row-major order, so it rounds the
+    # same for every layout of M and every number of nodes (numpy's
+    # reduction sums a single matrix pairwise)
     X = np.empty((m, m) + nodes, dtype=complex)
     X[...] = np.moveaxis(M, (-2, -1), (0, 1))
-    fro = np.sqrt((X.real ** 2 + X.imag ** 2).sum(axis=(0, 1)))
+    fro = np.sqrt(sum((X.real ** 2 + X.imag ** 2).reshape((m * m,) + nodes)))
     with np.errstate(divide="ignore", invalid="ignore"):
         X *= np.sqrt(m) / fro
     X = X.reshape(m, m, -1)

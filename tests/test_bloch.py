@@ -173,7 +173,8 @@ class TestSmoothGauge:
                                                       basis):
         # an atomic insulator's frames equal node 0's bit for bit, so
         # every link is u+ u and no seed, relax or anneal runs; every torus
-        # route still reads +1
+        # route still reads +1, and every link log and link norm of the run
+        # is taken on one node
         model = models.make_model("trivial", {"d": 3, "m": m})
         if basis is not None:
             model = in_random_basis(model, basis)
@@ -186,19 +187,30 @@ class TestSmoothGauge:
         # the links of a random basis are 1 up to its rounding
         assert frames.smoothness <= (0.0 if basis is None else 1e-15)
         routes = ["pfaffian", "planes", "wzw", "winding", "cs", "localise"]
+        nodes = _link_stack_nodes(monkeypatch)
         outputs, statuses = cli._compute_methods(model, grid, routes,
                                                  dict(cli._TOL_DEFAULTS))
         assert not statuses
         assert {name: out["parity"] for name, out in outputs.items()} \
             == dict.fromkeys(routes, 1)
+        for seen in nodes.values():
+            assert seen and set(seen) == {1}
 
     def test_k_dependent_frames_run_the_seed(self, monkeypatch):
-        raw = bloch.diagonalize_grid(models.make_model("fkm3d", {"dt": 0.5}),
-                                     BZGrid.cubic(3, 8))
+        model = models.make_model("fkm3d", {"dt": 0.5})
+        raw = bloch.diagonalize_grid(model, BZGrid.cubic(3, 8))
         calls = self._seed_calls(monkeypatch)
         frames = bloch.smooth_gauge(raw)
         assert calls[:2] == ["_transport_init", "_relax"]
         assert not np.array_equal(frames.frames, raw.frames)
+        # every link log and link norm of a run takes the full stack
+        nodes = _link_stack_nodes(monkeypatch)
+        cli._compute_methods(model, raw.grid,
+                             ["pfaffian", "planes", "wzw", "winding", "cs",
+                              "localise"],
+                             {**cli._TOL_DEFAULTS, "smoothness": 1.0})
+        for seen in nodes.values():
+            assert seen and set(seen) == {8 ** 3}
 
     def test_fourier_step_counts(self, monkeypatch):
         # the steps of the benchmark's gauge requests, per level: fkm3d
@@ -428,6 +440,81 @@ class TestBerryConnection:
         assert np.abs(np.abs(tr_curl) - np.abs(flux_field)).max() <= 5 * h**2
 
 
+def _link_stack_nodes(monkeypatch):
+    """Node counts of the stacks that `unitary_log` and
+    `batched_spectral_norm` receive from the link kernels."""
+    nodes = {"unitary_log": [], "batched_spectral_norm": []}
+    for name, seen in nodes.items():
+        def spy(X, _f=getattr(bloch, name), _seen=seen):
+            _seen.append(X[..., 0, 0].size)
+            return _f(X)
+        monkeypatch.setattr(bloch, name, spy)
+    return nodes
+
+
+def _same_bits(a, b):
+    """Equal shape, dtype and bytes, so signed zeros count too."""
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes()
+            == np.ascontiguousarray(b).tobytes())
+
+
+def _link_kernels(x):
+    """link_log and link_deficiency of a stack along every grid axis."""
+    return [kernel(x, a) for kernel in (bloch.link_log, bloch.link_deficiency)
+            for a in range(x.ndim - 2)]
+
+
+def _full_path_kernels(x):
+    """`_link_kernels` with the k-independence test forced false."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bloch, "_k_independent", lambda x: False)
+        return _link_kernels(x)
+
+
+class TestLinkKernels:
+    """A k-independent stack takes the link kernels on node 0 alone, and
+    its results are bitwise those of the full stack."""
+
+    @staticmethod
+    def _trivial_fields(d, m, basis):
+        model = models.make_model("trivial", {"d": d, "m": m})
+        if basis is not None:
+            model = in_random_basis(model, basis)
+        raw = bloch.diagonalize_grid(model, BZGrid.cubic(d, 8))
+        frames, wfield, wred = bloch.gauge_pipeline(raw, model.theta)
+        return {"frames": frames.frames, "w": wfield.w, "wred": wred.w}
+
+    # the m = 6 random basis sums a node's Frobenius norm in the
+    # Newton-Schulz polar factor to a different last bit when numpy reduces
+    # one matrix pairwise
+    @pytest.mark.parametrize("d, m, basis", [
+        (3, 2, None), (3, 4, None), (3, 6, None), (2, 2, None), (3, 2, 7),
+        (3, 4, 7), (3, 6, 3)],
+        ids=["d3-m2", "d3-m4", "d3-m6", "d2-m2", "d3-m2-random-basis",
+             "d3-m4-random-basis", "d3-m6-random-basis"])
+    def test_one_node_path_changes_no_bit(self, d, m, basis):
+        for name, x in self._trivial_fields(d, m, basis).items():
+            assert bloch._k_independent(x), name
+            one_node = _link_kernels(x)
+            for got, want in zip(one_node, _full_path_kernels(x)):
+                assert _same_bits(got, want), name
+            for L in one_node[:d]:
+                assert matrix_major(L) and L.flags.writeable
+
+    def test_one_ulp_off_takes_the_full_path(self, monkeypatch):
+        x = self._trivial_fields(3, 4, 7)["frames"].copy()
+        x[1, 2, 3, 0, 0] = (np.nextafter(x[1, 2, 3, 0, 0].real, np.inf)
+                            + 1j * x[1, 2, 3, 0, 0].imag)
+        assert not bloch._k_independent(x)
+        nodes = _link_stack_nodes(monkeypatch)
+        full = _link_kernels(x)
+        for seen in nodes.values():
+            assert set(seen) == {8 ** 3}
+        for got, want in zip(full, _full_path_kernels(x)):
+            assert _same_bits(got, want)
+
+
 class TestQuaternionicAverage:
     def test_idempotent_and_sigma_fixed(self, bhz_gauge):
         _, frames, wfield = bhz_gauge
@@ -509,10 +596,17 @@ class TestQuaternionicAverage:
 
 
 class TestWzwDensity:
-    def test_vanishes_for_constant_field(self):
+    @pytest.mark.parametrize("one_node", [True, False],
+                             ids=["one-node", "full-stack"])
+    def test_vanishes_for_constant_field(self, monkeypatch, one_node):
+        # the constant field takes the one-node links; forced onto the full
+        # stack, the full kernels get the same check
+        if not one_node:
+            monkeypatch.setattr(bloch, "_k_independent", lambda x: False)
         g = BZGrid.cubic(3, 8)
         S = np.kron(np.eye(1), np.array([[0, 1], [-1, 0]]))
         w = np.broadcast_to(S, g.sizes + (2, 2)).copy()
+        assert bloch._k_independent(w) == one_node
         dens = bloch.wzw_density(bloch.SewingField(g, w))
         assert np.abs(dens).max() <= 1e-14
 

@@ -182,6 +182,18 @@ class TestInvariantCommand:
         doc = json.loads(out)
         assert "error" in doc["methods"]["wzw"]
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_one_node_links_change_no_byte(self, capsys, monkeypatch, m):
+        # the link kernels of trivial frames run on one node; the report is
+        # byte for byte the one with every kernel on the full stack
+        argv = ["invariant", "--model", "trivial", "--params", f"d=3,m={m}",
+                "--grid", "12", "--methods",
+                "pfaffian,planes,wzw,winding,cs,localise", "--stable-output"]
+        one_node = run(capsys, *argv)
+        monkeypatch.setattr(bloch, "_k_independent", lambda x: False)
+        assert run(capsys, *argv) == one_node
+        assert one_node[0] == 0
+
 
 class TestLocaliseCommand:
     def test_uniform(self, capsys):
