@@ -2,10 +2,12 @@
 
 Subcommands
 -----------
-invariant      compute the Z2 invariant of a model by one or more methods
+invariant      compute the Z2 invariant of a model by the routes of `_ROUTES`;
+               --stable-output zeroes the report's runtime_ms fields
 phase-diagram  sweep one model parameter and tabulate parities (CSV)
 localise       dump a localisation descent trace (uniform or sampled density)
-validate       run the structural property suite over registry models
+validate       run the structural property suite over registry models;
+               --seed draws only the --theta-noise perturbation
 ingest         validate a sampled-Hamiltonian JSON file and cache it
 
 Exit codes: 0 success, 1 usage or I/O error, 2 method disagreement,
@@ -15,6 +17,7 @@ Exit codes: 0 success, 1 usage or I/O error, 2 method disagreement,
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import os
@@ -34,10 +37,6 @@ class UsageError(ValueError):
 # ---------------------------------------------------------------------------
 # configuration plumbing
 # ---------------------------------------------------------------------------
-
-_METHODS = ("pfaffian", "planes", "wzw", "winding", "cs", "s3", "localise")
-# the routes that integrate a 3-form: torus models of dimension 3 only
-_DENSITY_ROUTES = ("wzw", "winding", "cs", "localise")
 
 # documented tolerance defaults; every entry has a --tol-<name> override
 # on the commands that build a model
@@ -174,33 +173,93 @@ def _tols(args):
 
 
 # ---------------------------------------------------------------------------
-# shared computation pipeline
+# routes and the shared computation pipeline
 # ---------------------------------------------------------------------------
 
-def _localise_wzw(wred):
-    """Sample the degree density of an SU-reduced sewing field and localise
-    it onto the inversion-fixed nodes; returns (trace, discarded)."""
-    coch, discarded = eqforms.sample_wzw(wred)
-    return eqforms.localise(coch), discarded
+# Route kernels: each takes the pipeline's products by keyword, uses what it
+# needs and returns the route's out dict.  They call the library through its
+# modules, so a tracer that rebinds module attributes sees every call.
+
+def _pfaffian(wred, **_):
+    parity, pfs = invariants.km_trim_pfaffian(wred)
+    raw_val = float(np.prod([p.real for p in pfs]))
+    return {"parity": parity, "raw": raw_val,
+            "residual": abs(abs(raw_val) - 1.0), "pfaffians": pfs}
+
+
+def _planes(model, grid, raw, **_):
+    if grid.dim == 2:
+        parity, raw_val = invariants.km_plane_invariant(raw, model.theta)
+        return {"parity": parity, "raw": raw_val,
+                "residual": abs(raw_val - round(raw_val))}
+    strong, weak, _ = invariants.km_weak_strong(raw, model.theta)
+    return {"parity": strong, "raw": float(strong), "residual": 0.0,
+            "weak": list(weak)}
+
+
+def _wzw(wred, **_):
+    integral, parity = invariants.km_wzw(wred)
+    return {"parity": parity, "raw": integral,
+            "residual": abs(integral - round(integral))}
+
+
+def _winding(wred, **_):
+    index, parity, _ = invariants.km_winding(wred)
+    return {"parity": parity, "raw": float(index), "residual": 0.0}
+
+
+def _cs(frames, wred, tol, **_):
+    conn = bloch.quaternionic_average(
+        bloch.berry_connection(frames, smoothness_limit=tol["smoothness"]),
+        wred)
+    cs, parity, rel = invariants.km_chern_simons(conn, wred)
+    return {"parity": parity, "raw": cs, "residual": rel}
+
+
+def _localise(wred, **_):
+    # the sampled degree density, localised onto the inversion-fixed nodes
+    trace = eqforms.localise(eqforms.sample_wzw(wred)[0])
+    total = sum(trace.fixed_values.values())
+    parity, resid = invariants._round_parity(total)
+    return {"parity": parity, "raw": float(total), "residual": resid}
+
+
+def _s3(model, grid, **_):
+    out = invariants.km_s3(model, grid.sizes[0])  # mesh: first grid size
+    return {"parity": out["parity"], "raw": out["upsilon"],
+            "residual": out["residual"]}
+
+
+# a route's kernel; whether it reads the smooth gauge; whether it runs when
+# --methods is not given; the (domain, dim) model kinds it takes
+_Route = collections.namedtuple("_Route", "kernel gauge default kinds")
+_T2, _T3, _S3 = ("torus", 2), ("torus", 3), ("sphere3", 3)
+# every route, in the order --methods defaults list them
+_ROUTES = {
+    "pfaffian": _Route(_pfaffian, True, True, (_T2, _T3)),
+    "planes": _Route(_planes, False, True, (_T2, _T3)),
+    "wzw": _Route(_wzw, True, True, (_T3,)),
+    "winding": _Route(_winding, True, True, (_T3,)),
+    "cs": _Route(_cs, True, False, (_T3,)),
+    "localise": _Route(_localise, True, False, (_T3,)),
+    "s3": _Route(_s3, False, True, (_S3,)),
+}
 
 
 def _compute_methods(model, grid, methods, tol, stable=False, raw=None):
     """Run the requested methods; returns (outputs dict, statuses set).
 
-    `methods` holds names from `_METHODS`.  `raw` may carry frames already
-    diagonalized on `grid`.  The torus stages run only for torus routes; the
-    s3 route takes its mesh size from the first grid size.
+    `methods` holds names from `_ROUTES`.  `raw` may carry frames already
+    diagonalized on `grid`; a torus model is diagonalized otherwise.  The
+    gauge stages run only when a requested route reads them.
     """
     outputs = {}
     statuses = set()
-    if raw is None and set(methods) - {"s3"}:
+    if raw is None and model.domain == "torus":
         raw = bloch.diagonalize_grid(model, grid, gap=tol["gap"])
 
-    needs_gauge = {"pfaffian", "wzw", "winding", "cs", "localise"} \
-        & set(methods)
-    frames = wred = None
-    gauge_error = None
-    if needs_gauge:
+    frames = wred = gauge_error = None
+    if any(_ROUTES[name].gauge for name in methods):
         try:
             frames, _, wred = bloch.gauge_pipeline(
                 raw, model.theta, smoothness_limit=tol["smoothness"])
@@ -208,54 +267,15 @@ def _compute_methods(model, grid, methods, tol, stable=False, raw=None):
             gauge_error = f"{type(exc).__name__}: {exc}"
 
     for name in methods:
-        if gauge_error is not None and name in needs_gauge:
+        route = _ROUTES[name]
+        if gauge_error is not None and route.gauge:
             outputs[name] = {"error": gauge_error}
             statuses.add("nonconvergent")
             continue
         t0 = time.perf_counter()
         try:
-            if name == "pfaffian":
-                parity, pfs = invariants.km_trim_pfaffian(wred)
-                raw_val = float(np.prod([p.real for p in pfs]))
-                out = {"parity": parity, "raw": raw_val,
-                       "residual": abs(abs(raw_val) - 1.0),
-                       "pfaffians": pfs}
-            elif name == "planes":
-                if grid.dim == 2:
-                    parity, raw_val = invariants.km_plane_invariant(
-                        raw, model.theta)
-                    out = {"parity": parity, "raw": raw_val,
-                           "residual": abs(raw_val - round(raw_val))}
-                else:
-                    strong, weak, nu = invariants.km_weak_strong(
-                        raw, model.theta)
-                    out = {"parity": strong, "raw": float(strong),
-                           "residual": 0.0, "weak": list(weak)}
-            elif name == "wzw":
-                integral, parity = invariants.km_wzw(wred)
-                out = {"parity": parity, "raw": integral,
-                       "residual": abs(integral - round(integral))}
-            elif name == "winding":
-                index, parity, _ = invariants.km_winding(wred)
-                out = {"parity": parity, "raw": float(index),
-                       "residual": 0.0}
-            elif name == "cs":
-                conn = bloch.quaternionic_average(
-                    bloch.berry_connection(
-                        frames, smoothness_limit=tol["smoothness"]),
-                    wred)
-                cs, parity, rel = invariants.km_chern_simons(conn, wred)
-                out = {"parity": parity, "raw": cs, "residual": rel}
-            elif name == "localise":
-                trace, _ = _localise_wzw(wred)
-                total = sum(trace.fixed_values.values())
-                parity, resid = invariants._round_parity(total)
-                out = {"parity": parity, "raw": float(total),
-                       "residual": resid}
-            else:  # s3
-                out = invariants.km_s3(model, grid.sizes[0])
-                out = {"parity": out["parity"], "raw": out["upsilon"],
-                       "residual": out["residual"]}
+            out = route.kernel(model=model, grid=grid, tol=tol, raw=raw,
+                               frames=frames, wred=wred)
         except bloch.GaplessAt:
             raise  # an input error, not a failed route
         except (invariants.InvariantError, bloch.BlochError,
@@ -278,27 +298,24 @@ def _compute_methods(model, grid, methods, tol, stable=False, raw=None):
 def cmd_invariant(args, extra) -> int:
     model = _build_model(args.model, _model_params(args, extra))
     tol = _tols(args)
+    kind = (model.domain, model.dim)
     if model.domain == "sphere3":
         # the s3 route's angular mesh size, taken from --grid
         grid = BZGrid.cubic(3, _sphere_mesh(args.grid, 48))
-        default = "s3"
     else:
         if args.grid is None:
             raise UsageError("--grid is required for torus models")
         grid = _parse_grid(args.grid, model.dim)
-        default = "pfaffian,planes,wzw,winding" if model.dim == 3 \
-            else "pfaffian,planes"
-    methods = [m for m in (args.methods or default).split(",") if m]
+    methods = [m for m in args.methods.split(",") if m] if args.methods \
+        else [n for n, r in _ROUTES.items() if r.default and kind in r.kinds]
     if not methods:
         raise UsageError("--methods names no method")
     for m in methods:
-        if m not in _METHODS:
+        if m not in _ROUTES:
             raise UsageError(f"unknown method {m!r}")
-        if (m == "s3") != (model.domain == "sphere3"):
-            raise UsageError(
-                f"method {m!r} does not apply to a {model.domain} model")
-        if m in _DENSITY_ROUTES and model.dim != 3:
-            raise UsageError(f"method {m!r} needs a 3-d model")
+        if kind not in _ROUTES[m].kinds:
+            raise UsageError(f"method {m!r} does not apply to a "
+                             f"{model.dim}-d {model.domain} model")
     outputs, statuses = _compute_methods(model, grid, methods, tol,
                                          stable=args.stable_output)
 
@@ -342,9 +359,10 @@ def cmd_phase_diagram(args, extra) -> int:
                 grid = _parse_grid(args.grid or "16", model.dim)
                 raw = bloch.diagonalize_grid(model, grid, gap=tol["gap"])
                 gap = float(np.abs(raw.energies).min())
-                # a 2-d model leaves the wzw cell nan
-                columns = ("pfaffian", "planes",
-                           "wzw" if model.dim == 3 else None)
+                # a column whose route does not take the model stays nan
+                columns = tuple(
+                    c if (model.domain, model.dim) in _ROUTES[c].kinds
+                    else None for c in ("pfaffian", "planes", "wzw"))
             outputs, _ = _compute_methods(
                 model, grid, [c for c in columns if c], tol, stable=True,
                 raw=raw)
@@ -374,8 +392,7 @@ def cmd_localise(args, extra) -> int:
         upsilon = _finite(form.split(":", 1)[1], "--form uniform:<v>")
         grid = _parse_grid(args.grid or "32", 3)
         dens = np.full(grid.sizes, upsilon / np.prod(grid.sizes))
-        trace = eqforms.localise(eqforms.Cochain.from_density(grid, dens))
-        discarded = 0.0
+        coch, discarded = eqforms.Cochain.from_density(grid, dens), 0.0
     elif form == "wzw":
         tol = _tols(args)
         model = _build_model(args.model, _model_params(args, extra))
@@ -385,9 +402,10 @@ def cmd_localise(args, extra) -> int:
         raw = bloch.diagonalize_grid(model, grid, gap=tol["gap"])
         _, _, wred = bloch.gauge_pipeline(
             raw, model.theta, smoothness_limit=tol["smoothness"])
-        trace, discarded = _localise_wzw(wred)
+        coch, discarded = eqforms.sample_wzw(wred)
     else:
         raise UsageError("--form must be uniform:<v> or wzw")
+    trace = eqforms.localise(coch)
     doc = trace.as_dict()
     doc["discarded_symmetric_part"] = discarded
     code = 0
@@ -445,24 +463,6 @@ def _validate_suite(seed, noise):
             checks.append({"property": f"{name}: sewing construction",
                            "residual": float("inf"), "tolerance": 0.0,
                            "ok": False, "error": str(exc)})
-
-    # cochain calculus properties on a random seed-determined field
-    g3 = BZGrid.cubic(3, 16)
-    c0 = eqforms.Cochain(g3, 0, rng.standard_normal((1,) + g3.sizes))
-    record("cochain: d(d(f)) = 0",
-           np.abs(eqforms.d(eqforms.d(c0)).values).max(), 1e-12)
-    ct = eqforms.Cochain.from_density(g3, rng.standard_normal(g3.sizes))
-    pb2 = eqforms.involution_pullback(eqforms.involution_pullback(ct))
-    record("cochain: pullback is involutive",
-           np.abs(pb2.values - ct.values).max(), 0.0)
-    record("cochain: top integral is inversion-odd",
-           abs(eqforms.integrate(eqforms.involution_pullback(ct))
-               + eqforms.integrate(ct)), 1e-9)
-    _, minus = eqforms.project_pm(ct)
-    tr = eqforms.localise(minus)
-    record("descent: fixed values sum to the integral",
-           abs(sum(tr.fixed_values.values()) - tr.total)
-           / max(minus.norm1(), 1.0), 1e-9)
     return checks
 
 
@@ -515,10 +515,6 @@ def _build_parser():
         sp.add_argument("--params", default="")
         sp.add_argument("--grid")
         sp.add_argument("--out")
-        sp.add_argument("--stable-output", action="store_true",
-                        help="zero the runtime_ms fields of an invariant "
-                             "report; changes no byte on phase-diagram and "
-                             "localise")
         for key, default in _TOL_DEFAULTS.items():
             sp.add_argument(f"--tol-{key}", default=None,
                             help=f"override tolerance (default {default})")
@@ -527,6 +523,8 @@ def _build_parser():
 
     sp = model_command("invariant", cmd_invariant, "compute the invariant")
     sp.add_argument("--methods")
+    sp.add_argument("--stable-output", action="store_true",
+                    help="zero the runtime_ms fields of the report")
     sp = model_command("phase-diagram", cmd_phase_diagram, "sweep a parameter")
     sp.add_argument("--sweep", help="name:start:stop:steps")
     sp = model_command("localise", cmd_localise, "dump a localisation trace")

@@ -1,10 +1,17 @@
-import dataclasses
+import os
 
-import numpy as np
-import pytest
+# one BLAS thread, set before numpy loads: OpenBLAS's idle threads spin on
+# the grid-wide GEMMs and double the suite's CPU time on two cores
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from tki import bloch, models
-from tki.grids import BZGrid
+import dataclasses  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from tki import bloch, models  # noqa: E402
+from tki.grids import BZGrid  # noqa: E402
 
 
 def random_skew(rng, n):

@@ -81,6 +81,10 @@ class TestInvariantCommand:
                      ["invariant", *trivial, "--tol-round", "0.3"],
                      ["invariant", *trivial, "--tol-sample-smoothness", "2"],
                      ["phase-diagram", *bhz, "--seed", "1"],
+                     # --stable-output zeroes the timings only invariant
+                     # reports carry
+                     ["phase-diagram", *bhz, "--stable-output"],
+                     ["localise", "--form", "uniform:3", "--stable-output"],
                      ["validate", "--grid", "16"],
                      ["validate", "--tol-gap", "10"],
                      ["validate", "--stable-output"],
@@ -195,6 +199,43 @@ class TestInvariantCommand:
         assert one_node[0] == 0
 
 
+# the route table's facts, written out: the kinds each route answers on
+# (trivial d = 2, trivial d = 3, dirac_s3) and each kind's default routes
+KINDS = {"torus2": ["--model", "trivial", "--dim", "2", "--m", "2",
+                    "--grid", "8"],
+         "torus3": ["--model", "trivial", "--dim", "3", "--m", "2",
+                    "--grid", "8"],
+         "sphere3": ["--model", "dirac_s3", "--mass", "-1", "--grid", "10"]}
+PARITY = {"torus2": 1, "torus3": 1, "sphere3": -1}
+ANSWERS_ON = {"pfaffian": {"torus2", "torus3"},
+              "planes": {"torus2", "torus3"},
+              "wzw": {"torus3"}, "winding": {"torus3"}, "cs": {"torus3"},
+              "localise": {"torus3"}, "s3": {"sphere3"}}
+DEFAULT_ROUTES = {"torus2": {"pfaffian", "planes"},
+                  "torus3": {"pfaffian", "planes", "wzw", "winding"},
+                  "sphere3": {"s3"}}
+
+
+class TestRouteApplicability:
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("route", sorted(ANSWERS_ON))
+    def test_route_answers_or_is_refused(self, capsys, route, kind):
+        code, out, err = run(capsys, "invariant", *KINDS[kind],
+                             "--methods", route)
+        if kind in ANSWERS_ON[route]:
+            assert code == 0
+            assert json.loads(out)["methods"][route]["parity"] == PARITY[kind]
+        else:
+            assert code == 1 and out == "" and err.startswith("error:")
+            assert "does not apply" in err
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_default_routes(self, capsys, kind):
+        code, out, _ = run(capsys, "invariant", *KINDS[kind])
+        assert code == 0
+        assert set(json.loads(out)["methods"]) == DEFAULT_ROUTES[kind]
+
+
 class TestLocaliseCommand:
     def test_uniform(self, capsys):
         code, out, _ = run(capsys, "localise", "--form", "uniform:3",
@@ -268,6 +309,13 @@ class TestValidateCommand:
         doc = json.loads(out1)
         assert doc["ok"] is True
         assert all(c["ok"] for c in doc["checks"])
+
+    def test_seed_draws_only_the_noise(self, capsys):
+        # without --theta-noise no check reads a random number
+        docs = [json.loads(run(capsys, "validate", "--seed", seed)[1])
+                for seed in ("3", "5")]
+        assert docs[0].pop("seed") == 3 and docs[1].pop("seed") == 5
+        assert docs[0] == docs[1]
 
     def test_theta_noise_fails(self, capsys):
         code, out, _ = run(capsys, "validate", "--seed", "3",

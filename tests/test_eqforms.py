@@ -81,6 +81,10 @@ class TestInvolutionPullback:
     def test_top_degree_sign(self, g3):
         c = Cochain.from_density(g3, np.ones(g3.sizes))
         assert np.abs(involution_pullback(c).values + c.values).max() == 0.0
+        # on a seeded random top cochain the pullback moves the cubes, and
+        # the top integral is still inversion-odd
+        c = rand_cochain(g3, 3, 11)
+        assert abs(integrate(involution_pullback(c)) + integrate(c)) <= 1e-9
 
     def test_projectors_split(self, g3):
         c = rand_cochain(g3, 3, 5)

@@ -35,8 +35,7 @@ REQUESTS = {
                      "--grid", "12", "--stable-output"],
     "dirac_s3_mass-1_16": ["invariant", "--model", "dirac_s3", "--mass", "-1",
                            "--grid", "16", "--stable-output"],
-    "localise_uniform3": ["localise", "--form", "uniform:3",
-                          "--stable-output"],
+    "localise_uniform3": ["localise", "--form", "uniform:3"],
     "localise_fkm3d_dt0.5_24": ["localise", "--model", "fkm3d", "--dt", "0.5",
                                 "--form", "wzw", "--grid", "24"],
     "phase_bhz2d_m_12": ["phase-diagram", "--model", "bhz2d",

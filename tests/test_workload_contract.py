@@ -37,7 +37,7 @@ def _stdout(*argv):
 
 def test_requested_routes_are_cli_methods(workloads):
     for route in workloads.ALL_TORUS_ROUTES + workloads.SWEEP_ROUTES:
-        assert route in cli._METHODS, route
+        assert route in cli._ROUTES, route
 
 
 def test_default_routes_match_the_cli(workloads):
