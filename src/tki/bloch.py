@@ -50,7 +50,7 @@ import numpy as np
 
 from .grids import BZGrid
 from .linalg import (_AH, _dag, _empty_stack, _matrix_major, _mm,
-                     _scale_columns, batched_polar_unitary,
+                     _scale_columns, _svd_polar, batched_polar_unitary,
                      batched_spectral_norm, phase_continue, unitary_log,
                      unitary_ramp)
 
@@ -193,7 +193,8 @@ def diagonalize_grid(model, grid: BZGrid, gap: float = 1e-8) -> FrameField:
     m = model.n_occ
     below, above = ev[..., m - 1], ev[..., m]
     if below.max() >= -gap or above.min() <= gap:
-        node = np.unravel_index(int(np.argmin(above - below)), below.shape)
+        node = tuple(int(i) for i in np.unravel_index(
+            int(np.argmin(above - below)), below.shape))
         raise GaplessAt(f"gap closes near node {node}")
     return FrameField(grid, _matrix_major(vec[..., :m]), ev[..., :m])
 
@@ -212,26 +213,21 @@ def plaquette_flux(frames2d: np.ndarray) -> np.ndarray:
     return np.angle(loop)
 
 
-def plane_flux_sum(frames2d: np.ndarray):
-    """(total flux, Chern integer, integrality residual) of a 2-d frame array."""
-    total = float(plaquette_flux(frames2d).sum())
-    chern = int(round(total / (2 * np.pi)))
-    return total, chern, abs(total / (2 * np.pi) - chern)
-
-
 def plane_chern_numbers(raw: FrameField) -> dict:
-    """Chern number of every invariant coordinate plane at slice indices 0, N/2."""
+    """(Chern number, integrality residual) of every invariant coordinate
+    plane at slice indices 0 and N/2; a 2-d grid is its own plane."""
+    grid = raw.grid
+    if grid.dim == 2:
+        planes = {(0, 1, None, None): raw.frames}
+    else:
+        planes = {tuple(b for b in range(3) if b != a) + (a, idx):
+                  raw.restrict_plane(a, idx).frames
+                  for a in range(3) for idx in (0, grid.sizes[a] // 2)}
     out = {}
-    if raw.grid.dim == 2:
-        _, c, r = plane_flux_sum(raw.frames)
-        out[(0, 1, None, None)] = (c, r)
-        return out
-    for axis in range(3):
-        pair = tuple(a for a in range(3) if a != axis)
-        for idx in (0, raw.grid.sizes[axis] // 2):
-            sel = tuple(idx if a == axis else slice(None) for a in range(3))
-            _, c, r = plane_flux_sum(raw.frames[sel])
-            out[pair + (axis, idx)] = (c, r)
+    for key, u in planes.items():
+        x = float(plaquette_flux(u).sum()) / (2 * np.pi)
+        n = round(x)
+        out[key] = (n, abs(x - n))
     return out
 
 
@@ -284,12 +280,10 @@ def _transport_last_axis(u):
     n = u.shape[-3]
     for i in range(1, n):
         M = _mm(_dag(u[..., i - 1, :, :]), u[..., i, :, :])
-        u[..., i, :, :] = _mm(u[..., i, :, :],
-                              _dag(batched_polar_unitary(M, svd=True)))
+        u[..., i, :, :] = _mm(u[..., i, :, :], _dag(_svd_polar(M)))
     # node i takes the holonomy's power i/n
-    ramp = unitary_ramp(batched_polar_unitary(
-        _mm(_dag(u[..., n - 1, :, :]), u[..., 0, :, :]), svd=True),
-        np.arange(n) / n)
+    ramp = unitary_ramp(_svd_polar(
+        _mm(_dag(u[..., n - 1, :, :]), u[..., 0, :, :])), np.arange(n) / n)
     for i, G in enumerate(ramp):
         u[..., i, :, :] = _mm(u[..., i, :, :], G)
     return u

@@ -443,26 +443,21 @@ def _validate_suite(seed, noise):
         grid = BZGrid.cubic(dim, 16)
         rep = models.validate_model(model, grid)
         record(f"{name}: time-reversal relation", rep["tr_residual"], 1e-8)
-        record(f"{name}: spectral gap open", 1e-8 if rep["min_gap"] > 1e-8
-               else 1.0, 1e-8)
         record(f"{name}: Kramers pairing", 0.0 if rep["kramers_ok"] else 1.0,
                1e-9)
-        raw = bloch.diagonalize_grid(model, grid)
-        worst_c = max(abs(c) + r for c, r
-                      in bloch.plane_chern_numbers(raw).values())
-        record(f"{name}: invariant-plane Chern numbers vanish", worst_c, 1e-6)
-        try:
+        try:  # a perturbation that closes the gap fails a check here
+            raw = bloch.diagonalize_grid(model, grid)
+            worst_c = max(abs(c) + r for c, r
+                          in bloch.plane_chern_numbers(raw).values())
+            record(f"{name}: invariant-plane Chern numbers vanish", worst_c,
+                   1e-6)
             _, w, _ = bloch.gauge_pipeline(raw, model.theta,
                                            smoothness_limit=1.0)
-            res = w.residuals()
-            record(f"{name}: sewing unitarity", res["unitarity"], 1e-8)
-            record(f"{name}: sewing involution relation",
-                   res["involution"], 1e-8)
-            record(f"{name}: fixed-node skewness", res["trim_skew"], 1e-8)
+            record(f"{name}: sewing construction",
+                   max(w.residuals().values()), 1e-8)
         except bloch.BlochError as exc:
-            checks.append({"property": f"{name}: sewing construction",
-                           "residual": float("inf"), "tolerance": 0.0,
-                           "ok": False, "error": str(exc)})
+            record(f"{name}: sewing construction", float("inf"), 1e-8)
+            checks[-1]["error"] = f"{type(exc).__name__}: {exc}"
     return checks
 
 

@@ -69,11 +69,6 @@ class Cochain:
         return _components(self.grid.dim, self.degree)
 
     @classmethod
-    def zeros(cls, grid: BZGrid, degree: int) -> "Cochain":
-        n = len(_components(grid.dim, degree))
-        return cls(grid, degree, np.zeros((n,) + grid.sizes))
-
-    @classmethod
     def from_density(cls, grid: BZGrid, density: np.ndarray) -> "Cochain":
         """Top cochain whose single component is the given per-cube field."""
         return cls(grid, grid.dim, np.asarray(density, dtype=float)[np.newaxis])
@@ -166,10 +161,11 @@ def push(density: np.ndarray, axis: int, mirror, sign: float = 1.0):
 class LocalisationTrace:
     """Record of a full localisation descent.
 
-    levels: per descent step (dimension d, rho, eta, integral), where rho is
-    the top cochain being descended at that dimension and integral is its
-    slice sum; fixed_values maps each inversion-fixed node index tuple to its
-    final number; total is the integral of the input cochain.
+    levels: per descent step (dimension d, rho, eta, integral), where rho and
+    eta are the arrays of the single components of the top cochain being
+    descended at that dimension and of its primitive (eta None at d = 0),
+    and integral is rho's sum; fixed_values maps each inversion-fixed node
+    index tuple to its final number; total is the integral of the input.
     """
 
     grid: BZGrid
@@ -202,10 +198,10 @@ def localise(c: Cochain, axes=None, tol: float = 1e-10) -> LocalisationTrace:
     the integral exactly, so the fixed-node values sum to the integral of
     the input.
 
-    The primitive eta of each step (recorded in `levels`) has the single
-    component missing its axis a; it vanishes on the base slice n_a = N/2,
-    satisfies d(eta) = c on every cube anchored in [N/2, N-1] exactly, and
-    stores the closing fiber sum over the half at n_a = 0.
+    The primitive eta of each step (in `levels`, as the array of its single
+    component, the one missing the step's axis a) vanishes on the base slice
+    n_a = N/2, satisfies d(eta) = c on every cube anchored in [N/2, N-1]
+    exactly, and stores the closing fiber sum over the half at n_a = 0.
     """
     grid = c.grid
     dim = grid.dim
@@ -222,28 +218,17 @@ def localise(c: Cochain, axes=None, tol: float = 1e-10) -> LocalisationTrace:
     total = integrate(c)
     levels = []
     remaining = list(range(dim))
-    cur_field = c.values[0]
-    cur = c
+    rho = c.values[0]
     for level_dim, a in zip(range(dim, 0, -1), axes):
         S = tuple(b for b in remaining if b != a)
-        eta_field, rho_field = push(cur_field, a, grid.involution_indices(S),
-                                    (-1.0) ** remaining.index(a))
-        levels.append((level_dim, cur, _single_component(grid, S, eta_field),
-                       float(cur_field.sum())))
-        cur_field = rho_field
-        cur = _single_component(grid, S, rho_field)
+        eta, rho_next = push(rho, a, grid.involution_indices(S),
+                             (-1.0) ** remaining.index(a))
+        levels.append((level_dim, rho, eta, float(rho.sum())))
+        rho = rho_next
         remaining.remove(a)
-    fixed = {t: float(cur_field[t]) for t in grid.trims}
-    levels.append((0, cur, None, float(cur_field.sum())))
+    fixed = {t: float(rho[t]) for t in grid.trims}
+    levels.append((0, rho, None, float(rho.sum())))
     return LocalisationTrace(grid, axes, tuple(levels), fixed, total)
-
-
-def _single_component(grid: BZGrid, S, field_values: np.ndarray) -> Cochain:
-    """Cochain of degree |S| whose only nonzero component is the subset S."""
-    out = Cochain.zeros(grid, len(S))
-    vals = out.values.copy()
-    vals[out.components.index(S)] = field_values
-    return Cochain(grid, len(S), vals)
 
 
 def sample_wzw(wfield: SewingField, smoothness_limit: float = 1.0):

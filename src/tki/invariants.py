@@ -32,8 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import BZGrid
-from .linalg import (_dag, kramers_canonical, pfaffian, polar_unitary,
-                     unitary_ramp)
+from .linalg import (_dag, batched_polar_unitary, kramers_canonical,
+                     pfaffian, unitary_ramp)
 from .bloch import (FrameField, SewingField, ConnectionField, _PERMS3,
                     _antisym_trace3, wzw_density, plaquette_flux)
 
@@ -117,6 +117,7 @@ def _ring_tr_gauge(rings: np.ndarray, U: np.ndarray) -> np.ndarray:
     each ring is the time-reversal mirror of the first.  The rings are
     transported together, and the endpoint corrections of all rings come
     from one `linalg.unitary_ramp`, the transport seed's holonomy ramp.
+    A singular link fails `_ring_phase_sum`'s determinant test instead.
     """
     N, m = rings.shape[1], rings.shape[-1]
     half = N // 2
@@ -133,7 +134,8 @@ def _ring_tr_gauge(rings: np.ndarray, U: np.ndarray) -> np.ndarray:
     canon = v[:, half].copy()
     # transport the canonical frames at j=0 along the half rings
     for j in range(1, half + 1):
-        v[:, j] = v[:, j] @ polar_unitary(_dag(v[:, j]) @ v[:, j - 1])
+        v[:, j] = v[:, j] @ batched_polar_unitary(
+            _dag(v[:, j]) @ v[:, j - 1])
     # spread the endpoint mismatch so both fixed-point frames stay
     # canonical: step j takes the mismatch's power j/half
     ramp = unitary_ramp(_dag(v[:, half]) @ canon,
@@ -235,19 +237,16 @@ def km_wzw(wfield: SewingField) -> tuple:
     return integral, parity
 
 
-def km_winding(wfield: SewingField, family_axis: int = 2) -> tuple:
+def km_winding(wfield: SewingField) -> tuple:
     """The degree integral resummed as a family of slice contributions.
 
-    Slices transverse to family_axis each contribute s_j; the rounded total
-    is the winding index, identical by construction to the rounding in
-    km_wzw.  Returns (index, parity, per-slice series).
+    Each slice of the last axis contributes s_j; the rounded total is the
+    winding index, identical by construction to the rounding in km_wzw.
+    Returns (index, parity, per-slice series).
     """
-    dens = wzw_density(wfield)
-    a = family_axis % 3
-    axes = tuple(b for b in range(3) if b != a)
-    series = dens.sum(axis=axes)
+    series = wzw_density(wfield).sum(axis=(0, 1))
     total = float(series.sum())
-    parity, resid = _round_parity(total)
+    parity, _ = _round_parity(total)
     return int(round(total)), parity, series
 
 

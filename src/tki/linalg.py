@@ -13,8 +13,8 @@ stacks take batched products and one Hermitian eigensolver per stack: the
 polar factor by a scaled Newton-Schulz iteration, the log from one `eigh`
 of a Hermitian combination of W and W+, the norm from `eigvalsh` of M+M.
 The polar factor and the log certify each node and send the nodes that
-fail to the per-matrix SVD / eig path, which `svd=True` (the transport
-seed) still takes for every node.
+fail to the per-matrix SVD / eig path, which the transport seed calls
+directly (`_svd_polar`) for every node.
 
 Layout.  Every stack of matrices (..., m, n) is stored matrix-major, its
 two matrix axes outermost in memory, from the line that creates it:
@@ -156,7 +156,7 @@ def _is_2x2(M) -> bool:
     return M.shape[-2:] == (2, 2)
 
 
-def batched_polar_unitary(M: np.ndarray, svd: bool = False) -> np.ndarray:
+def batched_polar_unitary(M: np.ndarray) -> np.ndarray:
     """Polar factors of a stack of square matrices (no conditioning check).
 
     2x2 stacks use the closed form (M + e^{i arg det M} adj(M)+) / tr sqrt(M+M)
@@ -164,11 +164,8 @@ def batched_polar_unitary(M: np.ndarray, svd: bool = False) -> np.ndarray:
     the SVD factor u vh to rounding and stays unitary on rank-1 inputs; the
     closed form returns its input's memory layout.  Larger stacks use the
     scaled Newton-Schulz iteration (`_newton_schulz_polar`), which does too;
-    nodes it cannot certify, and every node with `svd=True`, take the SVD
-    path.
+    nodes it cannot certify take the SVD path (`_svd_polar`).
     """
-    if svd:
-        return _svd_polar(M)
     if not _is_2x2(M):
         return _newton_schulz_polar(M)
     a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
@@ -300,7 +297,7 @@ def _unitary_log_phases(W):
     Returns (V, phi) with W ~ V diag(exp(i phi)) V+, phi in (-pi, pi].
     """
     vals, vecs = np.linalg.eig(W)
-    V = batched_polar_unitary(vecs, svd=True)
+    V = _svd_polar(vecs)
     return V, np.angle(vals)
 
 

@@ -14,8 +14,8 @@ The registry families are
     fkm3d            4-band diamond-lattice Dirac model with spin-orbit lambda
     dirac_s3         continuum 4-band Dirac Hamiltonian on S3 (angular coords)
 
-Externally sampled Hamiltonians enter through `ingest_sampled` (JSON; see
-`export_sampled` for the exact layout).
+Externally sampled Hamiltonians enter through `ingest_sampled`, as a dict
+or the path of a JSON file (see `export_sampled` for the exact layout).
 
 A constant operator acts on a whole grid through one GEMM: Theta's U on a
 matrix-major stack of frames, U* kron U on the rows of the Hamiltonians in
@@ -364,21 +364,15 @@ def export_sampled(model: BlochModel, sizes) -> dict:
 def ingest_sampled(source) -> BlochModel:
     """Build a lookup-table model from a sampled-Hamiltonian document.
 
-    `source` may be a dict, a JSON string, or a path to a JSON file.  The
-    model answers only on the declared nodes: any other momentum raises
-    IncompatibleGrid rather than aliasing to the nearest sample.
+    `source` is a dict or the path of a JSON file.  The model answers only
+    on the declared nodes: any other momentum raises IncompatibleGrid
+    rather than aliasing to the nearest sample.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = source
+    doc = source
+    if not isinstance(source, dict):
         try:
-            if hasattr(source, "read"):
-                text = source.read()
-            elif isinstance(source, str) and not source.lstrip().startswith("{"):
-                with open(source, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            doc = json.loads(text)
+            with open(source, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise SchemaError(f"cannot parse document: {exc}") from exc
 

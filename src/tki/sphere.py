@@ -138,25 +138,21 @@ def dirac_frames(mass: float, mesh: SphereMesh) -> np.ndarray:
         raise GaplessAt(f"sphere Dirac model is critical at mass {mass}")
     a, f, r, vs = _dirac_charts(mass, mesh)
     eye = np.eye(2, dtype=complex)
-    if mass > 0:  # chart 1 is global: f > 0 everywhere
+    if mass > -2:  # chart 1: global for mass > 0, where f > 0 everywhere
         n1 = np.sqrt(2 * r * (r + f))[..., None, None]
-        return _assemble_chart(-a[..., None, None] * vs / n1,
-                               (f + r)[..., None, None] * eye / n1)
-    if mass < -2:  # chart 2 is global: f < 0 everywhere
+        u1 = _assemble_chart(-a[..., None, None] * vs / n1,
+                             (f + r)[..., None, None] * eye / n1)
+    if mass < 0:  # chart 2: global for mass < -2, where f < 0 everywhere
         n2 = np.sqrt(2 * r * (r - f))[..., None, None]
-        return _assemble_chart((f - r)[..., None, None] * eye / n2,
-                               a[..., None, None] * vs / n2)
+        u2 = _assemble_chart((f - r)[..., None, None] * eye / n2,
+                             a[..., None, None] * vs / n2)
+    if not -2 < mass < 0:
+        return u1 if mass > 0 else u2
     # band-inverted: chart 2 near chi = 0, chart 1 near chi = pi, glued by
     # u = chart1 @ h(s) with s running 1 -> 0 across [pi/3, 2 pi/3]
     chi = mesh.angles()[..., 0]
     t = np.clip((2 * np.pi / 3 - chi) / (np.pi / 3), 0.0, 1.0)
     s = 3 * t * t - 2 * t ** 3
-    n1 = np.sqrt(2 * r * (r + f))[..., None, None]
-    u1 = _assemble_chart(-a[..., None, None] * vs / n1,
-                         (f + r)[..., None, None] * eye / n1)
-    n2 = np.sqrt(2 * r * (r - f))[..., None, None]
-    u2 = _assemble_chart((f - r)[..., None, None] * eye / n2,
-                         a[..., None, None] * vs / n2)
     half = np.pi / 2
     phase = np.exp(-1j * half * s)[..., None, None]
     hs = np.multiply(phase, np.cos(half * s)[..., None, None] * eye

@@ -58,7 +58,9 @@ class TestPlaneChern:
              + d[..., 1, None, None] * np.array([[0, -1j], [1j, 0]])
              + d[..., 2, None, None] * np.array([[1, 0], [0, -1]]))
         ev, vec = np.linalg.eigh(H)
-        _, chern, resid = bloch.plane_flux_sum(vec[..., :, :1])
+        field = bloch.FrameField(g, vec[..., :, :1], ev[..., :1])
+        (key, (chern, resid)), = bloch.plane_chern_numbers(field).items()
+        assert key == (0, 1, None, None)
         assert abs(chern) == 1
         assert resid <= 1e-6
 

@@ -148,6 +148,12 @@ class TestInvariantCommand:
         code, _, err = run(capsys, "invariant", "--model", "bhz2d",
                            "--m", "0", "--grid", "16")
         assert code == 1
+        # a gap tolerance above every level closes the gap at the first node
+        code, _, err = run(capsys, "invariant", "--model", "trivial",
+                           "--grid", "8", "--tol-gap", "10")
+        assert code == 1
+        assert err == ("error: model is gapless on this grid: gap closes "
+                       "near node (0, 0, 0)\n")
 
     def test_gap_tolerance_is_applied(self, capsys):
         # every level of the trivial model sits at |E| = 1
@@ -325,6 +331,15 @@ class TestValidateCommand:
         assert doc["ok"] is False
         assert any(not c["ok"] for c in doc["checks"])
 
+    def test_gap_closed_by_noise_is_a_failed_check(self, capsys):
+        code, out, err = run(capsys, "validate", "--seed", "3",
+                             "--theta-noise", "0.5")
+        assert code == 4 and err == ""
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        failed = [c.get("error", "") for c in doc["checks"] if not c["ok"]]
+        assert any(e.startswith("GaplessAt: ") for e in failed)
+
 
 class TestIngestCommand:
     def test_writes_normalized_cache(self, capsys, tmp_path):
@@ -386,6 +401,24 @@ class TestIngestCommand:
         assert code == 1 and out == "" and err.startswith("error:")
         assert "non-finite" in err
         assert not (tmp_path / "fk8.normalized.json").exists()
+
+    def test_singular_ring_link_is_a_route_error(self, capsys, tmp_path):
+        # the occupied and empty pairs of a trivial sample swap at the
+        # mirror nodes (1, 0) and (7, 0): still gapped and time-reversal
+        # symmetric, but the boundary ring n_1 = 0 has zero links there
+        doc = models.export_sampled(
+            models.make_model("trivial", {"d": 2, "m": 2}), (8, 8))
+        H = np.reshape(doc["h_real"], (8, 8, 4, 4))
+        for node in ((1, 0), (7, 0)):
+            H[node] = np.diag([1.0, 1.0, -1.0, -1.0])
+        doc["h_real"] = H.ravel().tolist()
+        src = tmp_path / "swapped.json"
+        src.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "invariant", "--model", str(src),
+                           "--grid", "8", "--methods", "planes")
+        assert code != 0
+        error = json.loads(out)["methods"]["planes"]["error"]
+        assert error.startswith("BoundaryGaugeFailure")
 
     def test_sample_answers_only_on_its_grid(self, capsys, tmp_path):
         # a 16^3 grid would alias onto the 8^3 sample's nearest nodes

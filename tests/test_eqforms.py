@@ -97,9 +97,13 @@ class TestInvolutionPullback:
 
 
 def first_primitive(c, axis):
-    """The half-torus primitive eta of the first descent step along axis."""
+    """The half-torus primitive eta of the first descent step along axis,
+    as the 2-cochain whose only nonzero component is the other two axes."""
     rest = tuple(a for a in range(c.grid.dim) if a != axis)
-    return localise(c, axes=(axis,) + rest).levels[0][2]
+    eta = localise(c, axes=(axis,) + rest).levels[0][2]
+    values = np.zeros((3,) + c.grid.sizes)
+    values[eqforms._components(3, 2).index(rest)] = eta
+    return Cochain(c.grid, 2, values)
 
 
 class TestPrimitive:

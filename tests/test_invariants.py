@@ -105,8 +105,8 @@ class TestRingGauge:
         model = models.make_model("fkm3d", {"dt": 1.0})
         plane = pipeline.raw("fkm3d", {"dt": 1.0}, 16).restrict_plane(0, 8)
         stacks = []
-        polar = invariants.polar_unitary
-        monkeypatch.setattr(invariants, "polar_unitary",
+        polar = invariants.batched_polar_unitary
+        monkeypatch.setattr(invariants, "batched_polar_unitary",
                             lambda M: stacks.append(M.shape) or polar(M))
         invariants.km_plane_invariant(plane, model.theta)
         # eight transport steps on two rings; the corrections are powers of
@@ -174,12 +174,15 @@ class TestWzwAndWinding:
         assert parity == -1
         assert abs(integral - round(integral)) <= 0.25
 
-    def test_winding_agrees_every_axis(self, fkm_gauge):
+    def test_winding_sums_slices_of_the_last_axis(self, fkm_gauge):
         _, wred = fkm_gauge
-        for axis in range(3):
-            index, parity, series = invariants.km_winding(wred, axis)
-            assert parity == -1
-            assert len(series) == wred.grid.sizes[axis]
+        index, parity, series = invariants.km_winding(wred)
+        integral, wzw_parity = invariants.km_wzw(wred)
+        assert parity == wzw_parity == -1
+        assert index == round(integral)
+        assert len(series) == wred.grid.sizes[2]
+        assert np.array_equal(series,
+                              bloch.wzw_density(wred).sum(axis=(0, 1)))
 
 
 class TestChernSimons:

@@ -186,8 +186,7 @@ def _with_phases(V, phases):
     return W, L
 
 
-def _svd_polar(M):
-    return linalg.batched_polar_unitary(M, svd=True)
+_svd_polar = linalg._svd_polar
 
 
 class TestClosedForm2x2:

@@ -192,14 +192,15 @@ class TestSampledInterchange:
         assert np.abs(back.hamiltonian_batch(K)
                       - model.hamiltonian_batch(K)).max() <= 1e-12
 
-    def test_accepts_json_text_and_path(self, tmp_path):
+    def test_accepts_a_path(self, tmp_path):
+        # the CLI passes a path; JSON text is not a document
         model = models.make_model("trivial", {"d": 2, "m": 2})
-        doc = models.export_sampled(model, (8, 8))
-        text = json.dumps(doc)
-        assert models.ingest_sampled(text).n_bands == model.n_bands
+        text = json.dumps(models.export_sampled(model, (8, 8)))
         p = tmp_path / "m.json"
         p.write_text(text)
         assert models.ingest_sampled(str(p)).n_bands == model.n_bands
+        with pytest.raises(models.SchemaError):
+            models.ingest_sampled(text)
 
     def test_missing_field(self):
         doc = models.export_sampled(models.make_model("bhz2d"), (8, 8))
