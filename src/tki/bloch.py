@@ -11,7 +11,9 @@ Every gauge-dependent route gets its frames and sewing fields from
 `gauge_pipeline`.  The shared kernels live here too: `link_log` (principal
 log of the link unitaries, behind the Berry connection, the Maurer-Cartan
 links and the S^3 density), `plaquette_flux` (behind both plane Chern
-counts) and `_antisym_trace3`, the antisymmetrised triple trace taken as
+counts: a frame field traces its six invariant planes, one on a 2-d grid,
+once in `FrameField.plane_fluxes`, for both the Chern check and the planes
+route) and `_antisym_trace3`, the antisymmetrised triple trace taken as
 3 tr(L_0 [L_1, L_2]) (behind both WZW densities and the Chern-Simons
 integral).  A sewing field takes its Maurer-Cartan links once
 (`SewingField.links`); the degree density and the quaternionic map's
@@ -43,16 +45,16 @@ exact involution on the index lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
 
 from .grids import BZGrid
 from .linalg import (_AH, _dag, _empty_stack, _matrix_major, _mm,
-                     _scale_columns, _svd_polar, batched_polar_unitary,
-                     batched_spectral_norm, phase_continue, unitary_log,
-                     unitary_ramp)
+                     _scale_columns, _svd_polar, batched_det,
+                     batched_polar_unitary, batched_spectral_norm,
+                     phase_continue, unitary_log, unitary_ramp)
 
 
 class BlochError(ValueError):
@@ -105,8 +107,21 @@ class FrameField:
     def deficiency(self) -> np.ndarray:
         """Operator-norm deficiency ||1 - u(k)+ u(k + e_a)|| of every forward
         link, periodic, shape (dim, *sizes); computed once per instance."""
-        return np.stack([link_deficiency(self.frames, a)
+        const = _k_independent(self.frames)
+        return np.stack([link_deficiency(self.frames, a, const)
                          for a in range(self.grid.dim)])
+
+    @cached_property
+    def plane_fluxes(self) -> dict:
+        """`plaquette_flux` of every invariant coordinate plane, keyed (b, c,
+        axis, index): the plane of axes b < c at k_axis = index, 0 or N/2;
+        a 2-d grid is its own plane, (0, 1, None, None).  Traced once per
+        instance for both the Chern check and the planes route."""
+        if self.grid.dim == 2:
+            return {(0, 1, None, None): plaquette_flux(self.frames)}
+        return {tuple(b for b in range(3) if b != a) + (a, idx):
+                plaquette_flux(self.restrict_plane(a, idx).frames)
+                for a in range(3) for idx in (0, self.grid.sizes[a] // 2)}
 
     @property
     def smoothness(self) -> float:
@@ -207,28 +222,19 @@ def plaquette_flux(frames2d: np.ndarray) -> np.ndarray:
     """Principal-branch Berry flux through every plaquette of a 2-d frame
     array, from the determinants of its four link overlaps."""
     u = frames2d
-    lx = np.linalg.det(_mm(_dag(u), np.roll(u, -1, axis=0)))
-    ly = np.linalg.det(_mm(_dag(u), np.roll(u, -1, axis=1)))
+    lx = batched_det(_mm(_dag(u), np.roll(u, -1, axis=0)))
+    ly = batched_det(_mm(_dag(u), np.roll(u, -1, axis=1)))
     loop = lx * np.roll(ly, -1, axis=0) * np.roll(lx, -1, axis=1).conj() * ly.conj()
     return np.angle(loop)
 
 
 def plane_chern_numbers(raw: FrameField) -> dict:
     """(Chern number, integrality residual) of every invariant coordinate
-    plane at slice indices 0 and N/2; a 2-d grid is its own plane."""
-    grid = raw.grid
-    if grid.dim == 2:
-        planes = {(0, 1, None, None): raw.frames}
-    else:
-        planes = {tuple(b for b in range(3) if b != a) + (a, idx):
-                  raw.restrict_plane(a, idx).frames
-                  for a in range(3) for idx in (0, grid.sizes[a] // 2)}
-    out = {}
-    for key, u in planes.items():
-        x = float(plaquette_flux(u).sum()) / (2 * np.pi)
-        n = round(x)
-        out[key] = (n, abs(x - n))
-    return out
+    plane at slice indices 0 and N/2 (`FrameField.plane_fluxes`); a 2-d
+    grid is its own plane."""
+    total = {key: float(flux.sum()) / (2 * np.pi)
+             for key, flux in raw.plane_fluxes.items()}
+    return {key: (round(x), abs(x - round(x))) for key, x in total.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +246,12 @@ def _k_independent(x: np.ndarray) -> bool:
     return bool((x == x[(0,) * (x.ndim - 2)]).all())
 
 
-def _per_link(kernel, u, axis, alloc):
+def _per_link(kernel, u, axis, alloc, const=None):
     """kernel(u(k)+ u(k + e_axis)), periodic along `axis`; a k-independent
-    u runs it on the link u0+ u0 alone, copied into a full `alloc` array."""
-    if not _k_independent(u):
+    u runs it on the link u0+ u0 alone, copied into a full `alloc` array.
+    `const` is `_k_independent(u)`, tested here when not given, so that a
+    caller looping over the axes tests a field once."""
+    if not (_k_independent(u) if const is None else const):
         return kernel(_mm(_dag(u), np.roll(u, -1, axis=axis)))
     dim = u.ndim - 2
     u0 = u[(slice(0, 1),) * dim]
@@ -253,20 +261,20 @@ def _per_link(kernel, u, axis, alloc):
     return out
 
 
-def link_log(u: np.ndarray, axis: int) -> np.ndarray:
+def link_log(u: np.ndarray, axis: int, const=None) -> np.ndarray:
     """Principal log of the forward link unitaries polar(u(k)+ u(k + e_axis)),
     periodic along `axis` and not divided by the spacing; one node of a
-    k-independent u, an exact test that changes no bit."""
+    k-independent u, an exact test that changes no bit (`_per_link`)."""
     return _per_link(lambda O: unitary_log(batched_polar_unitary(O)),
-                     u, axis, _empty_stack)
+                     u, axis, _empty_stack, const)
 
 
-def link_deficiency(u: np.ndarray, axis: int) -> np.ndarray:
+def link_deficiency(u: np.ndarray, axis: int, const=None) -> np.ndarray:
     """Operator-norm deficiency ||u(k)+ u(k + e_axis) - 1|| of every forward
     link, periodic along `axis`; one node of a k-independent u, an exact
-    test that changes no bit."""
+    test that changes no bit (`_per_link`)."""
     return _per_link(lambda O: batched_spectral_norm(O - np.eye(O.shape[-1])),
-                     u, axis, np.empty)
+                     u, axis, np.empty, const)
 
 
 def _transport_last_axis(u):
@@ -295,33 +303,46 @@ def _link_products(u, dim):
     measure of `_relax`, and the alignment target M = sum_a [O_a(k) +
     O_a(k - e_a)+] = u(k)+ sum of u's 2 dim neighbours.
 
-    ||O - 1||^2 = ||O||^2 - 2 Re tr O + m.  Each axis's rolled frames serve
-    one product and are dropped before the next axis rolls."""
+    ||O - 1||^2 = ||O||^2 - 2 Re tr O + m.  u+ is taken once, the dim
+    products fill one stack (dim, *sizes, m, m) and their norms are reduced
+    together, each axis's mean on its own, so the measure and M round as a
+    pass that takes the axes one at a time and adds M from zero does."""
     m = u.shape[-1]
+    ud = _dag(u)
+    O = _empty_stack((dim,) + u.shape[:-2] + (m, m))
     M = _empty_stack(u.shape[:-2] + (m, m))
     M.fill(0)
-    tot = 0.0
     for a in range(dim):
-        O = _mm(_dag(u), np.roll(u, -1, axis=a))
-        sq = (O.real ** 2 + O.imag ** 2).sum(axis=(-2, -1))
-        re_tr = np.trace(O, axis1=-2, axis2=-1).real
-        tot += float(np.sqrt(np.maximum(sq - 2 * re_tr + m, 0.0)).mean())
-        M += O
-        M += _dag(np.roll(O, 1, axis=a))
-        del O
-    return tot / dim, M
+        np.einsum("...ab,...bc->...ac", ud, np.roll(u, -1, axis=a), out=O[a])
+        M += O[a]
+        M += _dag(np.roll(O[a], 1, axis=a))
+    sq = (O.real ** 2 + O.imag ** 2).sum(axis=(-2, -1))
+    means = np.sqrt(np.maximum(
+        sq - 2 * np.trace(O, axis1=-2, axis2=-1).real + m, 0.0)).mean(
+            axis=tuple(range(1, dim + 1)))
+    # the axes' means added in axis order, as a loop over the axes adds them
+    return float(np.cumsum(means)[-1]) / dim, M
+
+
+@lru_cache(maxsize=8)
+def _laplacian_symbol(sizes):
+    """p^2 = sum_a 4 sin^2(p_a / 2) on the Fourier modes of a grid, shaped
+    (*sizes, 1, 1), with inf on the constant mode; built once per grid
+    shape, read-only."""
+    p2 = sum(np.ix_(*(4 * np.sin(np.pi * np.arange(n) / n) ** 2
+                      for n in sizes)))
+    p2[(0,) * len(sizes)] = np.inf  # drops the constant mode
+    p2.flags.writeable = False
+    return p2[..., None, None]
 
 
 def _inverse_laplacian(X, dim):
     """L^-1 X over the grid axes of a stack X (*sizes, m, m): Fourier mode p
-    is divided by p^2 = sum_a 4 sin^2(p_a / 2), the symbol of the periodic
+    is divided by p^2 (`_laplacian_symbol`), the symbol of the periodic
     lattice Laplacian, and the constant mode is dropped."""
-    p2 = sum(np.ix_(*(4 * np.sin(np.pi * np.arange(n) / n) ** 2
-                      for n in X.shape[:dim])))
-    p2[(0,) * dim] = np.inf  # drops the constant mode
     axes = tuple(range(dim))
     Xh = np.fft.fftn(X, axes=axes)
-    Xh /= p2[..., None, None]
+    Xh /= _laplacian_symbol(X.shape[:dim])
     return np.fft.ifftn(Xh, axes=axes)
 
 
@@ -354,9 +375,8 @@ def _relax(u, dim):
         u = _mm(u, batched_polar_unitary(theta))
         del theta
         cur, M = _link_products(u, dim)
-        if abs(prev - cur) < _REL_TOL * max(prev, 1e-12):
-            break
-        if cur > prev and step > 0:
+        if (abs(prev - cur) < _REL_TOL * max(prev, 1e-12)
+                or cur > prev and step > 0):
             break
         prev = cur
     return u
@@ -526,7 +546,7 @@ def su_reduce(wfield: SewingField) -> SewingField:
     which is checked and reported as DetWinding if violated.
     """
     grid, w, m = wfield.grid, wfield.w, wfield.m
-    d = np.linalg.det(w)
+    d = batched_det(w)
     if np.abs(np.abs(d) - 1).max() > 1e-6:
         raise BlochError("det(w) strays from the unit circle")
 
@@ -557,7 +577,7 @@ def su_reduce(wfield: SewingField) -> SewingField:
 
     wt = np.exp(-1j * phi / m)[..., None, None] * w
     out = SewingField(grid, wt, det_phase=phi / (2 * np.pi * m))
-    if np.abs(np.linalg.det(wt) - 1).max() > 1e-9:
+    if np.abs(batched_det(wt) - 1).max() > 1e-9:
         raise BlochError("determinant reduction failed to reach SU(m)")
     return out
 
@@ -579,8 +599,9 @@ def berry_connection(frames: FrameField,
         raise RoughGauge(f"frame smoothness {s:.3f} exceeds {smoothness_limit}")
     grid, u = frames.grid, frames.frames
     A = _empty_stack((grid.dim,) + grid.sizes + (frames.m, frames.m))
+    const = _k_independent(u)
     for a, h in enumerate(grid.spacings):
-        L = link_log(u, a)
+        L = link_log(u, a, const)
         A[a] = _AH(0.5 * (L + np.roll(L, 1, axis=a)) / h)
     return ConnectionField(grid, A)
 
@@ -654,8 +675,9 @@ def _antisym_trace3(L):
 def _link_logs(w: np.ndarray, spacings) -> np.ndarray:
     """link_log(w, a) / h_a for every axis, stacked on axis 0."""
     L = _empty_stack((len(spacings),) + w.shape)
+    const = _k_independent(w)
     for a, h in enumerate(spacings):
-        L[a] = link_log(w, a) / h
+        L[a] = link_log(w, a, const) / h
     return L
 
 

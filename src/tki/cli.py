@@ -10,8 +10,9 @@ validate       run the structural property suite over registry models;
                --seed draws only the --theta-noise perturbation
 ingest         validate a sampled-Hamiltonian JSON file and cache it
 
-Exit codes: 0 success, 1 usage or I/O error, 2 method disagreement,
-3 non-convergent method, 4 validation failure.
+Exit codes: 0 success, 1 usage or I/O error, 2 two methods answered with
+different parities, 3 a non-convergent method or no method answering,
+4 validation failure.
 """
 
 from __future__ import annotations
@@ -156,7 +157,9 @@ def _write(text, out_path):
 
 
 def _emit(doc, out_path):
-    _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
+    # strict JSON: a non-finite value is a bug, not a report
+    _write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
+           out_path)
 
 
 def _tols(args):
@@ -322,7 +325,8 @@ def cmd_invariant(args, extra) -> int:
     report = invariants.assemble_report(
         {"name": model.name, "params": dict(model.params)}, grid, outputs)
     _emit(report, args.out)
-    if "nonconvergent" in statuses:
+    # a route did not converge, or no route answered (one note per error)
+    if "nonconvergent" in statuses or len(report["notes"]) == len(outputs):
         return 3
     if not report["consensus"]:
         return 2
@@ -455,9 +459,10 @@ def _validate_suite(seed, noise):
                                            smoothness_limit=1.0)
             record(f"{name}: sewing construction",
                    max(w.residuals().values()), 1e-8)
-        except bloch.BlochError as exc:
-            record(f"{name}: sewing construction", float("inf"), 1e-8)
-            checks[-1]["error"] = f"{type(exc).__name__}: {exc}"
+        except bloch.BlochError as exc:  # no residual: null, not Infinity
+            checks.append({"property": f"{name}: sewing construction",
+                           "residual": None, "tolerance": 1e-8, "ok": False,
+                           "error": f"{type(exc).__name__}: {exc}"})
     return checks
 
 

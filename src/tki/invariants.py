@@ -7,7 +7,9 @@ Routes to the same Z2 parity:
 * ``km_plane_invariant`` / ``km_weak_strong`` — the 2D invariant of each
   inversion-stable plane from Berry fluxes over half the plane and boundary
   Berry phases in a time-reversal-constrained ring gauge, combined into weak
-  and strong 3D indices; both count their planes through ``_plane_raws``;
+  and strong 3D indices; both count their planes through ``_plane_raws``,
+  which reads the Berry fluxes a frame field traces once for its Chern check
+  and this count alike (``bloch.FrameField.plane_fluxes``);
 * ``km_wzw`` — the degree integral of the sewing map, whose parity is the
   invariant; its density (``bloch.wzw_density``, built once per sewing field)
   also feeds ``km_winding``, ``km_chern_simons`` and the ``localise`` route;
@@ -32,10 +34,10 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import BZGrid
-from .linalg import (_dag, batched_polar_unitary, kramers_canonical,
-                     pfaffian, unitary_ramp)
+from .linalg import (_dag, batched_det, batched_polar_unitary,
+                     kramers_canonical, pfaffian, unitary_ramp)
 from .bloch import (FrameField, SewingField, ConnectionField, _PERMS3,
-                    _antisym_trace3, wzw_density, plaquette_flux)
+                    _antisym_trace3, wzw_density)
 
 _W0 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
@@ -111,26 +113,34 @@ def _ring_tr_gauge(rings: np.ndarray, U: np.ndarray) -> np.ndarray:
     as (rings, N, n_bands, m); a plane's two boundary rings go in one call,
     and so do the boundary rings of all planes whose rings have one length.
 
-    At the two fixed points the sewing matrix is rotated to the standard
-    symplectic form; between them the gauge is parallel-transported with the
-    endpoint mismatch spread evenly along the path, and the second half of
-    each ring is the time-reversal mirror of the first.  The rings are
-    transported together, and the endpoint corrections of all rings come
-    from one `linalg.unitary_ramp`, the transport seed's holonomy ramp.
-    A singular link fails `_ring_phase_sum`'s determinant test instead.
+    At the two fixed points the sewing matrix S is rotated to the standard
+    symplectic form, for all rings at once: by [[0, 1], [S_10 / |S_10|, 0]]
+    when m = 2, the basis `linalg.kramers_canonical` finds there, and by
+    that function per fixed point when m > 2.  Between them the gauge is
+    parallel-transported with the endpoint mismatch spread evenly along the
+    path, and the second half of each ring is the time-reversal mirror of
+    the first.  The rings are transported together, and the endpoint
+    corrections of all rings come from one `linalg.unitary_ramp`, the
+    transport seed's holonomy ramp.  A singular link fails
+    `_ring_phase_sum`'s determinant test instead.
     """
     N, m = rings.shape[1], rings.shape[-1]
     half = N // 2
     v = rings.copy()
-    for r in range(len(v)):
-        for t_ in (0, half):
-            s = v[r, t_].conj().T @ U @ v[r, t_].conj()
-            if np.abs(s + s.T).max() > 1e-6:
-                raise BoundaryGaugeFailure(
-                    "sewing matrix at a ring fixed point is not skew; the "
-                    "ring is not inversion-stable or the bands are not "
-                    "gapped on it")
-            v[r, t_] = v[r, t_] @ kramers_canonical(s)
+    x = v[:, [0, half]]  # (rings, 2 fixed points, n_bands, m)
+    s = _dag(x) @ U @ x.conj()
+    mag = np.abs(s[..., 1, 0])
+    if (np.abs(s + np.swapaxes(s, -1, -2)).max() > 1e-6
+            or m == 2 and mag.min() < 1e-6):
+        raise BoundaryGaugeFailure(
+            "sewing matrix at a ring fixed point is not skew unitary; the "
+            "ring is not inversion-stable or the bands are not gapped on it")
+    if m == 2:
+        basis = np.zeros_like(s)
+        basis[..., 0, 1], basis[..., 1, 0] = 1.0, s[..., 1, 0] / mag
+    else:
+        basis = np.vectorize(kramers_canonical, signature="(m,m)->(m,m)")(s)
+    v[:, [0, half]] = x @ basis
     canon = v[:, half].copy()
     # transport the canonical frames at j=0 along the half rings
     for j in range(1, half + 1):
@@ -152,27 +162,31 @@ def _ring_tr_gauge(rings: np.ndarray, U: np.ndarray) -> np.ndarray:
 def _ring_phase_sum(v: np.ndarray) -> float:
     """Total Berry phase of a ring gauge: sum of principal link-det phases."""
     link = np.einsum("jba,jbc->jac", v.conj(), np.roll(v, -1, axis=0))
-    dets = np.linalg.det(link)
+    dets = batched_det(link)
     if np.abs(dets).min() < 1e-8:
         raise BoundaryGaugeFailure("degenerate ring link; undersampled ring")
     return float(np.angle(dets).sum())
 
 
-def _plane_raw(u: np.ndarray, bottom: np.ndarray, top: np.ndarray) -> float:
+def _plane_raw(flux, bottom, top) -> float:
     """The plane count before rounding: boundary Berry phases of the gauged
     rings n1 = N/2 (bottom) and n1 = 0 (top) against the Berry flux over
-    the half plane n1 in [N/2, N-1]."""
-    fsum = float(plaquette_flux(u)[:, u.shape[1] // 2:].sum())
+    the half plane n1 in [N/2, N-1], from the plane's plaquette fluxes."""
+    fsum = float(flux[:, flux.shape[1] // 2:].sum())
     return ((_ring_phase_sum(top) - _ring_phase_sum(bottom) - fsum)
             / (2 * np.pi))
 
 
-def _plane_raws(planes: dict, U: np.ndarray) -> list:
-    """Raw counts of planes given as {key: frames}, in key order.
+def _plane_raws(field: FrameField, U: np.ndarray) -> list:
+    """Raw counts of a frame field's invariant planes, in the key order of
+    `FrameField.plane_fluxes`.  The fluxes are the ones the field traced for
+    its Chern check: each plane is traced once per field.
 
     The boundary rings n1 = N/2 and n1 = 0 of all planes whose rings have
     one length are gauged together, one `_ring_tr_gauge` call per length.
     """
+    planes = {k: field.restrict_plane(*k[2:]).frames if k[2] is not None
+              else field.frames for k in field.plane_fluxes}
     gauged = {}
     for n in sorted({u.shape[0] for u in planes.values()}):
         group = [k for k, u in planes.items() if u.shape[0] == n]
@@ -180,7 +194,7 @@ def _plane_raws(planes: dict, U: np.ndarray) -> list:
                           for j in (planes[k].shape[1] // 2, 0)])
         v = _ring_tr_gauge(rings, U)
         gauged.update(zip(group, v.reshape((len(group), 2) + v.shape[1:])))
-    return [_plane_raw(u, *gauged[k]) for k, u in planes.items()]
+    return [_plane_raw(field.plane_fluxes[k], *gauged[k]) for k in planes]
 
 
 def km_plane_invariant(frames2d: FrameField, theta) -> tuple:
@@ -195,7 +209,7 @@ def km_plane_invariant(frames2d: FrameField, theta) -> tuple:
     """
     if frames2d.grid.dim != 2:
         raise InvariantError("plane invariant expects a 2-d frame field")
-    raw, = _plane_raws({0: frames2d.frames}, theta.U)
+    raw, = _plane_raws(frames2d, theta.U)
     parity, _ = _round_parity(raw)
     return parity, raw
 
@@ -213,10 +227,8 @@ def km_weak_strong(raw: FrameField, theta) -> tuple:
     grid = raw.grid
     if grid.dim != 3:
         raise InvariantError("weak/strong indices require a 3-d frame field")
-    keys = [(a, idx) for a in range(3) for idx in (0, grid.sizes[a] // 2)]
-    raws = _plane_raws({k: raw.restrict_plane(*k).frames for k in keys},
-                       theta.U)
-    nu = {k: _round_parity(r)[0] for k, r in zip(keys, raws)}
+    nu = {k[2:]: _round_parity(r)[0]  # keyed (axis, index)
+          for k, r in zip(raw.plane_fluxes, _plane_raws(raw, theta.U))}
     strong_by_axis = [nu[(a, 0)] * nu[(a, grid.sizes[a] // 2)]
                       for a in range(3)]
     if len(set(strong_by_axis)) != 1:

@@ -6,12 +6,14 @@ powers of a unitary along a ramp (`unitary_ramp`, behind the transport
 seed's holonomy spreading and the planes route's ring gauge), and branch
 tracking of a phase along a discrete path.
 
-The stacked kernels behind the gauge smoother and the link logs --
-`batched_polar_unitary`, `unitary_log` and `batched_spectral_norm` -- have
-closed forms for 2x2 stacks (every Kramers-pair frame with m = 2).  Larger
-stacks take batched products and one Hermitian eigensolver per stack: the
-polar factor by a scaled Newton-Schulz iteration, the log from one `eigh`
-of a Hermitian combination of W and W+, the norm from `eigvalsh` of M+M.
+The stacked kernels behind the gauge smoother, the link logs and the
+determinants of the plane fluxes, ring phases and SU reduction --
+`batched_polar_unitary`, `unitary_log`, `batched_spectral_norm` and
+`batched_det` -- have closed forms for 2x2 stacks (every Kramers-pair
+frame with m = 2).  Larger stacks take batched products or one LAPACK
+call per stack: the polar factor by a scaled Newton-Schulz iteration, the
+log from one `eigh` of a Hermitian combination of W and W+, the norm from
+`eigvalsh` of M+M, the determinant from `det`'s LU factorisation.
 The polar factor and the log certify each node and send the nodes that
 fail to the per-matrix SVD / eig path, which the transport seed calls
 directly (`_svd_polar`) for every node.
@@ -156,6 +158,13 @@ def _is_2x2(M) -> bool:
     return M.shape[-2:] == (2, 2)
 
 
+def batched_det(M: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of square matrices: ad - bc for 2x2 stacks,
+    LAPACK's LU for larger ones."""
+    return (M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+            if _is_2x2(M) else np.linalg.det(M))
+
+
 def batched_polar_unitary(M: np.ndarray) -> np.ndarray:
     """Polar factors of a stack of square matrices (no conditioning check).
 
@@ -169,7 +178,7 @@ def batched_polar_unitary(M: np.ndarray) -> np.ndarray:
     if not _is_2x2(M):
         return _newton_schulz_polar(M)
     a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
-    det = a * d - b * c
+    det = batched_det(M)
     mag = np.abs(det)
     phase = np.where(mag > 0, det / np.where(mag > 0, mag, 1.0), 1.0)
     # M + phase * adj(M)+ = (tr P) U for M = U P, so the Frobenius norm of

@@ -65,6 +65,22 @@ class TestPlaneChern:
         assert resid <= 1e-6
 
 
+    @pytest.mark.parametrize("name, n, dim, planes",
+                             [("fkm3d", 8, 3, 6), ("bhz2d", 12, 2, 1)])
+    def test_planes_traced_once_per_request(self, monkeypatch, name, n,
+                                            dim, planes):
+        # the Chern check in smooth_gauge and the planes route read one
+        # set of plane fluxes
+        flux, calls = bloch.plaquette_flux, []
+        monkeypatch.setattr(bloch, "plaquette_flux",
+                            lambda u: calls.append(u.shape) or flux(u))
+        outputs, statuses = cli._compute_methods(
+            models.make_model(name), BZGrid.cubic(dim, n),
+            ["pfaffian", "planes"], {**cli._TOL_DEFAULTS, "smoothness": 1.2})
+        assert not statuses and "parity" in outputs["planes"]
+        assert len(calls) == planes
+
+
 class TestSmoothGauge:
     def test_spans_the_same_subspace(self, bhz_raw, bhz_gauge):
         _, raw = bhz_raw
@@ -108,6 +124,34 @@ class TestSmoothGauge:
             assert np.abs(M - np.einsum("...ai,...aj->...ij", u.conj(),
                                         near)).max() <= 1e-14
             assert matrix_major(M)
+
+    @staticmethod
+    def _per_axis_link_products(u, dim):
+        """The link pass as it was before its products were stacked: one
+        axis at a time, u+ taken per axis, M added from zero."""
+        m = u.shape[-1]
+        M = bloch._empty_stack(u.shape[:-2] + (m, m))
+        M.fill(0)
+        tot = 0.0
+        for a in range(dim):
+            O = bloch._mm(bloch._dag(u), np.roll(u, -1, axis=a))
+            sq = (O.real ** 2 + O.imag ** 2).sum(axis=(-2, -1))
+            re_tr = np.trace(O, axis1=-2, axis2=-1).real
+            tot += float(np.sqrt(np.maximum(sq - 2 * re_tr + m, 0.0)).mean())
+            M += O
+            M += bloch._dag(np.roll(O, 1, axis=a))
+        return tot / dim, M
+
+    @pytest.mark.parametrize("name, n, dim", [("fkm3d", 8, 3),
+                                              ("bhz2d", 12, 2)])
+    def test_stacked_link_pass_changes_no_bit(self, name, n, dim):
+        raw = bloch.diagonalize_grid(models.make_model(name),
+                                     BZGrid.cubic(dim, n))
+        for u in (raw.frames, bloch._transport_init(raw)):
+            want = self._per_axis_link_products(u, dim)
+            got = bloch._link_products(u, dim)
+            assert got[0] == want[0]
+            assert _same_bits(got[1], want[1]) and matrix_major(got[1])
 
     @pytest.mark.parametrize("sizes", [(8,), (6, 4), (4, 6, 8)])
     def test_inverse_laplacian_scales_plane_waves(self, sizes):

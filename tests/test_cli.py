@@ -335,10 +335,16 @@ class TestValidateCommand:
         code, out, err = run(capsys, "validate", "--seed", "3",
                              "--theta-noise", "0.5")
         assert code == 4 and err == ""
-        doc = json.loads(out)
+
+        def refuse(token):
+            raise ValueError(f"non-finite JSON token {token}")
+        doc = json.loads(out, parse_constant=refuse)  # strict JSON
         assert doc["ok"] is False
         failed = [c.get("error", "") for c in doc["checks"] if not c["ok"]]
         assert any(e.startswith("GaplessAt: ") for e in failed)
+        # a construction that failed has no residual
+        assert all(c["residual"] is None and c["ok"] is False
+                   for c in doc["checks"] if "error" in c)
 
 
 class TestIngestCommand:
@@ -416,7 +422,7 @@ class TestIngestCommand:
         src.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "invariant", "--model", str(src),
                            "--grid", "8", "--methods", "planes")
-        assert code != 0
+        assert code == 3  # no route answered
         error = json.loads(out)["methods"]["planes"]["error"]
         assert error.startswith("BoundaryGaugeFailure")
 
@@ -503,9 +509,9 @@ class TestGeneralMKernels:
                               (out[0].frames, out[1].w, out[2].w)))
             return out
 
-        def counted(u, axis):
+        def counted(u, axis, *const):
             calls.append((next(k for k, v in fields.items() if v is u), axis))
-            return link_log(u, axis)
+            return link_log(u, axis, *const)
         monkeypatch.setattr(bloch, "gauge_pipeline", kept)
         monkeypatch.setattr(bloch, "link_log", counted)
         for methods in ("pfaffian,planes,wzw,winding,cs,localise", "cs"):

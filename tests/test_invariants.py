@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import in_random_basis
-from tki import bloch, cli, invariants, models
+from tki import bloch, cli, invariants, linalg, models
 from tki.grids import BZGrid
 
 
@@ -112,6 +112,59 @@ class TestRingGauge:
         # eight transport steps on two rings; the corrections are powers of
         # a unitary and need no polar factor
         assert stacks == [(2, 2, 2)] * 8
+
+
+def _fixed_points_per_ring(rings, U):
+    """The ring fixed points gauged one at a time by kramers_canonical, as
+    the loop the stacked pass replaced did."""
+    v = rings.copy()
+    for r in range(len(v)):
+        for t in (0, rings.shape[1] // 2):
+            s = v[r, t].conj().T @ U @ v[r, t].conj()
+            v[r, t] = v[r, t] @ linalg.kramers_canonical(s)
+    return v
+
+
+class TestRingFixedPoints:
+    @pytest.mark.parametrize("parts", [(1.0,), (0.5, 3.0)], ids=["m2", "m4"])
+    def test_stacked_pass_matches_the_per_ring_basis(self, parts):
+        # every boundary ring of the six planes, m = 2 (fkm3d) and m = 4 (a
+        # direct sum of two fkm3d), in a random gauge: the gauged fixed
+        # points carry the standard symplectic form and match the per-ring
+        # gauge
+        model = models.make_model("fkm3d", {"dt": parts[0]})
+        for dt in parts[1:]:
+            model = models.direct_sum(model,
+                                      models.make_model("fkm3d", {"dt": dt}))
+        raw = bloch.diagonalize_grid(model, BZGrid.cubic(3, 8))
+        U, m = model.theta.U, model.n_occ
+        rings = np.stack([raw.restrict_plane(a, i).frames[:, j]
+                          for a in range(3) for i in (0, 4) for j in (4, 0)])
+        # a random U(m) per node, so that S_10 takes every phase
+        rng = np.random.default_rng(4)
+        shape = rings.shape[:2] + (m, m)
+        q, _ = np.linalg.qr(rng.standard_normal(shape)
+                            + 1j * rng.standard_normal(shape))
+        rings = rings @ q
+        got = invariants._ring_tr_gauge(rings, U)
+        want = _fixed_points_per_ring(rings, U)
+        standard = np.kron(np.eye(m // 2), [[0, 1], [-1, 0]])
+        for t in (0, 4):
+            x = got[:, t]
+            S = np.swapaxes(x.conj(), -1, -2) @ U @ x.conj()
+            assert np.abs(S - standard).max() <= 1e-12
+            assert np.abs(x - want[:, t]).max() <= 1e-13
+
+    def test_vanishing_fixed_point_pairing_is_refused(self):
+        # frames too short to be orthonormal give a skew sewing matrix with
+        # S_10 ~ 1e-8: no basis brings it to the standard form
+        model = models.make_model("fkm3d", {"dt": 1.0})
+        raw = bloch.diagonalize_grid(model, BZGrid.cubic(3, 8))
+        plane = raw.restrict_plane(2, 0).frames
+        rings = 1e-4 * np.stack([plane[:, 4], plane[:, 0]])
+        with pytest.raises(invariants.BoundaryGaugeFailure,
+                           match="not skew unitary"):
+            invariants._ring_tr_gauge(rings, model.theta.U)
 
 
 class TestWeakStrong:

@@ -458,6 +458,27 @@ def _complex_stack(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+class TestBatchedDet:
+    # LAPACK's LU rounds to about 55 eps max|entry|^2 on random complex
+    # stacks, so the two agree to a bound well above a few eps
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e6])
+    def test_2x2_matches_lapack(self, scale):
+        rng = np.random.default_rng(17)
+        M = scale * _complex_stack(rng, (6, 5, 4, 2, 2))
+        M[0, 0, 0] = 0.0                                 # zero
+        M[0, 0, 1] = np.outer([1, 2j], [3, -1j]) * scale  # singular
+        for X in (M, linalg._matrix_major(M)):  # C order, matrix-major
+            got = linalg.batched_det(X)
+            assert got.shape == M.shape[:-2]
+            bound = 1e-13 * np.abs(X).max(axis=(-2, -1)) ** 2
+            assert (np.abs(got - np.linalg.det(X)) <= bound).all()
+            assert got[0, 0, 0] == 0 and abs(got[0, 0, 1]) <= bound[0, 0, 1]
+
+    def test_larger_stacks_take_lapack(self):
+        M = _complex_stack(np.random.default_rng(18), (7, 4, 4))
+        assert np.array_equal(linalg.batched_det(M), np.linalg.det(M))
+
+
 class TestUnitaryRamp:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4]))

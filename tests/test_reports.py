@@ -43,6 +43,10 @@ REQUESTS = {
     "phase_dirac_s3_mass_16": ["phase-diagram", "--model", "dirac_s3",
                                "--sweep", "mass:-3:1:5", "--grid", "16"],
     "validate_seed3": ["validate", "--seed", "3"],
+    "gauge_fkm3d_dt0.5_24": ["invariant", "--model", "fkm3d", "--dt", "0.5",
+                             "--grid", "24", "--stable-output"],
+    "phase_fkm3d_dt_8": ["phase-diagram", "--model", "fkm3d",
+                         "--sweep", "dt:1.5:3.5:2", "--grid", "8"],
 }
 
 
