@@ -9,13 +9,13 @@ The pipeline here feeds every invariant route:
 
 Every gauge-dependent route gets its frames and sewing fields from
 `gauge_pipeline`.  The shared kernels live here too: `link_log` (principal
-log of the link unitaries, behind the Berry connection, the Maurer-Cartan
-links and the S^3 density), `plaquette_flux` (behind both plane Chern
-counts: a frame field traces its six invariant planes, one on a 2-d grid,
-once in `FrameField.plane_fluxes`, for both the Chern check and the planes
-route) and `_antisym_trace3`, the antisymmetrised triple trace taken as
-3 tr(L_0 [L_1, L_2]) (behind both WZW densities and the Chern-Simons
-integral).  A sewing field takes its Maurer-Cartan links once
+log of the link unitaries along every axis, behind the Berry connection,
+the Maurer-Cartan links and the S^3 density), `plaquette_flux` (behind
+both plane Chern counts: a frame field traces its six invariant planes,
+one on a 2-d grid, once in `FrameField.plane_fluxes`, for both the Chern
+check and the planes route) and `_antisym_trace3`, the antisymmetrised
+triple trace taken as 3 tr(L_0 [L_1, L_2]) (behind both WZW densities and
+the Chern-Simons integral).  A sewing field takes its Maurer-Cartan links once
 (`SewingField.links`); the degree density and the quaternionic map's
 derivative term both read the reduced field's, and no link of an unreduced
 field is logged.  The smooth gauge comes from Fourier-accelerated
@@ -26,11 +26,12 @@ by the next seed of its multiscale level (`_smooth_frames`).  A field
 that does not depend on k (every node equal to node 0 by the exact test
 `_k_independent`, as for an atomic insulator) has every link u+ u:
 `smooth_gauge` returns such frames as they are, and `link_log` and
-`link_deficiency` run on node 0 alone and fill a full array, which
-changes no bit.  The steps and the link kernels run on the stacked kernels of
-`linalg` (polar factor, principal log, operator norm): closed forms when
-m = 2, Newton-Schulz and one Hermitian eigensolver per stack for larger m;
-the transport seed keeps the SVD / eig path for every m.  Frames, sewing
+`link_deficiency`, which take every axis in one call and test the field
+once, run on node 0 alone and fill a full array, which changes no bit.
+The steps and the link kernels run on the stacked kernels of `linalg`
+(polar factor, principal log, operator norm): closed forms when m = 2,
+Newton-Schulz and one Hermitian eigensolver per stack for larger m; the
+transport seed keeps the SVD / eig path for every m.  Frames, sewing
 fields, connections, link logs and the Fourier transforms of the steps
 follow the layout rule of `linalg`.
 
@@ -107,9 +108,7 @@ class FrameField:
     def deficiency(self) -> np.ndarray:
         """Operator-norm deficiency ||1 - u(k)+ u(k + e_a)|| of every forward
         link, periodic, shape (dim, *sizes); computed once per instance."""
-        const = _k_independent(self.frames)
-        return np.stack([link_deficiency(self.frames, a, const)
-                         for a in range(self.grid.dim)])
+        return link_deficiency(self.frames)
 
     @cached_property
     def plane_fluxes(self) -> dict:
@@ -246,35 +245,36 @@ def _k_independent(x: np.ndarray) -> bool:
     return bool((x == x[(0,) * (x.ndim - 2)]).all())
 
 
-def _per_link(kernel, u, axis, alloc, const=None):
-    """kernel(u(k)+ u(k + e_axis)), periodic along `axis`; a k-independent
-    u runs it on the link u0+ u0 alone, copied into a full `alloc` array.
-    `const` is `_k_independent(u)`, tested here when not given, so that a
-    caller looping over the axes tests a field once."""
-    if not (_k_independent(u) if const is None else const):
-        return kernel(_mm(_dag(u), np.roll(u, -1, axis=axis)))
+def _link_stack(kernel, u, alloc, tail=()):
+    """kernel(u(k)+ u(k + e_a)) of the forward links along every grid axis
+    a, periodic, stacked on axis 0 of alloc((dim, *sizes) + tail), one
+    axis's link product alive at a time.  u is tested for k-independence
+    once: a k-independent u runs the kernel on the link u0+ u0 alone,
+    copied to every node and axis, which changes no bit."""
     dim = u.ndim - 2
-    u0 = u[(slice(0, 1),) * dim]
-    one = kernel(_mm(_dag(u0), u0))
-    out = alloc(u.shape[:dim] + one.shape[dim:], dtype=one.dtype)
-    out[...] = one
+    out = alloc((dim,) + u.shape[:dim] + tail)
+    if _k_independent(u):
+        u0 = u[(slice(0, 1),) * dim]
+        out[...] = kernel(_mm(_dag(u0), u0))
+        return out
+    for a in range(dim):
+        out[a] = kernel(_mm(_dag(u), np.roll(u, -1, axis=a)))
     return out
 
 
-def link_log(u: np.ndarray, axis: int, const=None) -> np.ndarray:
-    """Principal log of the forward link unitaries polar(u(k)+ u(k + e_axis)),
-    periodic along `axis` and not divided by the spacing; one node of a
-    k-independent u, an exact test that changes no bit (`_per_link`)."""
-    return _per_link(lambda O: unitary_log(batched_polar_unitary(O)),
-                     u, axis, _empty_stack, const)
+def link_log(u: np.ndarray) -> np.ndarray:
+    """Principal log of the forward link unitaries polar(u(k)+ u(k + e_a))
+    along every axis a, stacked on axis 0, matrix-major, not divided by the
+    spacing (`_link_stack`)."""
+    return _link_stack(lambda O: unitary_log(batched_polar_unitary(O)),
+                       u, _empty_stack, (u.shape[-1],) * 2)
 
 
-def link_deficiency(u: np.ndarray, axis: int, const=None) -> np.ndarray:
-    """Operator-norm deficiency ||u(k)+ u(k + e_axis) - 1|| of every forward
-    link, periodic along `axis`; one node of a k-independent u, an exact
-    test that changes no bit (`_per_link`)."""
-    return _per_link(lambda O: batched_spectral_norm(O - np.eye(O.shape[-1])),
-                     u, axis, np.empty, const)
+def link_deficiency(u: np.ndarray) -> np.ndarray:
+    """Operator-norm deficiency ||u(k)+ u(k + e_a) - 1|| of the forward
+    links along every axis a, stacked on axis 0 (`_link_stack`)."""
+    return _link_stack(
+        lambda O: batched_spectral_norm(O - np.eye(O.shape[-1])), u, np.empty)
 
 
 def _transport_last_axis(u):
@@ -597,12 +597,10 @@ def berry_connection(frames: FrameField,
     s = frames.smoothness
     if s > smoothness_limit:
         raise RoughGauge(f"frame smoothness {s:.3f} exceeds {smoothness_limit}")
-    grid, u = frames.grid, frames.frames
-    A = _empty_stack((grid.dim,) + grid.sizes + (frames.m, frames.m))
-    const = _k_independent(u)
+    grid = frames.grid
+    A = link_log(frames.frames)  # averaged in place, axis by axis
     for a, h in enumerate(grid.spacings):
-        L = link_log(u, a, const)
-        A[a] = _AH(0.5 * (L + np.roll(L, 1, axis=a)) / h)
+        A[a] = _AH(0.5 * (A[a] + np.roll(A[a], 1, axis=a)) / h)
     return ConnectionField(grid, A)
 
 
@@ -672,15 +670,6 @@ def _antisym_trace3(L):
                    for i, j in product(range(L.shape[-1]), repeat=2))
 
 
-def _link_logs(w: np.ndarray, spacings) -> np.ndarray:
-    """link_log(w, a) / h_a for every axis, stacked on axis 0."""
-    L = _empty_stack((len(spacings),) + w.shape)
-    const = _k_independent(w)
-    for a, h in enumerate(spacings):
-        L[a] = link_log(w, a, const) / h
-    return L
-
-
 def maurer_cartan_links(wfield: SewingField) -> np.ndarray:
     """Discrete w^{-1} dw per axis: principal log of the forward link unitary.
 
@@ -688,7 +677,10 @@ def maurer_cartan_links(wfield: SewingField) -> np.ndarray:
     quotient to O(h) but keeps the result exactly in the Lie algebra, which
     buys roughly one order of accuracy in the WZW Riemann sums.
     """
-    return _link_logs(wfield.w, wfield.grid.spacings)
+    L = link_log(wfield.w)
+    for a, h in enumerate(wfield.grid.spacings):
+        L[a] /= h
+    return L
 
 
 def wzw_density(wfield: SewingField) -> np.ndarray:

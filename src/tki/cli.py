@@ -130,7 +130,9 @@ def _model_params(args, extra):
     return params
 
 
-def _build_model(name, params, check=True):
+def _build_model(name, params):
+    """A registry or ingested model; each command decides the gap on its
+    own grid (`bloch.diagonalize_grid`, or `sphere.dirac_frames` on S^3)."""
     if name is None:
         raise UsageError("--model is required")
     if name.endswith(".json") or os.path.sep in name:
@@ -145,7 +147,7 @@ def _build_model(name, params, check=True):
             raise UsageError(f"trivial parameter {k!r} must be an integer, "
                              f"got {params[k]!r}")
         params[k] = int(params[k])
-    return models.make_model(name, params, check=check)
+    return models.make_model(name, params, check=False)
 
 
 def _write(text, out_path):
@@ -352,8 +354,7 @@ def cmd_phase_diagram(args, extra) -> int:
         tol["smoothness"] = 0.75
     rows = []
     for value in np.linspace(start, stop, steps):
-        model = _build_model(args.model, {**base, pname: float(value)},
-                             check=False)
+        model = _build_model(args.model, {**base, pname: float(value)})
         try:
             if model.domain == "sphere3":
                 # the s3 parity fills the parity_wzw column

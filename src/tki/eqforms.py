@@ -240,16 +240,17 @@ def sample_wzw(wfield: SewingField, smoothness_limit: float = 1.0):
     artifact that must shrink under grid refinement).  Raises RoughGauge
     when the field varies too fast between neighbouring nodes for the link
     logarithms to be trustworthy.  The gate measures the largest link
-    ||w(k + e_a) - w(k)|| = ||w(k)+ w(k + e_a) - 1|| (`bloch.link_deficiency`:
-    one node of a k-independent w, an exact test that changes no bit), whose
-    scale in a smooth gauge is about a constant over N; band-inverted models
-    exceed 0.3 on every practical grid, so the default admits links up to
-    1.0 and still refuses a field with a jump.
+    ||w(k + e_a) - w(k)|| = ||w(k)+ w(k + e_a) - 1|| over every axis in one
+    `bloch.link_deficiency` call (one node of a k-independent w, an exact
+    test that changes no bit), whose scale in a smooth gauge is about a
+    constant over N; band-inverted models exceed 0.3 on every practical
+    grid, so the default admits links up to 1.0 and still refuses a field
+    with a jump.
     """
     grid = wfield.grid
     if grid.dim != 3:
         raise WrongDegree("the trivialisation density lives on 3-d grids")
-    worst = max(float(link_deficiency(wfield.w, a).max()) for a in range(3))
+    worst = float(link_deficiency(wfield.w).max())
     if worst > smoothness_limit:
         raise RoughGauge(
             f"sewing field link deficiency {worst:.3f} exceeds "

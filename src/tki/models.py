@@ -73,12 +73,14 @@ class OddGrid(SchemaError):
 
 @dataclass(frozen=True)
 class TimeReversalOperator:
-    """Antiunitary psi -> U conj(psi) with U conj(U) = -1."""
+    """Antiunitary psi -> U conj(psi) with U conj(U) = -1; U is kept as a
+    read-only copy, so models can share one operator."""
 
     U: np.ndarray
 
     def __post_init__(self):
-        U = np.asarray(self.U, dtype=complex)
+        U = np.array(self.U, dtype=complex)
+        U.flags.writeable = False
         object.__setattr__(self, "U", U)
         n = U.shape[0]
         if not np.isfinite(U).all():
@@ -194,6 +196,13 @@ def _dirac_s3_batch(mass):
     return batch
 
 
+# the Theta of bhz2d and layered3d (spin blocks swapped), and of fkm3d and
+# dirac_s3 (i sigma_y on the spin factor)
+_THETA_BHZ = TimeReversalOperator(np.block([[np.zeros((2, 2)), np.eye(2)],
+                                            [-np.eye(2), np.zeros((2, 2))]]))
+_THETA_SPIN = TimeReversalOperator(np.kron(1j * sy, s0))
+
+
 def _theta_pairs(n_bands):
     """i sigma_y on consecutive pairs: the standard Kramers unitary."""
     return TimeReversalOperator(np.kron(np.eye(n_bands // 2), 1j * sy))
@@ -215,6 +224,12 @@ def parameter_names(name) -> tuple:
 
 def make_model(name: str, params: dict | None = None,
                check: bool = True) -> BlochModel:
+    """A registry model with its default parameters updated by `params`.
+
+    Every family is Hermitian and time-reversal symmetric by its formula
+    for all finite parameters, and non-finite ones are refused.  `check` is
+    a gap probe for library callers (`_sanity_check`); the CLI skips it
+    and decides the gap on the request's own grid."""
     if name not in _REGISTRY:
         raise UnknownModel(f"unknown model {name!r}; choices: {sorted(_REGISTRY)}")
     p = dict(_REGISTRY[name])
@@ -232,22 +247,16 @@ def make_model(name: str, params: dict | None = None,
         model = BlochModel(name, "torus", d, 2 * m, m,
                            _theta_pairs(2 * m), p, _trivial_batch(d, m))
     elif name == "bhz2d":
-        U = np.block([[np.zeros((2, 2)), np.eye(2)],
-                      [-np.eye(2), np.zeros((2, 2))]]).astype(complex)
-        model = BlochModel(name, "torus", 2, 4, 2, TimeReversalOperator(U),
+        model = BlochModel(name, "torus", 2, 4, 2, _THETA_BHZ,
                            p, _bhz_batch(p["a"], p["b"], p["m"]))
     elif name == "layered3d":
-        U = np.block([[np.zeros((2, 2)), np.eye(2)],
-                      [-np.eye(2), np.zeros((2, 2))]]).astype(complex)
-        model = BlochModel(name, "torus", 3, 4, 2, TimeReversalOperator(U),
+        model = BlochModel(name, "torus", 3, 4, 2, _THETA_BHZ,
                            p, _bhz_batch(p["a"], p["b"], p["m"], p["tz"]))
     elif name == "fkm3d":
-        U = np.kron(1j * sy, s0)
-        model = BlochModel(name, "torus", 3, 4, 2, TimeReversalOperator(U),
+        model = BlochModel(name, "torus", 3, 4, 2, _THETA_SPIN,
                            p, _fkm_batch(p["t"], p["dt"], p["lam"]))
     else:  # dirac_s3
-        U = np.kron(1j * sy, s0)
-        model = BlochModel(name, "sphere3", 3, 4, 2, TimeReversalOperator(U),
+        model = BlochModel(name, "sphere3", 3, 4, 2, _THETA_SPIN,
                            p, _dirac_s3_batch(p["mass"]))
 
     if check:
@@ -291,25 +300,19 @@ def _tr_residual(U, H, Hm) -> float:
     return float(np.abs(Z).max())
 
 
-def _sanity_check(model: BlochModel, n: int = 16):
+_PROBE_N = 16  # nodes per axis of the torus gap probe
+
+
+def _sanity_check(model: BlochModel):
+    """Gap probe: Gapless when the spectrum touches zero on a 16^d torus
+    grid, or on S^3 on a 10 x 10 x 8 cell-centred mesh and both poles."""
     if model.domain == "torus":
-        domain = BZGrid.cubic(model.dim, n)
-        K = domain.node_mesh()
+        K = BZGrid.cubic(model.dim, _PROBE_N).node_mesh()
     else:
         from .sphere import SphereMesh
-        domain = SphereMesh(10, 10, 8)
-        K = domain.angles()
-    H = model.hamiltonian_batch(K)
-    herm = np.abs(H - np.swapaxes(H, -1, -2).conj()).max()
-    if herm > 1e-9:
-        raise SymmetryViolation(f"Hamiltonian not Hermitian (residual {herm:.2e})")
-    tr = _tr_residual(model.theta.U, H, domain.involute(H))
-    if tr > 1e-9:
-        raise SymmetryViolation(f"time-reversal contract violated (residual {tr:.2e})")
-    gap = np.abs(np.linalg.eigvalsh(H)).min()
-    if model.domain != "torus":  # the cell-centred mesh holds no pole
-        poles = model.hamiltonian_batch(np.array([[0.0] * 3, [np.pi, 0, 0]]))
-        gap = min(gap, np.abs(np.linalg.eigvalsh(poles)).min())
+        K = np.concatenate([SphereMesh(10, 10, 8).angles().reshape(-1, 3),
+                            [[0.0] * 3, [np.pi, 0, 0]]])
+    gap = np.abs(np.linalg.eigvalsh(model.hamiltonian_batch(K))).min()
     if gap <= 1e-8:
         raise Gapless(f"spectrum touches zero (min |E| = {gap:.2e})")
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _dag, _empty_stack, _mm
-from .bloch import GaplessAt, _antisym_trace3, _link_logs
+from .bloch import GaplessAt, _antisym_trace3, link_log
 from .eqforms import push
 from .models import BlochModel
 
@@ -206,7 +206,9 @@ def sphere_wzw_density(w: np.ndarray, mesh: SphereMesh):
     discretization artifact.
     """
     hs = mesh.spacings
-    L = _link_logs(w, hs)
+    L = link_log(w)
+    for a, h in enumerate(hs):
+        L[a] /= h
     for a in (0, 1):  # open axes: the last slice reuses its backward link
         L[a][(slice(None),) * a + (-1,)] = L[a][(slice(None),) * a + (-2,)]
     dens = (_antisym_trace3(L).real * (hs[0] * hs[1] * hs[2])

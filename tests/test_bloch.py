@@ -506,9 +506,8 @@ def _same_bits(a, b):
 
 
 def _link_kernels(x):
-    """link_log and link_deficiency of a stack along every grid axis."""
-    return [kernel(x, a) for kernel in (bloch.link_log, bloch.link_deficiency)
-            for a in range(x.ndim - 2)]
+    """link_log and link_deficiency of a stack, each over every grid axis."""
+    return [bloch.link_log(x), bloch.link_deficiency(x)]
 
 
 def _full_path_kernels(x):
@@ -545,8 +544,9 @@ class TestLinkKernels:
             one_node = _link_kernels(x)
             for got, want in zip(one_node, _full_path_kernels(x)):
                 assert _same_bits(got, want), name
-            for L in one_node[:d]:
-                assert matrix_major(L) and L.flags.writeable
+            L = one_node[0]
+            assert L.shape == (d,) + x.shape[:-2] + (x.shape[-1],) * 2
+            assert matrix_major(L) and L.flags.writeable
 
     def test_one_ulp_off_takes_the_full_path(self, monkeypatch):
         x = self._trivial_fields(3, 4, 7)["frames"].copy()
@@ -556,9 +556,26 @@ class TestLinkKernels:
         nodes = _link_stack_nodes(monkeypatch)
         full = _link_kernels(x)
         for seen in nodes.values():
-            assert set(seen) == {8 ** 3}
+            assert seen == [8 ** 3] * 3
         for got, want in zip(full, _full_path_kernels(x)):
             assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("one_node", [True, False],
+                             ids=["one-node", "full-stack"])
+    def test_field_tested_once_per_call(self, monkeypatch, one_node):
+        # each call covers every axis: one k-independence test, then one
+        # kernel call on node 0 or one per axis on the full stack
+        x = self._trivial_fields(3, 2, None)["frames"].copy()
+        if not one_node:
+            x[0, 0, 1] = x[0, 0, 1, ::-1]
+        seen, k_independent = [], bloch._k_independent
+        monkeypatch.setattr(bloch, "_k_independent",
+                            lambda y: seen.append(y) or k_independent(y))
+        nodes = _link_stack_nodes(monkeypatch)
+        _link_kernels(x)
+        assert len(seen) == 2 and all(y is x for y in seen)
+        for calls in nodes.values():
+            assert calls == ([1] if one_node else [8 ** 3] * 3)
 
 
 class TestQuaternionicAverage:
@@ -586,7 +603,7 @@ class TestQuaternionicAverage:
         def sigma(A):
             out = np.empty_like(A)
             for a, h in enumerate(grid.spacings):
-                L = bloch.link_log(w, a) / h
+                L = bloch.link_log(w)[a] / h
                 lam = 0.5 * (L + np.roll(L, 1, axis=a))
                 out[a] = -bloch._mm(w, bloch._mm(
                     grid.involute(A[a]).conj() + lam, bloch._dag(w)))

@@ -72,7 +72,9 @@ class TestInvariantCommand:
         # gapless on the sphere: mass -2 closes the gap at the south pole
         code, _, err = run(capsys, "invariant", "--model", "dirac_s3",
                            "--mass", "-2", "--grid", "16")
-        assert code == 1 and err.startswith("error:")
+        assert code == 1
+        assert err == ("error: model is gapless on this grid: sphere Dirac "
+                       "model is critical at mass -2.0\n")
         # options a command does not read are refused, not ignored
         trivial = ["--model", "trivial", "--dim", "3", "--m", "2",
                    "--grid", "8", "--methods", "pfaffian"]
@@ -145,15 +147,49 @@ class TestInvariantCommand:
             assert code == 1 and out == "" and err.startswith("error:"), argv
 
     def test_gapless_model_is_an_input_error(self, capsys):
+        # the request's own grid decides the gap, for invariant and localise
         code, _, err = run(capsys, "invariant", "--model", "bhz2d",
                            "--m", "0", "--grid", "16")
         assert code == 1
+        assert err == ("error: model is gapless on this grid: gap closes "
+                       "near node (8, 8)\n")
+        code, _, err = run(capsys, "localise", "--model", "fkm3d", "--dt", "0",
+                           "--form", "wzw", "--grid", "16")
+        assert code == 1
+        assert err == ("error: model is gapless on this grid: gap closes "
+                       "near node (0, 0, 8)\n")
         # a gap tolerance above every level closes the gap at the first node
         code, _, err = run(capsys, "invariant", "--model", "trivial",
                            "--grid", "8", "--tol-gap", "10")
         assert code == 1
         assert err == ("error: model is gapless on this grid: gap closes "
                        "near node (0, 0, 0)\n")
+
+    def test_registry_gap_probe_is_not_run(self, capsys, monkeypatch):
+        def probe(model):
+            raise AssertionError("the CLI ran the registry gap probe")
+        monkeypatch.setattr(models, "_sanity_check", probe)
+        for argv in (["invariant", "--model", "bhz2d", "--m", "-1",
+                      "--grid", "8"],
+                     ["invariant", "--model", "dirac_s3", "--mass", "-1",
+                      "--grid", "16"],
+                     ["localise", "--model", "trivial", "--grid", "8"],
+                     ["phase-diagram", "--model", "bhz2d",
+                      "--sweep", "m:-1:1:2", "--grid", "8"]):
+            assert run(capsys, *argv)[0] == 0, argv
+
+    def test_gap_closing_off_the_request_grid_is_answered(self, capsys):
+        # the gap closes at k_z = 3 pi / 8, a node of the 16^3 probe grid
+        # but not of 12^3: the request runs, and every route refuses the
+        # near-gapless gauge or count
+        tz = repr(float(-1 / np.cos(3 * np.pi / 8)))
+        code, out, err = run(capsys, "invariant", "--model", "layered3d",
+                             "--m", "1", "--tz", tz, "--grid", "12")
+        assert code == 3 and err == ""
+        errors = [m["error"] for m in json.loads(out)["methods"].values()]
+        assert len(errors) == 4
+        assert all(e.startswith(("RoughGauge: ", "NonConvergent: "))
+                   for e in errors)
 
     def test_gap_tolerance_is_applied(self, capsys):
         # every level of the trivial model sits at |E| = 1
@@ -498,8 +534,8 @@ class TestGeneralMKernels:
         # one m = 4 run, with every route and with cs alone: the Berry
         # connection's links of the frames and the reduced field's
         # Maurer-Cartan links, which the sigma map and the density share,
-        # three axes each and nothing twice; no link of the unreduced sewing
-        # field is logged
+        # one call over all three axes each and nothing twice; no link of
+        # the unreduced sewing field is logged
         fields, calls = {}, []
         pipeline, link_log = bloch.gauge_pipeline, bloch.link_log
 
@@ -509,9 +545,9 @@ class TestGeneralMKernels:
                               (out[0].frames, out[1].w, out[2].w)))
             return out
 
-        def counted(u, axis, *const):
-            calls.append((next(k for k, v in fields.items() if v is u), axis))
-            return link_log(u, axis, *const)
+        def counted(u):
+            calls.append(next(k for k, v in fields.items() if v is u))
+            return link_log(u)
         monkeypatch.setattr(bloch, "gauge_pipeline", kept)
         monkeypatch.setattr(bloch, "link_log", counted)
         for methods in ("pfaffian,planes,wzw,winding,cs,localise", "cs"):
@@ -520,5 +556,4 @@ class TestGeneralMKernels:
                              "--params", "d=3,m=4", "--grid", "12",
                              "--methods", methods)
             assert code == 0
-            assert sorted(calls) == sorted(
-                (k, a) for k in ("frames", "wred") for a in range(3))
+            assert sorted(calls) == ["frames", "wred"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tki import eqforms
+from tki import bloch, eqforms
 from tki.eqforms import (Cochain, d, integrate, involution_pullback, localise,
                          project_pm)
 from tki.grids import BZGrid
@@ -169,3 +169,30 @@ class TestLocalise:
         assert set(doc) >= {"axes", "level_integrals", "fixed_values",
                             "total"}
         assert len(doc["fixed_values"]) == 8
+
+
+class TestSampleWzw:
+    def test_field_tested_once_per_call(self, pipeline, monkeypatch):
+        # the gate takes every axis's link norms in one call; the density is
+        # built first, so no other link of the field is taken
+        _, wred = pipeline.gauge("fkm3d", {"dt": 0.5}, 16)
+        bloch.wzw_density(wred)
+        seen, k_independent = [], bloch._k_independent
+        monkeypatch.setattr(bloch, "_k_independent",
+                            lambda x: seen.append(x) or k_independent(x))
+        for _ in range(2):
+            eqforms.sample_wzw(wred)
+        assert len(seen) == 2 and all(x is wred.w for x in seen)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_gate_reads_every_axis(self, axis):
+        # a quarter-turn phase step across two slices of one axis: that
+        # axis's links there are i, with ||i - 1|| = sqrt 2, all others 1
+        g = BZGrid.cubic(3, 8)
+        w = np.broadcast_to(np.array([[0, 1], [-1, 0]], dtype=complex),
+                            g.sizes + (2, 2)).copy()
+        w[(slice(None),) * axis + (slice(4, None),)] *= 1j
+        wfield = bloch.SewingField(g, w)
+        with pytest.raises(bloch.RoughGauge, match="1.414 exceeds 1.0"):
+            eqforms.sample_wzw(wfield)
+        eqforms.sample_wzw(wfield, smoothness_limit=1.5)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,15 @@ class TestTrimPfaffian:
         g = BZGrid.cubic(2, 8)
         w = np.broadcast_to(np.eye(2), g.sizes + (2, 2)).copy()
         with pytest.raises(invariants.NonSkewTrim):
+            invariants.km_trim_pfaffian(bloch.SewingField(g, w))
+
+    def test_pfaffian_off_the_circle_rejected(self):
+        # skew at every fixed node, but |pf| = 0.5
+        g = BZGrid.cubic(2, 8)
+        w = np.broadcast_to(np.array([[0, 0.5], [-0.5, 0]], dtype=complex),
+                            g.sizes + (2, 2)).copy()
+        with pytest.raises(invariants.PfaffianOffCircle,
+                           match=r"\|pf\| = 0\.500000"):
             invariants.km_trim_pfaffian(bloch.SewingField(g, w))
 
 
@@ -194,6 +205,30 @@ class TestWeakStrong:
         assert strong == -1
         assert raws == alone
         assert gauges == stacks
+
+    @staticmethod
+    def _disagreeing_axes(monkeypatch):
+        # raws in `plane_fluxes` key order (axis, index 0 then N/2): the
+        # strong index per axis pairing reads +1, -1, +1
+        monkeypatch.setattr(invariants, "_plane_raws",
+                            lambda field, U: [1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+
+    def test_axis_pairings_that_disagree_are_refused(self, monkeypatch):
+        model = models.make_model("trivial", {"d": 3, "m": 2})
+        raw = bloch.diagonalize_grid(model, BZGrid.cubic(3, 8))
+        self._disagreeing_axes(monkeypatch)
+        with pytest.raises(invariants.AxisInconsistency,
+                           match=r"\[1, -1, 1\]"):
+            invariants.km_weak_strong(raw, model.theta)
+
+    def test_axis_inconsistency_is_a_failed_route(self, monkeypatch, capsys):
+        self._disagreeing_axes(monkeypatch)
+        code = cli.main(["invariant", "--model", "trivial", "--grid", "8",
+                         "--methods", "planes"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert doc["methods"]["planes"]["error"].startswith(
+            "AxisInconsistency: ")
 
     def test_layered_weak_pattern(self, pipeline):
         # decoupled-layer stack of an inverted 2D phase: strong parity even,

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tki import models
 from tki.grids import BZGrid
@@ -116,6 +117,57 @@ class TestEvaluate:
         U = model.theta.U
         lhs = U @ _h(model, k).conj() @ U.conj().T
         assert np.abs(lhs - _h(model, -k)).max() <= 1e-12
+
+
+_FINITE = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+_ANGLE = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False,
+                   allow_infinity=False)
+
+
+class TestRegistryGuarantee:
+    """Every registry family is Hermitian and time-reversal symmetric by its
+    formula, for every finite parameter and momentum; the gap probe of
+    `make_model` does not re-test either."""
+
+    @pytest.mark.parametrize("name, params", [
+        ("trivial", {"d": 2, "m": 2}), ("trivial", {"d": 2, "m": 4}),
+        ("trivial", {"d": 3, "m": 2}), ("trivial", {"d": 3, "m": 4}),
+        ("bhz2d", None), ("layered3d", None), ("fkm3d", None),
+        ("dirac_s3", None)])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_hermitian_and_time_reversal_symmetric(self, name, params, data):
+        if params is None:
+            params = data.draw(st.fixed_dictionaries(
+                {key: _FINITE for key in models.parameter_names(name)}))
+        model = models.make_model(name, params, check=False)
+        K = np.array(data.draw(st.lists(st.tuples(*[_ANGLE] * model.dim),
+                                        min_size=1, max_size=6)))
+        if model.domain == "torus":
+            Km = -K
+        else:  # the inversion through the chi-axis, as SphereMesh.involute
+            Km = np.stack([K[:, 0], np.pi - K[:, 1], K[:, 2] + np.pi], -1)
+        H = model.hamiltonian_batch(K)
+        assert np.abs(H - np.swapaxes(H, -1, -2).conj()).max() <= 1e-12
+        assert models._tr_residual(model.theta.U, H,
+                                   model.hamiltonian_batch(Km)) <= 1e-12
+
+    def test_shared_theta_is_read_only(self):
+        # bhz2d and layered3d share one Theta, fkm3d and dirac_s3 another
+        thetas = {name: models.make_model(name, check=False).theta
+                  for name in ("bhz2d", "layered3d", "fkm3d", "dirac_s3")}
+        assert thetas["bhz2d"] is thetas["layered3d"]
+        assert thetas["fkm3d"] is thetas["dirac_s3"]
+        for theta in thetas.values():
+            with pytest.raises(ValueError):
+                theta.U[0, 0] = 1.0
+
+    def test_gap_probe_reads_its_own_grid(self):
+        # the gap closes at k_z = 3 pi / 8, a node of the 16^3 probe grid;
+        # the CLI takes this model on a 12^3 grid (test_cli)
+        with pytest.raises(models.Gapless, match="spectrum touches zero"):
+            models.make_model("layered3d",
+                              {"m": 1.0, "tz": -1 / np.cos(3 * np.pi / 8)})
 
 
 class TestConstantProducts:
