@@ -17,8 +17,10 @@ check and the planes route) and `_antisym_trace3`, the antisymmetrised
 triple trace taken as 3 tr(L_0 [L_1, L_2]) (behind both WZW densities and
 the Chern-Simons integral).  A sewing field takes its Maurer-Cartan links once
 (`SewingField.links`); the degree density and the quaternionic map's
-derivative term both read the reduced field's, and no link of an unreduced
-field is logged.  The smooth gauge comes from Fourier-accelerated
+derivative term both read the unreduced field's.  The density does not see
+the determinant phase: a scalar added to a link log drops out of 3 tr(L_0
+[L_1, L_2]).  So only the Pfaffian route reads the SU-reduced field, whose
+links are never logged.  The smooth gauge comes from Fourier-accelerated
 gauge-fixing steps (`_relax`): each rotates every node at once by the
 inverse lattice Laplacian, applied with `np.fft`, of the alignment
 gradient.  A rough relaxed gauge escapes by random kicks (`_anneal`) or
@@ -30,10 +32,12 @@ that does not depend on k (every node equal to node 0 by the exact test
 once, run on node 0 alone and fill a full array, which changes no bit.
 The steps and the link kernels run on the stacked kernels of `linalg`
 (polar factor, principal log, operator norm): closed forms when m = 2,
-Newton-Schulz and one Hermitian eigensolver per stack for larger m; the
-transport seed keeps the SVD / eig path for every m.  Frames, sewing
-fields, connections, link logs and the Fourier transforms of the steps
-follow the layout rule of `linalg`.
+Newton-Schulz and one Hermitian eigensolver per stack for larger m.  The
+one line transport, `_transport_last_axis`, keeps the SVD / eig path for
+every m; it seeds the gauge and builds the planes route's ring gauge
+(`invariants._ring_tr_gauge`).  Frames, sewing fields, connections, link
+logs and the Fourier transforms of the steps follow the layout rule of
+`linalg`.
 
 Conventions.  Frames u(k) are n_bands x m matrices of occupied eigenvectors.
 The sewing matrix is w_ab(k) = <u_a(-k), Theta u_b(k)>; it is unitary when the
@@ -56,6 +60,13 @@ from .linalg import (_AH, _dag, _empty_stack, _matrix_major, _mm,
                      _scale_columns, _svd_polar, batched_det,
                      batched_polar_unitary, batched_spectral_norm,
                      phase_continue, unitary_log, unitary_ramp)
+
+
+# the defaults every caller reads: the gauge smoothness gate of sewing
+# fields and Berry connections, and the spectral gap below which a node is
+# declared gapless
+SMOOTHNESS_LIMIT = 0.5
+GAP = 1e-8
 
 
 class BlochError(ValueError):
@@ -138,18 +149,10 @@ class FrameField:
 
 @dataclass(frozen=True)
 class SewingField:
-    """Sewing matrices w(k) on a grid.  An SU-reduced field (`su_reduce`)
-    keeps the phase it divided out, w_original = exp(i phi / m) w with phi =
-    2 pi m det_phase, and its `links` stand for the original's up to the
-    scalar i dphi / m while every eigenphase of a reduced link, shifted by
-    dphi / m, stays inside (-pi, pi); if one crosses, the |cs + wzw/2| <=
-    0.1 check of `invariants.km_chern_simons` refuses the result
-    (`quaternionic_average`)."""
+    """Sewing matrices w(k) on a grid."""
 
     grid: BZGrid
     w: np.ndarray               # (*sizes, m, m)
-    det_phase: np.ndarray | None = field(default=None)  # continuous f with
-    # det(w_original) = exp(2 pi i m f); populated by su_reduce
 
     @property
     def m(self) -> int:
@@ -193,7 +196,7 @@ class ConnectionField:
 # diagonalization
 # ---------------------------------------------------------------------------
 
-def diagonalize_grid(model, grid: BZGrid, gap: float = 1e-8) -> FrameField:
+def diagonalize_grid(model, grid: BZGrid, gap: float = GAP) -> FrameField:
     """Occupied eigenframes of the model on every grid node.
 
     Raises GaplessAt when an occupied level rises to -gap or an empty one
@@ -277,9 +280,13 @@ def link_deficiency(u: np.ndarray) -> np.ndarray:
         lambda O: batched_spectral_norm(O - np.eye(O.shape[-1])), u, np.empty)
 
 
-def _transport_last_axis(u):
+def _transport_last_axis(u, end=None):
     """Parallel transport along the last grid axis of u (..., N, nb, m),
-    then spread the closing holonomy so the gauge is smoothly periodic.
+    then spread the holonomy towards `end` (..., nb, m) evenly along the
+    line, node i taking its power i/N.  The default end, the line's own
+    first node, makes the gauge smoothly periodic: the transport seed.  The
+    planes route's ring gauge passes the canonical frames at the next fixed
+    point.
 
     The seed keeps the SVD polar factor and the eig log of the holonomy
     (`linalg.unitary_ramp`) even for m = 2: at a Kramers-degenerate
@@ -289,9 +296,9 @@ def _transport_last_axis(u):
     for i in range(1, n):
         M = _mm(_dag(u[..., i - 1, :, :]), u[..., i, :, :])
         u[..., i, :, :] = _mm(u[..., i, :, :], _dag(_svd_polar(M)))
-    # node i takes the holonomy's power i/n
-    ramp = unitary_ramp(_svd_polar(
-        _mm(_dag(u[..., n - 1, :, :]), u[..., 0, :, :])), np.arange(n) / n)
+    end = u[..., 0, :, :] if end is None else end
+    ramp = unitary_ramp(_svd_polar(_mm(_dag(u[..., n - 1, :, :]), end)),
+                        np.arange(n) / n)
     for i, G in enumerate(ramp):
         u[..., i, :, :] = _mm(u[..., i, :, :], G)
     return u
@@ -509,11 +516,14 @@ def smooth_gauge(raw: FrameField) -> FrameField:
     return field_
 
 
-def gauge_pipeline(raw: FrameField, theta, smoothness_limit: float = 0.5):
+def gauge_pipeline(raw: FrameField, theta,
+                   smoothness_limit: float = SMOOTHNESS_LIMIT):
     """smooth_gauge -> sewing_field -> su_reduce on diagonalized frames.
 
     Returns (frames, wfield, wred): the smooth gauge, its sewing field and
-    the SU-reduced sewing field.
+    the SU-reduced sewing field.  The Pfaffian route reads wred; the degree
+    density, the quaternionic average and the localisation read wfield, as
+    tr((w+ dw)^3) does not see the determinant phase.
     """
     frames = smooth_gauge(raw)
     wfield = sewing_field(frames, theta, smoothness_limit=smoothness_limit)
@@ -525,7 +535,7 @@ def gauge_pipeline(raw: FrameField, theta, smoothness_limit: float = 0.5):
 # ---------------------------------------------------------------------------
 
 def sewing_field(frames: FrameField, theta,
-                 smoothness_limit: float = 0.5) -> SewingField:
+                 smoothness_limit: float = SMOOTHNESS_LIMIT) -> SewingField:
     s = frames.smoothness
     if s > smoothness_limit:
         raise RoughGauge(f"frame smoothness {s:.3f} exceeds {smoothness_limit}")
@@ -557,26 +567,22 @@ def su_reduce(wfield: SewingField) -> SewingField:
         if wind != 0:
             raise DetWinding(a, wind)
 
-    # continuous branch of arg det(w), swept axis by axis from the origin
+    # continuous branch of arg det(w), swept axis by axis from the origin:
+    # each line along axis a continues the phase of its node on axis a = 0
     phi = np.empty(grid.sizes)
+    phi[(0,) * grid.dim] = np.angle(d[(0,) * grid.dim])
     for a in range(grid.dim):
         sel = tuple([slice(None)] * (a + 1) + [0] * (grid.dim - a - 1))
-        sub = d[sel]                       # shape sizes[:a+1]; last axis is a
-        inc = np.angle(sub[..., 1:] / sub[..., :-1])
-        walk = np.concatenate([np.zeros(inc.shape[:-1] + (1,)),
-                               np.cumsum(inc, axis=-1)], axis=-1)
-        if a == 0:
-            base = np.angle(sub[..., :1])
-        else:
-            prev = tuple([slice(None)] * a + [0] * (grid.dim - a))
-            base = phi[prev][..., None]
-        phi[sel] = base + walk
+        sub, line = d[sel], phi[sel]       # shape sizes[:a+1]; last axis is a
+        line[..., 1:] = np.cumsum(np.angle(sub[..., 1:] / sub[..., :-1]),
+                                  axis=-1)
+        line[..., 1:] += line[..., :1]
     # symmetrize: det w(-k) = det w(k) forces phi to be inversion even; the
     # two branch constructions agree up to rounding, so averaging is safe
     phi = 0.5 * (phi + grid.involute(phi))
 
     wt = np.exp(-1j * phi / m)[..., None, None] * w
-    out = SewingField(grid, wt, det_phase=phi / (2 * np.pi * m))
+    out = SewingField(grid, wt)
     if np.abs(batched_det(wt) - 1).max() > 1e-9:
         raise BlochError("determinant reduction failed to reach SU(m)")
     return out
@@ -587,7 +593,8 @@ def su_reduce(wfield: SewingField) -> SewingField:
 # ---------------------------------------------------------------------------
 
 def berry_connection(frames: FrameField,
-                     smoothness_limit: float = 0.5) -> ConnectionField:
+                     smoothness_limit: float = SMOOTHNESS_LIMIT
+                     ) -> ConnectionField:
     """Log-link Berry connection.
 
     A_mu(k) is the average of the principal logarithms of the two unitary
@@ -615,34 +622,18 @@ def quaternionic_average(conn: ConnectionField,
     stencil at n mirrors the one at -n, so sigma is an exact involution on
     the index lattice (up to w's unitarity and involution residuals).  A' is
     fixed by sigma (residual max |A' - sigma A'| recorded), hence compatible
-    with the quaternionic structure defined by w.
-
-    An SU-reduced field stands for the unreduced one it came from, w_original
-    = exp(i phi / m) w: the conjugation w (.) w+ does not see the phase, and
-    Lambda gains i wrap(phi(k + e_mu) - phi(k)) / (m h_mu), wrap into
-    [-pi, pi].  That is the principal log of the original field's link when
-    every eigenphase of the reduced link, shifted by the link's dphi / m,
-    stays inside (-pi, pi).  If one crosses, the averaged connection is off
-    by a multiple of 2 pi / m on that link, and the |cs + wzw/2| <= 0.1
-    check of `invariants.km_chern_simons` refuses the result.
+    with the quaternionic structure defined by w, the sewing field of the
+    connection's own frames (not its SU reduction).
     """
     if conn.grid.sizes != wfield.grid.sizes:
         raise GaugeMismatch("connection and sewing field live on different grids")
-    grid, m = wfield.grid, wfield.m
+    grid = wfield.grid
     w, wd, links = wfield.w, _dag(wfield.w), wfield.links
-    phi = (None if wfield.det_phase is None
-           else 2 * np.pi * m * wfield.det_phase)
     Ap = np.empty_like(conn.A)
     residuals = []
-    for a, h in enumerate(grid.spacings):
+    for a in range(grid.dim):
         L = links[a]
         lam = 0.5 * (L + np.roll(L, 1, axis=a))
-        if phi is not None:
-            dphi = np.roll(phi, -1, axis=a) - phi
-            dphi -= 2 * np.pi * np.round(dphi / (2 * np.pi))
-            shift = 0.5j * (dphi + np.roll(dphi, 1, axis=a)) / (m * h)
-            for i in range(m):
-                lam[..., i, i] += shift
 
         def sigma(X):
             return -_mm(w, _mm(grid.involute(X).conj() + lam, wd))

@@ -43,9 +43,9 @@ class UsageError(ValueError):
 # on the commands that build a model
 _TOL_DEFAULTS = {
     # gauge smoothness gate for sewing matrices and Berry connections
-    "smoothness": 0.5,
+    "smoothness": bloch.SMOOTHNESS_LIMIT,
     # spectral gap below which a point is declared gapless
-    "gap": 1e-8,
+    "gap": bloch.GAP,
 }
 
 
@@ -102,9 +102,14 @@ def _grid_sizes(text):
             from exc
 
 
-def _sphere_mesh(text, default):
-    """S^3 mesh size: the first --grid size, or `default` without --grid."""
-    return _grid_sizes(text)[0] if text else default
+def _sphere_grid(text, default):
+    """The S^3 mesh of one --grid size, `default` without --grid, as a grid
+    of the mesh's shape (`sphere.SphereMesh.cubic`); the s3 route reads
+    its first size."""
+    sizes = _grid_sizes(text) if text else [default]
+    if len(sizes) != 1:
+        raise UsageError("--grid takes one size on an S^3 model")
+    return BZGrid(3, sphere.SphereMesh.cubic(sizes[0]).shape)
 
 
 def _parse_grid(text, dim):
@@ -202,28 +207,28 @@ def _planes(model, grid, raw, **_):
             "weak": list(weak)}
 
 
-def _wzw(wred, **_):
-    integral, parity = invariants.km_wzw(wred)
+def _wzw(wfield, **_):
+    integral, parity = invariants.km_wzw(wfield)
     return {"parity": parity, "raw": integral,
             "residual": abs(integral - round(integral))}
 
 
-def _winding(wred, **_):
-    index, parity, _ = invariants.km_winding(wred)
+def _winding(wfield, **_):
+    index, parity, _ = invariants.km_winding(wfield)
     return {"parity": parity, "raw": float(index), "residual": 0.0}
 
 
-def _cs(frames, wred, tol, **_):
+def _cs(frames, wfield, tol, **_):
     conn = bloch.quaternionic_average(
         bloch.berry_connection(frames, smoothness_limit=tol["smoothness"]),
-        wred)
-    cs, parity, rel = invariants.km_chern_simons(conn, wred)
+        wfield)
+    cs, parity, rel = invariants.km_chern_simons(conn, wfield)
     return {"parity": parity, "raw": cs, "residual": rel}
 
 
-def _localise(wred, **_):
+def _localise(wfield, **_):
     # the sampled degree density, localised onto the inversion-fixed nodes
-    trace = eqforms.localise(eqforms.sample_wzw(wred)[0])
+    trace = eqforms.localise(eqforms.sample_wzw(wfield)[0])
     total = sum(trace.fixed_values.values())
     parity, resid = invariants._round_parity(total)
     return {"parity": parity, "raw": float(total), "residual": resid}
@@ -263,10 +268,10 @@ def _compute_methods(model, grid, methods, tol, stable=False, raw=None):
     if raw is None and model.domain == "torus":
         raw = bloch.diagonalize_grid(model, grid, gap=tol["gap"])
 
-    frames = wred = gauge_error = None
+    frames = wfield = wred = gauge_error = None
     if any(_ROUTES[name].gauge for name in methods):
         try:
-            frames, _, wred = bloch.gauge_pipeline(
+            frames, wfield, wred = bloch.gauge_pipeline(
                 raw, model.theta, smoothness_limit=tol["smoothness"])
         except bloch.BlochError as exc:
             gauge_error = f"{type(exc).__name__}: {exc}"
@@ -280,7 +285,7 @@ def _compute_methods(model, grid, methods, tol, stable=False, raw=None):
         t0 = time.perf_counter()
         try:
             out = route.kernel(model=model, grid=grid, tol=tol, raw=raw,
-                               frames=frames, wred=wred)
+                               frames=frames, wfield=wfield, wred=wred)
         except bloch.GaplessAt:
             raise  # an input error, not a failed route
         except (invariants.InvariantError, bloch.BlochError,
@@ -305,8 +310,7 @@ def cmd_invariant(args, extra) -> int:
     tol = _tols(args)
     kind = (model.domain, model.dim)
     if model.domain == "sphere3":
-        # the s3 route's angular mesh size, taken from --grid
-        grid = BZGrid.cubic(3, _sphere_mesh(args.grid, 48))
+        grid = _sphere_grid(args.grid, invariants.S3_MESH)
     else:
         if args.grid is None:
             raise UsageError("--grid is required for torus models")
@@ -358,7 +362,7 @@ def cmd_phase_diagram(args, extra) -> int:
         try:
             if model.domain == "sphere3":
                 # the s3 parity fills the parity_wzw column
-                grid = BZGrid.cubic(3, _sphere_mesh(args.grid, 24))
+                grid = _sphere_grid(args.grid, 24)
                 raw, gap, columns = None, 1.0, (None, None, "s3")
             else:
                 grid = _parse_grid(args.grid or "16", model.dim)
@@ -405,9 +409,9 @@ def cmd_localise(args, extra) -> int:
             raise UsageError("--form wzw needs a 3-d torus model")
         grid = _parse_grid(args.grid or "32", 3)
         raw = bloch.diagonalize_grid(model, grid, gap=tol["gap"])
-        _, _, wred = bloch.gauge_pipeline(
+        _, wfield, _ = bloch.gauge_pipeline(
             raw, model.theta, smoothness_limit=tol["smoothness"])
-        coch, discarded = eqforms.sample_wzw(wred)
+        coch, discarded = eqforms.sample_wzw(wfield)
     else:
         raise UsageError("--form must be uniform:<v> or wzw")
     trace = eqforms.localise(coch)

@@ -232,8 +232,8 @@ def localise(c: Cochain, axes=None, tol: float = 1e-10) -> LocalisationTrace:
 
 
 def sample_wzw(wfield: SewingField, smoothness_limit: float = 1.0):
-    """Sample the trivialisation 3-density of an SU-reduced sewing field as
-    a top cochain and project out its inversion-even part.
+    """Sample the trivialisation 3-density of a sewing field as a top
+    cochain and project out its inversion-even part.
 
     Returns (cochain, discarded) where cochain is exactly inversion-odd and
     discarded is the 1-norm of the removed even part (a discretization

@@ -34,12 +34,14 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import BZGrid
-from .linalg import (_dag, batched_det, batched_polar_unitary,
-                     kramers_canonical, pfaffian, unitary_ramp)
+from .linalg import (_dag, _empty_stack, batched_det, kramers_canonical,
+                     pfaffian)
 from .bloch import (FrameField, SewingField, ConnectionField, _PERMS3,
-                    _antisym_trace3, wzw_density)
+                    _antisym_trace3, _transport_last_axis, wzw_density)
 
 _W0 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+# the S^3 mesh size of `km_s3` and of `tki invariant` without --grid
+S3_MESH = 48
 
 
 class InvariantError(ValueError):
@@ -117,16 +119,16 @@ def _ring_tr_gauge(rings: np.ndarray, U: np.ndarray) -> np.ndarray:
     symplectic form, for all rings at once: by [[0, 1], [S_10 / |S_10|, 0]]
     when m = 2, the basis `linalg.kramers_canonical` finds there, and by
     that function per fixed point when m > 2.  Between them the gauge is
-    parallel-transported with the endpoint mismatch spread evenly along the
-    path, and the second half of each ring is the time-reversal mirror of
-    the first.  The rings are transported together, and the endpoint
-    corrections of all rings come from one `linalg.unitary_ramp`, the
-    transport seed's holonomy ramp.  A singular link fails
+    the seed's line transport (`bloch._transport_last_axis`) of the half
+    rings j in [0, N/2), all rings at once, its holonomy spread towards the
+    canonical frames at N/2, and the second half of each ring is the
+    time-reversal mirror of the first.  A singular link fails
     `_ring_phase_sum`'s determinant test instead.
     """
     N, m = rings.shape[1], rings.shape[-1]
     half = N // 2
-    v = rings.copy()
+    v = _empty_stack(rings.shape)
+    v[...] = rings
     x = v[:, [0, half]]  # (rings, 2 fixed points, n_bands, m)
     s = _dag(x) @ U @ x.conj()
     mag = np.abs(s[..., 1, 0])
@@ -141,17 +143,7 @@ def _ring_tr_gauge(rings: np.ndarray, U: np.ndarray) -> np.ndarray:
     else:
         basis = np.vectorize(kramers_canonical, signature="(m,m)->(m,m)")(s)
     v[:, [0, half]] = x @ basis
-    canon = v[:, half].copy()
-    # transport the canonical frames at j=0 along the half rings
-    for j in range(1, half + 1):
-        v[:, j] = v[:, j] @ batched_polar_unitary(
-            _dag(v[:, j]) @ v[:, j - 1])
-    # spread the endpoint mismatch so both fixed-point frames stay
-    # canonical: step j takes the mismatch's power j/half
-    ramp = unitary_ramp(_dag(v[:, half]) @ canon,
-                        np.arange(1, half + 1) / half)
-    for j, G in enumerate(ramp, 1):
-        v[:, j] = v[:, j] @ G
+    _transport_last_axis(v[:, :half], end=v[:, half])
     # mirror half: the partner of j is N - j, and the trivial sewing matrix
     # is _W0 on each Kramers pair
     v[:, N - 1:half:-1] = -(U @ v[:, 1:half].conj()) @ np.kron(
@@ -304,7 +296,7 @@ def km_chern_simons(conn: ConnectionField, wfield: SewingField) -> tuple:
     return cs, parity, relation_residual
 
 
-def km_s3(model, mesh_size: int = 48) -> dict:
+def km_s3(model, mesh_size: int = S3_MESH) -> dict:
     """Invariant of a sphere-domain model by quadrature and localisation.
 
     Integrates the degree density of the sewing map over the whole sphere

@@ -2,8 +2,9 @@
 
 Small-matrix routines used throughout: stacked products and adjoints, the
 Pfaffian of a skew-symmetric matrix, projection onto the unitary group, the
-powers of a unitary along a ramp (`unitary_ramp`, behind the transport
-seed's holonomy spreading and the planes route's ring gauge), and branch
+powers of a unitary along a ramp (`unitary_ramp`, behind the holonomy
+spreading of the one line transport, `bloch._transport_last_axis`, which
+seeds the gauge and builds the planes route's ring gauge), and branch
 tracking of a phase along a discrete path.
 
 The stacked kernels behind the gauge smoother, the link logs and the

@@ -76,15 +76,19 @@ class _PipelineCache:
                 model, BZGrid.cubic(dim, n))
         return self._store[k]
 
-    def gauge(self, name, params, n, dim=3, limit=1.0):
+    def fields(self, name, params, n, dim=3, limit=1.0):
+        """`bloch.gauge_pipeline`'s (frames, wfield, wred)."""
         k = ("gauge",) + self.key(name, params, n)
         if k not in self._store:
             model = models.make_model(name, params)
-            frames, _, wred = bloch.gauge_pipeline(
+            self._store[k] = bloch.gauge_pipeline(
                 self.raw(name, params, n, dim), model.theta,
                 smoothness_limit=limit)
-            self._store[k] = (frames, wred)
         return self._store[k]
+
+    def gauge(self, name, params, n, dim=3, limit=1.0):
+        frames, _, wred = self.fields(name, params, n, dim, limit)
+        return frames, wred
 
 
 @pytest.fixture(scope="session")

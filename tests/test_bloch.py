@@ -5,7 +5,7 @@ import contextlib
 import io
 import json
 
-from tki import bloch, cli, linalg, models, sphere
+from tki import bloch, cli, invariants, linalg, models, sphere
 from tki.grids import BZGrid
 from conftest import in_random_basis, matrix_major
 
@@ -446,11 +446,16 @@ class TestSuReduce:
         assert np.abs(np.linalg.det(wred.w) - 1).max() <= 1e-9
 
     def test_det_phase_reconstructs_original(self, bhz_gauge):
+        # the reduction divides each node by one unit scalar c, an m-th root
+        # of det w: w = c w_reduced
         _, _, wfield = bhz_gauge
         wred = bloch.su_reduce(wfield)
         m = wfield.m
-        phase = np.exp(2j * np.pi * wred.det_phase)[..., None, None]
-        assert np.abs(phase * wred.w - wfield.w).max() <= 1e-9
+        ratio = bloch._mm(wfield.w, bloch._dag(wred.w))
+        c = ratio[..., 0, 0]
+        assert np.abs(ratio - c[..., None, None] * np.eye(m)).max() <= 1e-9
+        assert np.abs(np.abs(c) - 1).max() <= 1e-9
+        assert np.abs(c ** m - np.linalg.det(wfield.w)).max() <= 1e-9
 
 
 class TestBerryConnection:
@@ -628,11 +633,12 @@ class TestQuaternionicAverage:
 
     @pytest.mark.parametrize("parts", [(0.5,), (0.5, 3.0)])
     def test_reduced_field_stands_for_the_unreduced(self, parts):
-        # the reduced field's links plus the divided-out phase's scalar give
-        # the sigma map of the unreduced field.  The relaxed gauge keeps
-        # det w constant, so a smooth inversion-even U(1) twist of the frames
-        # makes the phase move between neighbours, and dropping its term
-        # would show
+        # the degree density does not see the divided-out phase, so the
+        # unreduced field, which the averaged connection needs, gives the
+        # reduced field's density and a Chern-Simons integral at -1/2 of
+        # it.  The relaxed gauge keeps det w constant, so a smooth
+        # inversion-even U(1) twist of the frames makes the phase move
+        # between neighbours
         model = models.make_model("fkm3d", {"dt": parts[0]})
         for dt in parts[1:]:
             model = models.direct_sum(model,
@@ -647,15 +653,17 @@ class TestQuaternionicAverage:
                                   frames.energies)
         wfield = bloch.sewing_field(frames, model.theta, smoothness_limit=1.0)
         wred = bloch.su_reduce(wfield)
-        phi = 2 * np.pi * wred.m * wred.det_phase
-        assert max(np.abs(np.angle(np.exp(1j * (np.roll(phi, -1, axis=a)
-                                                 - phi)))).max()
+        d = np.linalg.det(wfield.w)
+        assert max(np.abs(np.angle(np.roll(d, -1, axis=a) / d)).max()
                    for a in range(3)) > 1e-3
+        dens = bloch.wzw_density(wfield)
+        assert np.abs(dens - bloch.wzw_density(wred)).max() <= 1e-15
         conn = bloch.berry_connection(frames, smoothness_limit=1.0)
+        avg = bloch.quaternionic_average(conn, wfield)
         Ap, residual = self._two_pass(conn, wfield)
-        reduced = bloch.quaternionic_average(conn, wred)
-        assert np.abs(reduced.A - Ap).max() <= 1e-12
-        assert abs(reduced.quaternionic_residual - residual) <= 1e-12
+        assert np.array_equal(avg.A, Ap)
+        cs, _, relation = invariants.km_chern_simons(avg, wfield)
+        assert relation <= 0.05 and abs(dens.sum() + 2 * cs) <= 0.1
 
 
 class TestWzwDensity:
@@ -702,6 +710,30 @@ class TestWzwDensity:
                 assert bloch.wzw_density(wfield) is first
         assert seen == fields
         assert np.array_equal(bloch.wzw_density(fields[1]), first)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_triple_trace_ignores_a_scalar_on_any_link(self, m):
+        # 3 tr(L_0 [L_1, L_2]) loses c_0 tr([L_1, L_2]) = 0 and the
+        # commutator drops c_1, c_2: why the degree density needs no SU
+        # reduction
+        rng = np.random.default_rng(8)
+        shape = (3, 6, 5, 4, m, m)
+        L = bloch._matrix_major(rng.standard_normal(shape)
+                                + 1j * rng.standard_normal(shape))
+        c = rng.standard_normal(shape[:-2]) + 1j * rng.standard_normal(
+            shape[:-2])
+        shifted = L + c[..., None, None] * np.eye(m)
+        scale = max(np.abs(L).max(), np.abs(c).max()) ** 3
+        assert np.abs(bloch._antisym_trace3(shifted)
+                      - bloch._antisym_trace3(L)).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name, params", [
+        ("fkm3d", {"dt": 0.5}), ("layered3d", {"m": 2, "tz": 0.5})])
+    def test_reduced_and_unreduced_fields_integrate_alike(self, pipeline,
+                                                          name, params):
+        _, wfield, wred = pipeline.fields(name, params, 16)
+        assert abs(float(bloch.wzw_density(wfield).sum())
+                   - float(bloch.wzw_density(wred).sum())) <= 1e-12
 
     @pytest.mark.parametrize("m", [2, 4])
     def test_triple_trace_independent_of_layout(self, m):

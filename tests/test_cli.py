@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tki import bloch, cli, models
+from tki import bloch, cli, eqforms, invariants, models
 from tki.grids import BZGrid
 
 
@@ -218,6 +218,31 @@ class TestInvariantCommand:
         assert code == 0
         assert json.loads(out)["methods"]["s3"]["parity"] == -1
 
+    def test_sphere_report_names_the_mesh_it_ran(self, capsys):
+        # --grid 10 runs SphereMesh.cubic(10), 10 x 10 x 12; the S^3 mesh
+        # takes one size
+        code, out, _ = run(capsys, "invariant", "--model", "dirac_s3",
+                           "--mass", "-1", "--grid", "10")
+        assert code == 0 and json.loads(out)["grid"] == [10, 10, 12]
+        for command in (["invariant", "--mass", "-1"],
+                        ["phase-diagram", "--sweep", "mass:-1:-1:1"]):
+            code, out, err = run(capsys, *command, "--model", "dirac_s3",
+                                 "--grid", "12,64,64")
+            assert code == 1 and out == ""
+            assert err == "error: --grid takes one size on an S^3 model\n"
+
+    def test_disagreeing_routes_exit_2(self, capsys, monkeypatch):
+        # a wzw kernel that answers -1 against the Pfaffian's +1
+        monkeypatch.setattr(invariants, "km_wzw", lambda wfield: (1.0, -1))
+        code, out, err = run(capsys, "invariant", "--model", "trivial",
+                             "--dim", "3", "--m", "2", "--grid", "8",
+                             "--methods", "pfaffian,wzw")
+        assert code == 2 and err == ""
+        doc = json.loads(out)
+        assert doc["consensus"] is False and doc["notes"] == []
+        assert [doc["methods"][r]["parity"] for r in ("pfaffian", "wzw")] \
+            == [1, -1]
+
     def test_nonconvergent_exit(self, capsys):
         # an absurdly tight smoothness gate forces the gauge to fail
         code, out, _ = run(capsys, "invariant", "--model", "fkm3d",
@@ -287,6 +312,34 @@ class TestLocaliseCommand:
         assert doc["parity"] == -1
         assert doc["fixed_values"]["0,0,0"] == pytest.approx(3.0)
         assert doc["total"] == pytest.approx(3.0)
+
+    def test_wzw_form_without_a_parity_exits_3(self, capsys, monkeypatch):
+        # a sampled density whose total, 0.5, rounds to no integer
+        def half(wfield):
+            sizes = wfield.grid.sizes
+            return eqforms.Cochain.from_density(
+                wfield.grid, np.full(sizes, 0.5 / np.prod(sizes))), 0.0
+        monkeypatch.setattr(eqforms, "sample_wzw", half)
+        code, out, err = run(capsys, "localise", "--model", "trivial",
+                             "--params", "d=3,m=2", "--form", "wzw",
+                             "--grid", "8")
+        assert code == 3 and err == ""
+        doc = json.loads(out)
+        assert doc["parity"] is None and "parity_residual" not in doc
+        assert doc["total"] == pytest.approx(0.5)
+        assert len(doc["notes"]) == 1 and "0.500" in doc["notes"][0]
+
+    def test_bloch_error_outside_a_route_exits_3(self, capsys, monkeypatch):
+        # the gauge of `localise --form wzw` is no route: its error ends
+        # the command
+        def winding(*args, **kwargs):
+            raise bloch.DetWinding(0, 1)
+        monkeypatch.setattr(bloch, "gauge_pipeline", winding)
+        code, out, err = run(capsys, "localise", "--model", "trivial",
+                             "--params", "d=3,m=2", "--form", "wzw",
+                             "--grid", "8")
+        assert (code, out) == (3, "")
+        assert err == "error: det(w) winds by 1 around cycle 0\n"
 
     def test_bad_form(self, capsys):
         assert run(capsys, "localise", "--form", "banana")[0] == 1
@@ -532,10 +585,10 @@ class TestGeneralMKernels:
     def test_link_logs_taken_once_per_field_and_axis(self, capsys,
                                                      monkeypatch):
         # one m = 4 run, with every route and with cs alone: the Berry
-        # connection's links of the frames and the reduced field's
+        # connection's links of the frames and the sewing field's
         # Maurer-Cartan links, which the sigma map and the density share,
         # one call over all three axes each and nothing twice; no link of
-        # the unreduced sewing field is logged
+        # the SU-reduced field, which only the Pfaffian reads, is logged
         fields, calls = {}, []
         pipeline, link_log = bloch.gauge_pipeline, bloch.link_log
 
@@ -556,4 +609,4 @@ class TestGeneralMKernels:
                              "--params", "d=3,m=4", "--grid", "12",
                              "--methods", methods)
             assert code == 0
-            assert sorted(calls) == ["frames", "wred"]
+            assert sorted(calls) == ["frames", "wfield"]

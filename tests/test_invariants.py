@@ -111,17 +111,42 @@ class TestRingGauge:
             alone = invariants._ring_tr_gauge(rings[r:r + 1], model.theta.U)
             assert np.array_equal(both[r], alone[0])
 
+    @pytest.mark.parametrize("parts", [(1.0,), (0.5, 3.0)], ids=["m2", "m4"])
+    def test_line_transport_is_the_step_and_ramp_map(self, parts):
+        # the half rings go through the seed's line transport; it is the
+        # map of a step loop to N/2 whose endpoint mismatch with the
+        # canonical frames is spread by the powers j/(N/2)
+        model = models.make_model("fkm3d", {"dt": parts[0]})
+        for dt in parts[1:]:
+            model = models.direct_sum(model,
+                                      models.make_model("fkm3d", {"dt": dt}))
+        raw = bloch.diagonalize_grid(model, BZGrid.cubic(3, 16))
+        plane = raw.restrict_plane(2, 0).frames
+        got = invariants._ring_tr_gauge(np.stack([plane[:, 8], plane[:, 0]]),
+                                        model.theta.U)
+        half = 8
+        v = np.stack([plane[:, 8], plane[:, 0]])
+        v[:, [0, half]] = got[:, [0, half]]
+        for j in range(1, half + 1):
+            v[:, j] = v[:, j] @ linalg.batched_polar_unitary(
+                linalg._dag(v[:, j]) @ v[:, j - 1])
+        ramp = linalg.unitary_ramp(linalg._dag(v[:, half]) @ got[:, half],
+                                   np.arange(1, half + 1) / half)
+        for j, G in enumerate(ramp, 1):
+            v[:, j] = v[:, j] @ G
+        assert np.abs(got[:, :half + 1] - v[:, :half + 1]).max() <= 1e-12
+
     def test_one_polar_call_per_step_for_both_rings(self, pipeline,
                                                     monkeypatch):
         model = models.make_model("fkm3d", {"dt": 1.0})
         plane = pipeline.raw("fkm3d", {"dt": 1.0}, 16).restrict_plane(0, 8)
         stacks = []
-        polar = invariants.batched_polar_unitary
-        monkeypatch.setattr(invariants, "batched_polar_unitary",
+        polar = bloch._svd_polar
+        monkeypatch.setattr(bloch, "_svd_polar",
                             lambda M: stacks.append(M.shape) or polar(M))
         invariants.km_plane_invariant(plane, model.theta)
-        # eight transport steps on two rings; the corrections are powers of
-        # a unitary and need no polar factor
+        # the line transport of both half rings: seven steps and the
+        # holonomy towards the canonical frames at N/2, one polar call each
         assert stacks == [(2, 2, 2)] * 8
 
 

@@ -40,8 +40,14 @@ def test_default_list_holds_the_golden_and_gapless_requests():
     golden = json.loads((ROOT / "tests" / "golden" / "reports.json")
                         .read_text(encoding="utf-8"))
     for argv in ([e["argv"] for e in golden.values()]
-                 + report_digest.GAPLESS + report_digest.DISPERSIVE):
+                 + report_digest.GAPLESS + report_digest.DISPERSIVE
+                 + report_digest.SINGLE_ROUTE):
         assert argv in requests
+    # an S^3 --grid that is no multiple of 4, and 2-d planes alone
+    assert ["invariant", "--model", "dirac_s3", "--mass", "-1", "--grid",
+            "10"] in requests
+    assert any(a[:3] == ["invariant", "--model", "bhz2d"]
+               and a[-2:] == ["--methods", "planes"] for a in requests)
     assert len(requests) == len({tuple(a) for a in requests})
     import workloads  # perfbench's, on the path once the list is built
     bench = [req["argv"] for name in sorted(workloads.WORKLOADS)

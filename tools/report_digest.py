@@ -12,7 +12,7 @@ which reports a change moved:
 The default list is the benchmark's requests
 (`perfbench.workloads.generate(name, 0)` for every workload), every argv in
 `tests/golden/reports.json`, two dispersive torus requests with every
-route, and three gapless requests.  An `invariant` request without
+route, two single-route requests and three gapless requests.  An `invariant` request without
 `--stable-output` gets it, so its report holds no timings.  Uses the
 standard library and `tki` only.
 """
@@ -35,6 +35,13 @@ DISPERSIVE = [
     ["invariant", "--model", "layered3d", "--m", "2", "--tz", "0.5",
      "--grid", "16", "--methods", ROUTES],
 ]
+# the S^3 mesh of a --grid that is no multiple of 4, and the planes route
+# alone on a 2-d model
+SINGLE_ROUTE = [
+    ["invariant", "--model", "dirac_s3", "--mass", "-1", "--grid", "10"],
+    ["invariant", "--model", "bhz2d", "--m", "1", "--grid", "16",
+     "--methods", "planes"],
+]
 GAPLESS = [
     ["invariant", "--model", "bhz2d", "--m", "0", "--grid", "16"],
     ["invariant", "--model", "dirac_s3", "--mass", "-2", "--grid", "16"],
@@ -44,8 +51,8 @@ GAPLESS = [
 
 
 def default_requests() -> list:
-    """The benchmark's requests, the golden argvs, `DISPERSIVE` and
-    `GAPLESS`, each once, in that order."""
+    """The benchmark's requests, the golden argvs, `DISPERSIVE`,
+    `SINGLE_ROUTE` and `GAPLESS`, each once, in that order."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     argvs = [req["argv"] for name in sorted(workloads.WORKLOADS)
@@ -53,7 +60,7 @@ def default_requests() -> list:
     golden = json.loads((ROOT / "tests" / "golden" / "reports.json")
                         .read_text(encoding="utf-8"))
     argvs += ([entry["argv"] for entry in golden.values()] + DISPERSIVE
-              + GAPLESS)
+              + SINGLE_ROUTE + GAPLESS)
     out = []
     for argv in argvs:
         if argv not in out:
