@@ -9,8 +9,11 @@ The pipeline here feeds every invariant route:
 
 Every gauge-dependent route gets its frames and sewing fields from
 `gauge_pipeline`.  The shared kernels live here too: `link_log` (principal
-log of the link unitaries along every axis, behind the Berry connection,
-the Maurer-Cartan links and the S^3 density), `plaquette_flux` (behind
+log of the polar factor of every frame link along every axis, behind the
+Berry connection: a frame link u+ u' is a contraction, not a unitary),
+`unitary_link_log` (the same log of a sewing field's links, taken directly:
+the field is gated unitary to 1e-8 and its links are unitary to rounding,
+behind the Maurer-Cartan links and the S^3 density), `plaquette_flux` (behind
 both plane Chern counts: a frame field traces its six invariant planes,
 one on a 2-d grid, once in `FrameField.plane_fluxes`, for both the Chern
 check and the planes route) and `_antisym_trace3`, the antisymmetrised
@@ -27,7 +30,7 @@ gradient.  A rough relaxed gauge escapes by random kicks (`_anneal`) or
 by the next seed of its multiscale level (`_smooth_frames`).  A field
 that does not depend on k (every node equal to node 0 by the exact test
 `_k_independent`, as for an atomic insulator) has every link u+ u:
-`smooth_gauge` returns such frames as they are, and `link_log` and
+`smooth_gauge` returns such frames as they are, and the link logs and
 `link_deficiency`, which take every axis in one call and test the field
 once, run on node 0 alone and fill a full array, which changes no bit.
 The steps and the link kernels run on the stacked kernels of `linalg`
@@ -268,9 +271,16 @@ def _link_stack(kernel, u, alloc, tail=()):
 def link_log(u: np.ndarray) -> np.ndarray:
     """Principal log of the forward link unitaries polar(u(k)+ u(k + e_a))
     along every axis a, stacked on axis 0, matrix-major, not divided by the
-    spacing (`_link_stack`)."""
+    spacing (`_link_stack`).  For frames, whose links are contractions."""
     return _link_stack(lambda O: unitary_log(batched_polar_unitary(O)),
                        u, _empty_stack, (u.shape[-1],) * 2)
+
+
+def unitary_link_log(w: np.ndarray) -> np.ndarray:
+    """`link_log` of a field of unitaries, such as a sewing field: its links
+    w(k)+ w(k + e_a) are unitary to rounding, so `unitary_log` takes them
+    as they are, without a polar factor."""
+    return _link_stack(unitary_log, w, _empty_stack, (w.shape[-1],) * 2)
 
 
 def link_deficiency(u: np.ndarray) -> np.ndarray:
@@ -668,7 +678,7 @@ def maurer_cartan_links(wfield: SewingField) -> np.ndarray:
     quotient to O(h) but keeps the result exactly in the Lie algebra, which
     buys roughly one order of accuracy in the WZW Riemann sums.
     """
-    L = link_log(wfield.w)
+    L = unitary_link_log(wfield.w)
     for a, h in enumerate(wfield.grid.spacings):
         L[a] /= h
     return L

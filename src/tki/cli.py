@@ -362,7 +362,7 @@ def cmd_phase_diagram(args, extra) -> int:
         try:
             if model.domain == "sphere3":
                 # the s3 parity fills the parity_wzw column
-                grid = _sphere_grid(args.grid, 24)
+                grid = _sphere_grid(args.grid, invariants.S3_SWEEP_MESH)
                 raw, gap, columns = None, 1.0, (None, None, "s3")
             else:
                 grid = _parse_grid(args.grid or "16", model.dim)

@@ -40,8 +40,10 @@ from .bloch import (FrameField, SewingField, ConnectionField, _PERMS3,
                     _antisym_trace3, _transport_last_axis, wzw_density)
 
 _W0 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-# the S^3 mesh size of `km_s3` and of `tki invariant` without --grid
+# the S^3 mesh size of `km_s3` and of `tki invariant` without --grid, and
+# the coarser one of each point of `tki phase-diagram` without --grid
 S3_MESH = 48
+S3_SWEEP_MESH = 24
 
 
 class InvariantError(ValueError):
@@ -163,9 +165,14 @@ def _ring_phase_sum(v: np.ndarray) -> float:
 def _plane_raw(flux, bottom, top) -> float:
     """The plane count before rounding: boundary Berry phases of the gauged
     rings n1 = N/2 (bottom) and n1 = 0 (top) against the Berry flux over
-    the half plane n1 in [N/2, N-1], from the plane's plaquette fluxes."""
+    the half plane n1 in [N/2, N-1], from the plane's plaquette fluxes.
+
+    Both ring phases are summed towards increasing n0.  The boundary of the
+    half plane runs the bottom ring that way and the top ring (n1 = N) the
+    other way, so the flux is phi(bottom) - phi(top) mod 2 pi in any gauge,
+    and (phi(bottom) - phi(top) - flux) / 2 pi is an integer."""
     fsum = float(flux[:, flux.shape[1] // 2:].sum())
-    return ((_ring_phase_sum(top) - _ring_phase_sum(bottom) - fsum)
+    return ((_ring_phase_sum(bottom) - _ring_phase_sum(top) - fsum)
             / (2 * np.pi))
 
 
@@ -195,9 +202,11 @@ def km_plane_invariant(frames2d: FrameField, theta) -> tuple:
     Berry fluxes are summed over the half plane n1 in [N/2, N-1] (they are
     gauge independent, so the raw frames suffice), while the two boundary
     rings n1 = N/2 and n1 = 0 get time-reversal-constrained gauges whose
-    Berry phases close the Stokes balance.  The total is 2*pi times an
-    integer whose parity is the invariant.  Returns (parity, raw integer
-    estimate before rounding).
+    Berry phases close the Stokes balance: the half plane's boundary runs
+    the ring n1 = N/2 towards increasing n0 and the ring n1 = 0 towards
+    decreasing n0 (`_plane_raw`).  The total is 2*pi times an integer whose
+    parity is the invariant.  Returns (parity, raw integer estimate before
+    rounding).
     """
     if frames2d.grid.dim != 2:
         raise InvariantError("plane invariant expects a 2-d frame field")

@@ -17,7 +17,10 @@ log from one `eigh` of a Hermitian combination of W and W+, the norm from
 `eigvalsh` of M+M, the determinant from `det`'s LU factorisation.
 The polar factor and the log certify each node and send the nodes that
 fail to the per-matrix SVD / eig path, which the transport seed calls
-directly (`_svd_polar`) for every node.
+directly (`_svd_polar`) for every node.  The log takes a unitary: the
+frames' link logs pass their contractions through the polar factor first,
+while a sewing field's links, unitary to rounding, go to the log directly
+(`bloch.link_log`, `bloch.unitary_link_log`).
 
 Layout.  Every stack of matrices (..., m, n) is stored matrix-major, its
 two matrix axes outermost in memory, from the line that creates it:
@@ -191,7 +194,8 @@ def batched_polar_unitary(M: np.ndarray) -> np.ndarray:
     N[..., 1, 1] = d + phase * a.conj()
     norm = np.sqrt(0.5 * (N.real ** 2 + N.imag ** 2).sum(axis=(-2, -1)))
     zero = norm == 0
-    N[zero] = np.eye(2)
+    if zero.any():
+        N[zero] = np.eye(2)
     return N / np.where(zero, 1.0, norm)[..., None, None]
 
 
@@ -395,7 +399,8 @@ def unitary_log(W: np.ndarray) -> np.ndarray:
     L = dd[..., None, None] * W
     L[..., 0, 0] += 1j * phi_m - dd * lo
     L[..., 1, 1] += 1j * phi_m - dd * lo
-    L[straddle] = _eig_log(W[straddle])
+    if straddle.any():
+        L[straddle] = _eig_log(W[straddle])
     return L
 
 

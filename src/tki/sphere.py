@@ -15,6 +15,11 @@ either integrates it directly or localises it onto the two poles with the
 descent step of the torus grids, `eqforms.push`, applied three times:
 hemisphere -> boundary two-sphere -> the circle through both poles ->
 poles, each step exactly integral preserving.
+
+The frames are built one chi slab at a time, each slab from the one chart
+it uses.  The density logs the sewing links without a polar factor
+(`bloch.unitary_link_log`): `sphere_sewing` gates the field unitary to
+1e-8, and its links are unitary to rounding.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _dag, _empty_stack, _mm
-from .bloch import GaplessAt, _antisym_trace3, link_log
+from .bloch import GaplessAt, _antisym_trace3, unitary_link_log
 from .eqforms import push
 from .models import BlochModel
 
@@ -73,11 +78,15 @@ class SphereMesh:
         return (np.pi / self.n_chi, np.pi / self.n_theta,
                 2 * np.pi / self.n_phi)
 
-    def angles(self) -> np.ndarray:
+    def axes(self) -> tuple:
+        """The cell-center angles chi, theta and phi, one 1-d array each."""
         chi = (np.arange(self.n_chi) + 0.5) * np.pi / self.n_chi
         th = (np.arange(self.n_theta) + 0.5) * np.pi / self.n_theta
         ph = -np.pi + (np.arange(self.n_phi) + 0.5) * 2 * np.pi / self.n_phi
-        return np.stack(np.meshgrid(chi, th, ph, indexing="ij"), axis=-1)
+        return chi, th, ph
+
+    def angles(self) -> np.ndarray:
+        return np.stack(np.meshgrid(*self.axes(), indexing="ij"), axis=-1)
 
     def involution_indices(self):
         """Cell-index permutation of (chi, theta, phi) -> (chi, pi - theta,
@@ -92,8 +101,21 @@ class SphereMesh:
         return np.roll(np.flip(values, axis=1), self.n_phi // 2, axis=2)
 
 
-def _dirac_charts(mass: float, mesh: SphereMesh):
-    """The two closed-form lower-band charts of the sphere Dirac model.
+def _spin_matrices(th, ph):
+    """v.sigma for the unit vector at (theta, phi): a (n_theta, n_phi, 2, 2)
+    stack, shared by every chi slab."""
+    st = np.sin(th)[:, None]
+    vs = _empty_stack((len(th), len(ph), 2, 2))
+    vs[..., 0, 0] = np.cos(th)[:, None]
+    vs[..., 0, 1] = st * np.exp(-1j * ph)
+    vs[..., 1, 0] = st * np.exp(1j * ph)
+    vs[..., 1, 1] = -np.cos(th)[:, None]
+    return vs
+
+
+def _dirac_chart(chart: int, mass: float, chi, vs, out):
+    """Fill out (len(chi), n_theta, n_phi, 4, 2) with one closed-form
+    lower-band chart of the sphere Dirac model.
 
     With a = sin(chi), f = mass + 1 - cos(chi), r = sqrt(a^2 + f^2) and
     D = a * (unit_vector . sigma), the columns
@@ -102,26 +124,21 @@ def _dirac_charts(mass: float, mesh: SphereMesh):
         chart 2: ((f-r) e_j,  D e_j) / sqrt(2 r (r-f))   (singular at f = +r)
 
     span the lower doublet, and on the overlap chart2 = chart1 @ (v.sigma).
+    The spin blocks fill the rows (spin, orbital) -> 2*spin + orbital.
     """
-    ang = mesh.angles()
-    chi, th, ph = ang[..., 0], ang[..., 1], ang[..., 2]
     a = np.sin(chi)
     f = mass + 1.0 - np.cos(chi)
     r = np.sqrt(a * a + f * f)
-    vs = _empty_stack(mesh.shape + (2, 2))
-    vs[..., 0, 0] = np.cos(th)
-    vs[..., 0, 1] = np.sin(th) * np.exp(-1j * ph)
-    vs[..., 1, 0] = np.sin(th) * np.exp(1j * ph)
-    vs[..., 1, 1] = -np.cos(th)
-    return a, f, r, vs
-
-
-def _assemble_chart(first_block, second_block):
-    """Stack two (..., 2, 2) spin blocks into 4x2 frames with the row order
-    (spin, orbital) -> 2*spin + orbital."""
-    out = _empty_stack(first_block.shape[:-2] + (4, 2))
-    out[..., 0::2, :] = first_block
-    out[..., 1::2, :] = second_block
+    a, f, r = (x[:, None, None, None, None] for x in (a, f, r))
+    eye = np.eye(2, dtype=complex)
+    if chart == 1:
+        n1 = np.sqrt(2 * r * (r + f))
+        out[..., 0::2, :] = -a * vs / n1
+        out[..., 1::2, :] = (f + r) * eye / n1
+    else:
+        n2 = np.sqrt(2 * r * (r - f))
+        out[..., 0::2, :] = (f - r) * eye / n2
+        out[..., 1::2, :] = a * vs / n2
     return out
 
 
@@ -132,38 +149,37 @@ def dirac_frames(mass: float, mesh: SphereMesh) -> np.ndarray:
     equatorial band by the smooth unitary interpolation
     exp(-i pi s / 2) * exp(i s (pi/2) v.sigma), which connects the identity
     to v.sigma as s runs from 0 to 1; elsewhere a single chart is global.
-    Raises GaplessAt at the critical masses.
+    Each chi slab is built from the one chart it uses.  Raises GaplessAt at
+    the critical masses.
     """
     if abs(mass) < 1e-8 or abs(mass + 2.0) < 1e-8:
         raise GaplessAt(f"sphere Dirac model is critical at mass {mass}")
-    a, f, r, vs = _dirac_charts(mass, mesh)
-    eye = np.eye(2, dtype=complex)
-    if mass > -2:  # chart 1: global for mass > 0, where f > 0 everywhere
-        n1 = np.sqrt(2 * r * (r + f))[..., None, None]
-        u1 = _assemble_chart(-a[..., None, None] * vs / n1,
-                             (f + r)[..., None, None] * eye / n1)
-    if mass < 0:  # chart 2: global for mass < -2, where f < 0 everywhere
-        n2 = np.sqrt(2 * r * (r - f))[..., None, None]
-        u2 = _assemble_chart((f - r)[..., None, None] * eye / n2,
-                             a[..., None, None] * vs / n2)
-    if not -2 < mass < 0:
-        return u1 if mass > 0 else u2
-    # band-inverted: chart 2 near chi = 0, chart 1 near chi = pi, glued by
-    # u = chart1 @ h(s) with s running 1 -> 0 across [pi/3, 2 pi/3]
-    chi = mesh.angles()[..., 0]
-    t = np.clip((2 * np.pi / 3 - chi) / (np.pi / 3), 0.0, 1.0)
-    s = 3 * t * t - 2 * t ** 3
-    half = np.pi / 2
-    phase = np.exp(-1j * half * s)[..., None, None]
-    hs = np.multiply(phase, np.cos(half * s)[..., None, None] * eye
-                     + 1j * np.sin(half * s)[..., None, None] * vs,
-                     out=_empty_stack(vs.shape))
-    glued = _mm(u1, hs)
-    lo = chi < np.pi / 3
-    glued[lo] = u2[lo]
-    hi = chi > 2 * np.pi / 3
-    glued[hi] = u1[hi]
-    return glued
+    chi, th, ph = mesh.axes()
+    vs = _spin_matrices(th, ph)
+    out = _empty_stack(mesh.shape + (4, 2))
+    # chart 1 is global for mass > 0, where f > 0 everywhere, and chart 2
+    # for mass < -2, where f < 0; band-inverted, chart 2 covers chi < pi/3,
+    # chart 1 chi > 2 pi/3, and u = chart1 @ h(s) the band between, with s
+    # running 1 -> 0 across it
+    if mass > 0:
+        lo = hi = 0
+    elif mass < -2:
+        lo = hi = mesh.n_chi
+    else:
+        lo = int(np.searchsorted(chi, np.pi / 3, side="left"))
+        hi = int(np.searchsorted(chi, 2 * np.pi / 3, side="right"))
+    _dirac_chart(2, mass, chi[:lo], vs, out[:lo])
+    _dirac_chart(1, mass, chi[lo:], vs, out[lo:])
+    if lo < hi:
+        t = np.clip((2 * np.pi / 3 - chi[lo:hi]) / (np.pi / 3), 0.0, 1.0)
+        s = (3 * t * t - 2 * t ** 3)[:, None, None, None, None]
+        half = np.pi / 2
+        hs = np.multiply(np.exp(-1j * half * s),
+                         np.cos(half * s) * np.eye(2, dtype=complex)
+                         + 1j * np.sin(half * s) * vs,
+                         out=_empty_stack((hi - lo,) + vs.shape))
+        out[lo:hi] = _mm(out[lo:hi], hs)
+    return out
 
 
 def sphere_frames(model: BlochModel, mesh: SphereMesh) -> np.ndarray:
@@ -206,7 +222,7 @@ def sphere_wzw_density(w: np.ndarray, mesh: SphereMesh):
     discretization artifact.
     """
     hs = mesh.spacings
-    L = link_log(w)
+    L = unitary_link_log(w)
     for a, h in enumerate(hs):
         L[a] /= h
     for a in (0, 1):  # open axes: the last slice reuses its backward link

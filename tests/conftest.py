@@ -11,6 +11,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from tki import bloch, models  # noqa: E402
+from tki.linalg import _dag  # noqa: E402
 from tki.grids import BZGrid  # noqa: E402
 
 
@@ -32,6 +33,29 @@ def in_random_basis(model, seed):
     return dataclasses.replace(
         model, theta=models.TimeReversalOperator(V @ model.theta.U @ V.T),
         _batch=lambda K, f=model._batch: V @ f(K) @ V.conj().T)
+
+
+def twisted(model, t):
+    """The model conjugated by W(k) = exp(i t sum_a sin(k_a) G_a): H -> W H W+.
+
+    G_a = (X_a + U X_a* U+)/2 for a fixed Hermitian X_a, so Theta G_a
+    Theta^-1 = G_a and Theta W(k) Theta^-1 = W(-k): H_t keeps time reversal
+    and the spectrum, and t -> H_t is a gapped time-reversal-symmetric
+    homotopy, so the invariant is the untwisted model's.  The X_a are
+    generic: on bhz2d, H_t breaks the inversion 1 x sigma_z that H has."""
+    U, idx = model.theta.U, np.arange(model.n_bands)
+    gens = []
+    for a in range(model.dim):
+        B = np.exp(1j * (a + 2) * np.add.outer(2 * idx, 3 * idx))
+        X = 0.5 * (B + B.conj().T)
+        gens.append(0.5 * (X + U @ X.conj() @ U.conj().T))
+
+    def batch(K, f=model._batch):
+        S = sum(np.sin(K[..., a, None, None]) * g for a, g in enumerate(gens))
+        lam, V = np.linalg.eigh(S)
+        W = (V * np.exp(1j * t * lam)[..., None, :]) @ _dag(V)
+        return W @ f(K) @ _dag(W)
+    return dataclasses.replace(model, _batch=batch)
 
 
 def matrix_major(X):

@@ -7,7 +7,7 @@ import json
 
 from tki import bloch, cli, invariants, linalg, models, sphere
 from tki.grids import BZGrid
-from conftest import in_random_basis, matrix_major
+from conftest import in_random_basis, matrix_major, twisted
 
 
 @pytest.fixture(scope="module")
@@ -583,6 +583,56 @@ class TestLinkKernels:
             assert calls == ([1] if one_node else [8 ** 3] * 3)
 
 
+def _sewing_field(name):
+    """The sewing matrices of one of the fields `TestSewingLinks` logs."""
+    if name == "dirac_s3-32":
+        model = models.make_model("dirac_s3", {"mass": -1.0})
+        mesh = sphere.SphereMesh.cubic(32)
+        return sphere.sphere_sewing(sphere.sphere_frames(model, mesh),
+                                    model.theta, mesh)
+    model, n = models.make_model("fkm3d", {"dt": 0.5}), 24
+    if name == "fkm3d-twisted-24":
+        model = twisted(model, 0.5)
+    elif name == "fkm3d-sum-16":
+        model, n = models.direct_sum(
+            model, models.make_model("fkm3d", {"dt": 3.0})), 16
+    raw = bloch.diagonalize_grid(model, BZGrid.cubic(3, n))
+    return bloch.gauge_pipeline(raw, model.theta)[1].w
+
+
+class TestSewingLinks:
+    """The links of a sewing field are unitary to rounding, so their log
+    (`bloch.unitary_link_log`) skips the polar factor that the frames'
+    contractions need, and agrees with the polar log to rounding."""
+
+    @pytest.mark.parametrize("name", ["fkm3d-24", "fkm3d-twisted-24",
+                                      "fkm3d-sum-16", "dirac_s3-32"])
+    def test_links_log_without_a_polar_factor(self, monkeypatch, name):
+        w = _sewing_field(name)
+        m = w.shape[-1]
+        eig_nodes = []
+
+        def counted(W, _f=linalg._eig_log):
+            eig_nodes.append(W[..., 0, 0].size)
+            return _f(W)
+        monkeypatch.setattr(linalg, "_eig_log", counted)
+        monkeypatch.setattr(bloch, "batched_polar_unitary", None)
+        L = bloch.unitary_link_log(w)  # takes no polar factor
+        direct, eig_nodes[:] = list(eig_nodes), []
+        for a in range(w.ndim - 2):
+            O = linalg._mm(linalg._dag(w), np.roll(w, -1, axis=a))
+            assert np.abs(linalg._mm(linalg._dag(O), O)
+                          - np.eye(m)).max() <= 1e-12
+            ref = linalg.unitary_log(linalg.batched_polar_unitary(O))
+            assert np.abs(L[a] - ref).max() <= 1e-13
+            assert np.abs(L[a] + linalg._dag(L[a])).max() <= 1e-13
+        # no node leaves `_eigh_log` for `_eig_log`; a 2x2 link whose
+        # eigenphases straddle the branch cut (on S^3 the discarded
+        # wrap-around links of the open theta axis) does so with or
+        # without the polar factor
+        assert direct == ([] if m > 2 else eig_nodes)
+
+
 class TestQuaternionicAverage:
     def test_idempotent_and_sigma_fixed(self, bhz_gauge):
         _, frames, wfield = bhz_gauge
@@ -608,7 +658,7 @@ class TestQuaternionicAverage:
         def sigma(A):
             out = np.empty_like(A)
             for a, h in enumerate(grid.spacings):
-                L = bloch.link_log(w)[a] / h
+                L = bloch.unitary_link_log(w)[a] / h
                 lam = 0.5 * (L + np.roll(L, 1, axis=a))
                 out[a] = -bloch._mm(w, bloch._mm(
                     grid.involute(A[a]).conj() + lam, bloch._dag(w)))
@@ -825,7 +875,7 @@ class TestLayout:
     def test_sphere_fields_are_matrix_major(self):
         model = models.make_model("dirac_s3", {"mass": -1.0})
         mesh = sphere.SphereMesh.cubic(12)
-        assert matrix_major(sphere._dirac_charts(-1.0, mesh)[3])
+        assert matrix_major(sphere._spin_matrices(*mesh.axes()[1:]))
         for mass in (1.0, -1.0, -3.0):  # chart 1, glued, chart 2
             assert matrix_major(sphere.dirac_frames(mass, mesh))
         u = sphere.sphere_frames(model, mesh)

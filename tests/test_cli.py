@@ -383,6 +383,19 @@ class TestPhaseDiagramCommand:
                            "--sweep", "mass:-1:-1:1", "--grid", "6")
         assert code == 1 and "too coarse" in err
 
+    def test_default_sphere_mesh_is_the_named_one(self, capsys,
+                                                   monkeypatch):
+        # without --grid each S^3 point runs invariants.S3_SWEEP_MESH,
+        # read at the call (patched to a small mesh here)
+        sizes, km_s3 = [], invariants.km_s3
+        monkeypatch.setattr(invariants, "S3_SWEEP_MESH", 12)
+        monkeypatch.setattr(invariants, "km_s3",
+                            lambda model, n: sizes.append(n)
+                            or km_s3(model, n))
+        code, _, _ = run(capsys, "phase-diagram", "--model", "dirac_s3",
+                         "--sweep", "mass:-1:1:2")
+        assert code == 0 and sizes == [12, 12]
+
     def test_requires_sweep(self, capsys):
         assert run(capsys, "phase-diagram", "--model", "bhz2d")[0] == 1
 
@@ -585,12 +598,13 @@ class TestGeneralMKernels:
     def test_link_logs_taken_once_per_field_and_axis(self, capsys,
                                                      monkeypatch):
         # one m = 4 run, with every route and with cs alone: the Berry
-        # connection's links of the frames and the sewing field's
-        # Maurer-Cartan links, which the sigma map and the density share,
-        # one call over all three axes each and nothing twice; no link of
-        # the SU-reduced field, which only the Pfaffian reads, is logged
+        # connection's links of the frames (through the polar factor) and
+        # the sewing field's Maurer-Cartan links (without it), which the
+        # sigma map and the density share, one call over all three axes
+        # each and nothing twice; no link of the SU-reduced field, which
+        # only the Pfaffian reads, is logged
         fields, calls = {}, []
-        pipeline, link_log = bloch.gauge_pipeline, bloch.link_log
+        pipeline = bloch.gauge_pipeline
 
         def kept(*args, **kwargs):
             out = pipeline(*args, **kwargs)
@@ -598,15 +612,21 @@ class TestGeneralMKernels:
                               (out[0].frames, out[1].w, out[2].w)))
             return out
 
-        def counted(u):
-            calls.append(next(k for k, v in fields.items() if v is u))
-            return link_log(u)
+        def counted(name, kernel):
+            def call(u):
+                calls.append((name, next(k for k, v in fields.items()
+                                         if v is u)))
+                return kernel(u)
+            return call
         monkeypatch.setattr(bloch, "gauge_pipeline", kept)
-        monkeypatch.setattr(bloch, "link_log", counted)
+        for name in ("link_log", "unitary_link_log"):
+            monkeypatch.setattr(bloch, name,
+                                counted(name, getattr(bloch, name)))
         for methods in ("pfaffian,planes,wzw,winding,cs,localise", "cs"):
             calls.clear()
             code, _, _ = run(capsys, "invariant", "--model", "trivial",
                              "--params", "d=3,m=4", "--grid", "12",
                              "--methods", methods)
             assert code == 0
-            assert sorted(calls) == ["frames", "wfield"]
+            assert sorted(calls) == [("link_log", "frames"),
+                                     ("unitary_link_log", "wfield")]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import in_random_basis
+from conftest import in_random_basis, twisted
 from tki import bloch, cli, invariants, linalg, models
 from tki.grids import BZGrid
 
@@ -97,6 +97,45 @@ class TestPlaneInvariant:
         p_ref, _ = invariants.km_plane_invariant(raw, model.theta)
         p_scr, _ = invariants.km_plane_invariant(scrambled, model.theta)
         assert p_scr == p_ref
+
+
+class TestTwistedPlanes:
+    """Known answers that break inversion: `conftest.twisted` keeps the
+    invariant of its model, and the plane counts are exact integers only
+    with the half plane's boundary orientation (`invariants._plane_raw`)."""
+
+    @pytest.mark.parametrize("name, params, dim, t", [
+        ("bhz2d", {"m": 1.0}, 2, 1.0), ("fkm3d", {"dt": 0.5}, 3, 0.5)])
+    def test_twist_keeps_spectrum_and_time_reversal(self, name, params,
+                                                    dim, t):
+        model = models.make_model(name, params)
+        twin = twisted(model, t)
+        K = BZGrid.cubic(dim, 8).node_mesh()
+        H = twin.hamiltonian_batch(K)
+        assert np.abs(np.linalg.eigvalsh(H) - np.linalg.eigvalsh(
+            model.hamiltonian_batch(K))).max() <= 1e-12
+        U = model.theta.U
+        assert np.abs(U @ H.conj() @ U.conj().T
+                      - twin.hamiltonian_batch(-K)).max() <= 1e-12
+        # the twist moves the frames: H_t is not H
+        assert np.abs(H - model.hamiltonian_batch(K)).max() > 0.1
+
+    def test_twisted_bhz2d(self):
+        # the opposite ring orientation counts 0.06 here: parity +1, wrong
+        model = twisted(models.make_model("bhz2d", {"m": 1.0}), 1.0)
+        raw = bloch.diagonalize_grid(model, BZGrid.cubic(2, 24))
+        parity, D = invariants.km_plane_invariant(raw, model.theta)
+        assert parity == -1 and abs(D - round(D)) <= 1e-6
+
+    def test_twisted_fkm3d(self):
+        # the opposite ring orientation counts 0.96, 0.73, ... and refuses
+        model = twisted(models.make_model("fkm3d", {"dt": 0.5}), 0.5)
+        raw = bloch.diagonalize_grid(model, BZGrid.cubic(3, 24))
+        raws = invariants._plane_raws(raw, model.theta.U)
+        assert len(raws) == 6
+        assert all(abs(r - round(r)) <= 1e-6 for r in raws)
+        strong, _, _ = invariants.km_weak_strong(raw, model.theta)
+        assert strong == -1
 
 
 class TestRingGauge:

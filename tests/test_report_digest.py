@@ -43,9 +43,12 @@ def test_default_list_holds_the_golden_and_gapless_requests():
                  + report_digest.GAPLESS + report_digest.DISPERSIVE
                  + report_digest.SINGLE_ROUTE):
         assert argv in requests
-    # an S^3 --grid that is no multiple of 4, and 2-d planes alone
+    # an S^3 --grid that is no multiple of 4, 2-d planes alone, and an S^3
+    # sweep on its default mesh
     assert ["invariant", "--model", "dirac_s3", "--mass", "-1", "--grid",
             "10"] in requests
+    assert ["phase-diagram", "--model", "dirac_s3", "--sweep",
+            "mass:-1:1:2"] in requests
     assert any(a[:3] == ["invariant", "--model", "bhz2d"]
                and a[-2:] == ["--methods", "planes"] for a in requests)
     assert len(requests) == len({tuple(a) for a in requests})

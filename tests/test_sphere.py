@@ -57,36 +57,52 @@ class TestMesh:
         assert out.flags.c_contiguous and matrix_major(outm)
 
 
-class TestDiracFrames:
-    @pytest.mark.parametrize("mass", [1.0, -1.0, -3.0])
-    def test_exact_eigenframes(self, mesh, mass):
-        model = models.make_model("dirac_s3", {"mass": mass})
-        u = sphere.dirac_frames(mass, mesh)
-        H = model.hamiltonian_batch(mesh.angles())
-        Hu = np.einsum("...ab,...bi->...ai", H, u)
-        overlap = np.einsum("...ai,...aj->...ij", u.conj(), Hu)
-        ortho = np.einsum("...ai,...aj->...ij", u.conj(), u)
-        assert np.abs(ortho - np.eye(2)).max() <= 1e-12
-        # the span is an exact negative-energy eigenspace
-        resid = Hu - np.einsum("...ai,...ij->...aj", u, overlap)
-        assert np.abs(resid).max() <= 1e-9
-        assert np.linalg.eigvalsh(overlap).max() < 0
+def _max_link_defect(u):
+    """Largest ||u+ u' - 1|| over the links of a frame stack on the mesh:
+    open in chi and theta, periodic in phi."""
+    worst = 0.0
+    for axis, periodic in ((0, False), (1, False), (2, True)):
+        u_c, v_c = u, np.roll(u, -1, axis=axis)
+        if not periodic:
+            sel = [slice(None)] * 3
+            sel[axis] = slice(0, -1)
+            u_c, v_c = u_c[tuple(sel)], v_c[tuple(sel)]
+        ov = np.einsum("...ai,...aj->...ij", u_c.conj(), v_c)
+        worst = max(worst, np.linalg.svd(ov - np.eye(2),
+                                         compute_uv=False)[..., 0].max())
+    return worst
 
-    def test_smooth_everywhere(self, mesh):
-        for mass in (1.0, -1.0):
+
+# chart 1 alone, band-inverted (glued) and chart 2 alone; on these meshes
+# the glue band's chi slabs start and end at different cells
+DIRAC_MASSES = [1.0, -0.5, -1.0, -1.7, -3.0]
+DIRAC_MESHES = [10, 14, 16, 32]
+
+
+class TestDiracFrames:
+    @pytest.mark.parametrize("mass", DIRAC_MASSES)
+    def test_exact_eigenframes(self, mass):
+        model = models.make_model("dirac_s3", {"mass": mass})
+        for n in DIRAC_MESHES:
+            mesh = SphereMesh.cubic(n)
             u = sphere.dirac_frames(mass, mesh)
-            for axis, periodic in ((0, False), (1, False), (2, True)):
-                v = np.roll(u, -1, axis=axis)
-                if not periodic:
-                    sel = [slice(None)] * 3
-                    sel[axis] = slice(0, -1)
-                    u_c, v_c = u[tuple(sel)], v[tuple(sel)]
-                else:
-                    u_c, v_c = u, v
-                ov = np.einsum("...ai,...aj->...ij", u_c.conj(), v_c)
-                defect = np.linalg.svd(ov - np.eye(2),
-                                       compute_uv=False)[..., 0]
-                assert defect.max() < 0.9
+            H = model.hamiltonian_batch(mesh.angles())
+            Hu = np.einsum("...ab,...bi->...ai", H, u)
+            overlap = np.einsum("...ai,...aj->...ij", u.conj(), Hu)
+            ortho = np.einsum("...ai,...aj->...ij", u.conj(), u)
+            assert np.abs(ortho - np.eye(2)).max() <= 1e-12
+            # the span is an exact negative-energy eigenspace
+            resid = Hu - np.einsum("...ai,...ij->...aj", u, overlap)
+            assert np.abs(resid).max() <= 1e-9
+            assert np.linalg.eigvalsh(overlap).max() < 0
+
+    def test_smooth_everywhere(self):
+        for mass in DIRAC_MASSES:
+            for n in DIRAC_MESHES:
+                u = sphere.dirac_frames(mass, SphereMesh.cubic(n))
+                # the glue band turns a chi link by up to about 4.5 pi / n;
+                # the bound is 0.9 at n = 16, scaled as 1 / n
+                assert _max_link_defect(u) < 0.9 * 16 / n, (mass, n)
 
     def test_gapless_masses_rejected(self, mesh):
         for mass in (0.0, -2.0):

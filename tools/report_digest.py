@@ -12,9 +12,9 @@ which reports a change moved:
 The default list is the benchmark's requests
 (`perfbench.workloads.generate(name, 0)` for every workload), every argv in
 `tests/golden/reports.json`, two dispersive torus requests with every
-route, two single-route requests and three gapless requests.  An `invariant` request without
-`--stable-output` gets it, so its report holds no timings.  Uses the
-standard library and `tki` only.
+route, three single-route requests and three gapless requests.  An
+`invariant` request without `--stable-output` gets it, so its report holds
+no timings.  Uses the standard library and `tki` only.
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ DISPERSIVE = [
     ["invariant", "--model", "layered3d", "--m", "2", "--tz", "0.5",
      "--grid", "16", "--methods", ROUTES],
 ]
-# the S^3 mesh of a --grid that is no multiple of 4, and the planes route
-# alone on a 2-d model
+# the S^3 mesh of a --grid that is no multiple of 4, the planes route
+# alone on a 2-d model, and an S^3 sweep on its default mesh
 SINGLE_ROUTE = [
     ["invariant", "--model", "dirac_s3", "--mass", "-1", "--grid", "10"],
     ["invariant", "--model", "bhz2d", "--m", "1", "--grid", "16",
      "--methods", "planes"],
+    ["phase-diagram", "--model", "dirac_s3", "--sweep", "mass:-1:1:2"],
 ]
 GAPLESS = [
     ["invariant", "--model", "bhz2d", "--m", "0", "--grid", "16"],
