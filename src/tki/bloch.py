@@ -34,10 +34,12 @@ that does not depend on k (every node equal to node 0 by the exact test
 `link_deficiency`, which take every axis in one call and test the field
 once, run on node 0 alone and fill a full array, which changes no bit.
 The steps and the link kernels run on the stacked kernels of `linalg`
-(polar factor, principal log, operator norm): closed forms when m = 2,
-Newton-Schulz and one Hermitian eigensolver per stack for larger m.  The
-one line transport, `_transport_last_axis`, keeps the SVD / eig path for
-every m; it seeds the gauge and builds the planes route's ring gauge
+(relax step, polar factor, principal log, operator norm): closed forms
+when m = 2, and for larger m one LAPACK call per stack (a solve for the
+Cayley step, an SVD for the polar factor, a Hermitian eigensolver for the
+log and the norm).  The one line transport, `_transport_last_axis`,
+takes the SVD polar and the eig log for every m, m = 2 included; it
+seeds the gauge and builds the planes route's ring gauge
 (`invariants._ring_tr_gauge`).  Frames, sewing fields, connections, link
 logs and the Fourier transforms of the steps follow the layout rule of
 `linalg`.
@@ -62,7 +64,7 @@ from .grids import BZGrid
 from .linalg import (_AH, _dag, _empty_stack, _matrix_major, _mm,
                      _scale_columns, _svd_polar, batched_det,
                      batched_polar_unitary, batched_spectral_norm,
-                     phase_continue, unitary_log, unitary_ramp)
+                     phase_continue, unitary_log, unitary_ramp, unitary_step)
 
 
 # the defaults every caller reads: the gauge smoothness gate of sewing
@@ -374,22 +376,22 @@ def _relax(u, dim):
     al.): raise sum Re tr O over the links by per-node rotations, until the
     mean link deficiency plateaus.
 
-    Each step turns every node at once by polar(1 + theta), theta = L^-1
-    AH(M) from `_link_products` and `_inverse_laplacian`: the exact step of
-    the functional linearised about the current gauge, so no step size is
-    tuned and the long-wavelength modes fall as fast as the short ones.  A
-    step that moves the deficiency by less than _REL_TOL of itself ends
-    the call, and so does a rise after the first step: a step lowers the
-    functional, not the mean of ||O - 1||_F, and a first step from a seed
-    or a kick can raise that mean."""
+    Each step turns every node at once by `unitary_step(theta)`, theta =
+    L^-1 AH(M) from `_link_products` and `_inverse_laplacian`: the exact
+    step of the functional linearised about the current gauge, so no step
+    size is tuned and the long-wavelength modes fall as fast as the short
+    ones.  The rotation is polar(1 + theta) for m = 2 and the Cayley
+    transform of theta for larger m; both agree with exp(theta) to second
+    order.  A step that moves the deficiency by less than _REL_TOL of
+    itself ends the call, and so does a rise after the first step: a step
+    lowers the functional, not the mean of ||O - 1||_F, and a first step
+    from a seed or a kick can raise that mean."""
     u = _matrix_major(u)
-    eye = np.eye(u.shape[-1])
     prev, M = _link_products(u, dim)
     for step in range(_MAX_STEPS):
         theta = _inverse_laplacian(_AH(M), dim)
         del M  # free the target before the step allocates the next one
-        theta += eye
-        u = _mm(u, batched_polar_unitary(theta))
+        u = _mm(u, unitary_step(theta))
         del theta
         cur, M = _link_products(u, dim)
         if (abs(prev - cur) < _REL_TOL * max(prev, 1e-12)

@@ -9,18 +9,19 @@ tracking of a phase along a discrete path.
 
 The stacked kernels behind the gauge smoother, the link logs and the
 determinants of the plane fluxes, ring phases and SU reduction --
-`batched_polar_unitary`, `unitary_log`, `batched_spectral_norm` and
-`batched_det` -- have closed forms for 2x2 stacks (every Kramers-pair
-frame with m = 2).  Larger stacks take batched products or one LAPACK
-call per stack: the polar factor by a scaled Newton-Schulz iteration, the
-log from one `eigh` of a Hermitian combination of W and W+, the norm from
-`eigvalsh` of M+M, the determinant from `det`'s LU factorisation.
-The polar factor and the log certify each node and send the nodes that
-fail to the per-matrix SVD / eig path, which the transport seed calls
-directly (`_svd_polar`) for every node.  The log takes a unitary: the
-frames' link logs pass their contractions through the polar factor first,
-while a sewing field's links, unitary to rounding, go to the log directly
-(`bloch.link_log`, `bloch.unitary_link_log`).
+`batched_polar_unitary`, `unitary_step`, `unitary_log`,
+`batched_spectral_norm` and `batched_det` -- have closed forms for 2x2
+stacks (every Kramers-pair frame with m = 2).  Larger stacks take one
+LAPACK call per stack: the polar factor from `svd` (`_svd_polar`, which
+the transport seed calls directly for every m), the smoother's step from
+`solve` (a Cayley transform, unitary without a polar factor), the log
+from one `eigh` of a Hermitian combination of W and W+, the norm from
+`eigvalsh` of M+M, the determinant from `det`'s LU factorisation.  The
+log certifies each node and sends the nodes that fail to the per-matrix
+eig path.  It takes a unitary: the frames' link logs pass their
+contractions through the polar factor first, while a sewing field's
+links, unitary to rounding, go to the log directly (`bloch.link_log`,
+`bloch.unitary_link_log`).
 
 Layout.  Every stack of matrices (..., m, n) is stored matrix-major, its
 two matrix axes outermost in memory, from the line that creates it:
@@ -175,12 +176,11 @@ def batched_polar_unitary(M: np.ndarray) -> np.ndarray:
     2x2 stacks use the closed form (M + e^{i arg det M} adj(M)+) / tr sqrt(M+M)
     (phase 1 where det M = 0, the identity where M = 0), which agrees with
     the SVD factor u vh to rounding and stays unitary on rank-1 inputs; the
-    closed form returns its input's memory layout.  Larger stacks use the
-    scaled Newton-Schulz iteration (`_newton_schulz_polar`), which does too;
-    nodes it cannot certify take the SVD path (`_svd_polar`).
+    closed form returns its input's memory layout.  Larger stacks take one
+    batched LAPACK SVD (`_svd_polar`), matrix-major.
     """
     if not _is_2x2(M):
-        return _newton_schulz_polar(M)
+        return _svd_polar(M)
     a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
     det = batched_det(M)
     mag = np.abs(det)
@@ -204,105 +204,23 @@ def _svd_polar(M):
     return _mm(_matrix_major(u), _matrix_major(vh))
 
 
-# Newton-Schulz certificate: max |X+X - 1| below _NS_TOL before the last
-# step.  A node whose smallest singular value starts at s (relative to the
-# RMS) needs about log(1/s) / log(1.875) + 4 iterations; after _NS_MAX_ITER
-# (s ~ 1e-5) it is left to the SVD.
-_NS_TOL = 1e-8
-_NS_MAX_ITER = 24
+def unitary_step(theta: np.ndarray) -> np.ndarray:
+    """A unitary that agrees with exp(theta) to second order, for a stack
+    of anti-Hermitian theta (..., m, m), which it overwrites.
 
-
-def _gram_diag_minus_one(X):
-    """Diagonal of X+X - 1 for a (m, m, n) stack, summed from -1 so that no
-    partial sum rounds on the grid near 1."""
-    d = np.full(X.shape[1:], -1.0)
-    for part in (X.real, X.imag):
-        for row in part:
-            d += row * row
-    return d
-
-
-def _newton_schulz_polar(M):
-    """Polar factors of a stack of m x m matrices by a scaled Newton-Schulz
-    iteration on matrix-major stacks (Higham 1986).
-
-    Each matrix is scaled to unit RMS singular value (divided by
-    ||M||_F / sqrt m).  With E = X+X - 1 the first step is
-    X <- X (1 - E/2).  It maps every singular value in (0, sqrt 3) into
-    (0, 1] and keeps the singular vectors, but it sends one in
-    (sqrt 3, sqrt 5) to a negative value, that is towards a wrong unitary,
-    and lets larger ones diverge.  So a node starts only if the Gershgorin
-    bound on its scaled X+X, the max row sum of |X+X|, puts every singular
-    value below sqrt 3.  Later steps, and the first one of a node already
-    done, take the next term of (1 + E)^(-1/2), X <- X (1 - E/2 + 3 E^2/8),
-    which maps (0, 1] monotonically onto 1 at third order.  A node is done
-    once max |E| < _NS_TOL; its last step leaves an error of order
-    _NS_TOL^3.  Nodes that fail the bound or are not done after
-    _NS_MAX_ITER iterations (rank-deficient, zero or non-finite inputs
-    among them) take the SVD path.  Only nodes still iterating are carried
-    into the next iteration.  The result has the input's memory layout,
-    and its values do not depend on that layout.
-
-    A gauge smoother applies the factor hundreds of times to the same
-    frames, so any bias of the factor towards short columns adds up.  Two
-    are removed.  The plain last step X (1 - E/2) leaves each singular
-    value short of 1 by (3/8) max |E|^2, up to 4e-17; the second-order
-    step does not.  And near 1 a column's squared norm rounds to a grid
-    twice as fine below 1 as above it, on which the step stalls more often
-    below 1; so the diagonal of E is summed from -1
-    (`_gram_diag_minus_one`).  Each of the two shrank the frames' columns
-    by ~1e-15 to ~1e-14 over one smoothing.
+    2x2 stacks take the closed-form polar factor of 1 + theta, built in
+    place.  Larger stacks take the Cayley transform (1 - theta/2)^-1 (1 +
+    theta/2), one batched solve, matrix-major: 1 - theta/2 is invertible
+    for anti-Hermitian theta, and the transform is unitary to rounding.
     """
-    m = M.shape[-1]
-    nodes = M.shape[:-2]
-    # a matrix-major copy as (m, m, n): one long vector per entry; the
-    # norm adds the entries one by one in row-major order, so it rounds the
-    # same for every layout of M and every number of nodes (numpy's
-    # reduction sums a single matrix pairwise)
-    X = np.empty((m, m) + nodes, dtype=complex)
-    X[...] = np.moveaxis(M, (-2, -1), (0, 1))
-    fro = np.sqrt(sum((X.real ** 2 + X.imag ** 2).reshape((m * m,) + nodes)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        X *= np.sqrt(m) / fro
-    X = X.reshape(m, m, -1)
-    diag = (range(m), range(m))
-    certified = np.zeros(X.shape[-1], dtype=bool)
-    live = np.arange(X.shape[-1])
-    Y = X  # the nodes still iterating; X itself until some are done
-    for it in range(_NS_MAX_ITER):
-        T = np.conj(Y)
-        G = np.einsum("ban,bcn->acn", T, Y)
-        keep = np.abs(G).sum(axis=1).max(axis=0) < 3.0 if it == 0 else True
-        G[diag] = _gram_diag_minus_one(Y)
-        done = np.abs(G).max(axis=(0, 1)) < _NS_TOL
-        G *= 0.5
-        # second order: E/2 - 3 E^2/8 = G - 1.5 G^2 with G = E/2; in the
-        # first step only where done, since it needs singular values below
-        # sqrt(7/3)
-        if it > 0 or done.all():
-            G -= 1.5 * np.einsum("abn,bcn->acn", G, G)
-        elif done.any():
-            Gd = G[..., done]
-            Gd -= 1.5 * np.einsum("abn,bcn->acn", Gd, Gd)
-            G[..., done] = Gd
-            del Gd
-        Y -= np.einsum("abn,bcn->acn", Y, G, out=T)
-        del G, T
-        if Y is not X:
-            X[..., live[done]] = Y[..., done]
-        certified[live[done]] = True
-        keep = keep & ~done
-        if not keep.any():
-            break
-        if not keep.all():
-            live, Y = live[keep], Y[..., keep]
-    out = np.empty_like(M, dtype=complex)
-    out[...] = np.moveaxis(X.reshape((m, m) + nodes), (0, 1), (-2, -1))
-    del X
-    bad = ~certified.reshape(nodes)
-    if bad.any():
-        out[bad] = _svd_polar(M[bad])
-    return out
+    eye = np.eye(theta.shape[-1])
+    if _is_2x2(theta):
+        theta += eye
+        return batched_polar_unitary(theta)
+    theta *= 0.5
+    lhs = eye - theta
+    theta += eye
+    return _matrix_major(np.linalg.solve(lhs, theta))
 
 
 def _unitary_log_phases(W):

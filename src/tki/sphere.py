@@ -18,8 +18,11 @@ poles, each step exactly integral preserving.
 
 The frames are built one chi slab at a time, each slab from the one chart
 it uses.  The density logs the sewing links without a polar factor
-(`bloch.unitary_link_log`): `sphere_sewing` gates the field unitary to
-1e-8, and its links are unitary to rounding.
+(`linalg.unitary_log`): `sphere_sewing` gates the field unitary to 1e-8,
+and its links are unitary to rounding.  The open
+chi and theta axes have no wrap-around link; their last slice reuses the
+link product of the slice before it, so no link is logged that the
+density does not read.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _dag, _empty_stack, _mm
-from .bloch import GaplessAt, _antisym_trace3, unitary_link_log
+from .linalg import _dag, _empty_stack, _mm, unitary_log
+from .bloch import GaplessAt, _antisym_trace3
 from .eqforms import push
 from .models import BlochModel
 
@@ -222,11 +225,13 @@ def sphere_wzw_density(w: np.ndarray, mesh: SphereMesh):
     discretization artifact.
     """
     hs = mesh.spacings
-    L = unitary_link_log(w)
-    for a, h in enumerate(hs):
+    L = _empty_stack((3,) + w.shape)
+    for a, h in enumerate(hs):  # one axis's link product alive at a time
+        O = _mm(_dag(w), np.roll(w, -1, axis=a))
+        if a < 2:  # open axes: the last slice reuses its backward link
+            O[(slice(None),) * a + (-1,)] = O[(slice(None),) * a + (-2,)]
+        L[a] = unitary_log(O)
         L[a] /= h
-    for a in (0, 1):  # open axes: the last slice reuses its backward link
-        L[a][(slice(None),) * a + (-1,)] = L[a][(slice(None),) * a + (-2,)]
     dens = (_antisym_trace3(L).real * (hs[0] * hs[1] * hs[2])
             / (24 * np.pi ** 2))
     sym = 0.5 * (dens + mesh.involute(dens))

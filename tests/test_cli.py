@@ -545,14 +545,14 @@ class TestIngestCommand:
 
 
 class TestGeneralMKernels:
-    """m = 4 route inputs whose links are not identities, and the absence
-    of per-matrix LAPACK SVD / eig calls on the m > 2 path."""
+    """m = 4 route inputs whose links are not identities, and where the
+    m > 2 path takes LAPACK's SVD and eig."""
 
-    # recorded with the SVD polar factor and the eig log, on the gauge of
-    # the Fourier-accelerated steps
-    DIRECT_SUM_12 = {"pfaffian": -1.00000000000001, "planes": -1.0,
-                     "wzw": -0.7987196529470392, "winding": -1.0,
-                     "cs": 0.37601597002747783}
+    # recorded on the gauge of the Fourier-accelerated steps with the
+    # Cayley step, the SVD polar factor and the one-eigh log
+    DIRECT_SUM_12 = {"pfaffian": -0.9999999999999829, "planes": -1.0,
+                     "wzw": -0.7986945326724266, "winding": -1.0,
+                     "cs": 0.37598684919580677}
 
     def test_direct_sum_routes(self):
         model = models.direct_sum(models.make_model("fkm3d", {"dt": 0.5}),
@@ -565,21 +565,30 @@ class TestGeneralMKernels:
             assert outputs[name]["parity"] == -1
             assert abs(outputs[name]["raw"] - raw) <= 1e-12
 
-    def test_no_svd_or_eig_outside_the_transport_seed(self, monkeypatch):
-        calls = {"transport": 0, "elsewhere": 0}
-        depth = []
-        transport = bloch._transport_last_axis
+    def test_no_svd_in_the_relax_and_no_eig_outside_the_seed(self,
+                                                            monkeypatch):
+        # the m > 2 polar factors (frame link logs, multiscale seeds) are
+        # SVDs; the relax step takes neither an SVD nor an eig, and no eig
+        # runs outside the transport seed
+        calls = {(name, where): 0 for name in ("svd", "eig")
+                 for where in ("transport", "relax", "elsewhere")}
+        where = []
 
-        def in_transport(u):
-            depth.append(1)
-            try:
-                return transport(u)
-            finally:
-                depth.pop()
-        monkeypatch.setattr(bloch, "_transport_last_axis", in_transport)
+        def inside(label, kernel):
+            def call(*args, **kwargs):
+                where.append(label)
+                try:
+                    return kernel(*args, **kwargs)
+                finally:
+                    where.pop()
+            return call
+        monkeypatch.setattr(bloch, "_transport_last_axis",
+                            inside("transport", bloch._transport_last_axis))
+        monkeypatch.setattr(bloch, "_relax", inside("relax", bloch._relax))
         for name in ("svd", "eig"):
-            def counted(*args, _f=getattr(np.linalg, name), **kwargs):
-                calls["transport" if depth else "elsewhere"] += 1
+            def counted(*args, _f=getattr(np.linalg, name), _name=name,
+                        **kwargs):
+                calls[_name, where[-1] if where else "elsewhere"] += 1
                 return _f(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         # an m = 4 input whose frames depend on k, so the seed runs (the
@@ -593,7 +602,10 @@ class TestGeneralMKernels:
             model, BZGrid.cubic(3, 12), ["wzw", "cs", "localise"], tol)
         assert outputs["wzw"]["parity"] == outputs["cs"]["parity"] == -1
         assert outputs["localise"]["error"].startswith("RoughGauge")
-        assert calls["transport"] > 0 and calls["elsewhere"] == 0
+        assert calls["svd", "transport"] > 0 and calls["eig", "transport"] > 0
+        assert calls["svd", "elsewhere"] > 0  # the Berry connection's links
+        assert calls["svd", "relax"] == calls["eig", "relax"] == 0
+        assert calls["eig", "elsewhere"] == 0
 
     def test_link_logs_taken_once_per_field_and_axis(self, capsys,
                                                      monkeypatch):

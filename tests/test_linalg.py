@@ -342,8 +342,8 @@ def _fallback_nodes(name):
 
 
 class TestGeneralM:
-    """The Newton-Schulz polar factor and the one-eigh log for m > 2, and
-    the fallbacks their certificates send nodes to."""
+    """The SVD polar factor and the one-eigh log for m > 2, and the eig
+    fallback the log's certificate sends nodes to."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 4, 6]),
@@ -368,8 +368,8 @@ class TestGeneralM:
     @given(st.integers(0, 2**32 - 1), st.sampled_from([4, 6]),
            st.floats(3.5, 100.0))
     def test_polar_large_top_singular_value(self, seed, m, top):
-        # singular values (top, 1, ..., 1): sigma_max / sigma_rms > sqrt 3,
-        # where Newton-Schulz would turn the top one negative
+        # singular values (top, 1, ..., 1), far from unitary:
+        # sigma_max / sigma_rms > sqrt 3
         rng = np.random.default_rng(seed)
         s = np.ones((16, m))
         s[:, 0] = top
@@ -392,10 +392,7 @@ class TestGeneralM:
     def test_polar_of_zero_takes_the_svd(self):
         M = np.zeros((2, 4, 4), dtype=complex)
         M[1] = np.eye(4)
-        with _fallback_nodes("_svd_polar") as calls:
-            got = linalg.batched_polar_unitary(M)
-        assert calls == [1]
-        assert np.array_equal(got, _svd_polar(M))
+        assert np.array_equal(linalg.batched_polar_unitary(M), _svd_polar(M))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 4, 6]))
@@ -452,6 +449,54 @@ class TestGeneralM:
         assert calls == [16]
         assert np.abs(L - truth).max() <= 1e-12
         assert max(np.abs(expm(x) - w).max() for x, w in zip(L, W)) <= 1e-12
+
+
+def _anti_hermitian_stack(rng, n, m, size):
+    """n random anti-Hermitian m x m matrices of spectral norm `size`."""
+    X = _complex_stack(rng, (n, m, m))
+    X -= np.swapaxes(X, -1, -2).conj()
+    return X * (size / np.linalg.norm(X, ord=2, axis=(-2, -1)))[:, None, None]
+
+
+class TestUnitaryStep:
+    """The relax step: the Cayley transform of theta for m > 2, the
+    closed-form polar factor of 1 + theta for m = 2."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 4, 6]),
+           st.floats(1e-3, 10.0))
+    def test_cayley_is_unitary(self, seed, m, size):
+        theta = _anti_hermitian_stack(np.random.default_rng(seed), 32, m, size)
+        U = linalg.unitary_step(theta)
+        Ud = np.swapaxes(U, -1, -2).conj()
+        assert np.abs(Ud @ U - np.eye(m)).max() <= 1e-14
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 4, 6]),
+           st.floats(1e-3, 0.1))
+    def test_cayley_agrees_with_the_exponential(self, seed, m, size):
+        theta = _anti_hermitian_stack(np.random.default_rng(seed), 32, m, size)
+        want = np.array([expm(x) for x in theta])
+        # (1 - t/2)^-1 (1 + t/2) - exp(t) = t^3 / 12 + O(t^5)
+        assert np.abs(linalg.unitary_step(theta) - want).max() <= size ** 3
+
+    @pytest.mark.parametrize("m", [3, 4, 6])
+    def test_cayley_is_matrix_major(self, m):
+        theta = _anti_hermitian_stack(np.random.default_rng(m), 120, m, 0.5)
+        theta = theta.reshape((6, 5, 4, m, m))
+        C, Mm = np.ascontiguousarray(theta), linalg._matrix_major(theta)
+        U, Um = linalg.unitary_step(C.copy()), linalg.unitary_step(Mm.copy())
+        assert matrix_major(U) and matrix_major(Um)
+        assert np.array_equal(U, Um)
+
+    @pytest.mark.parametrize("layout", ["C", "matrix-major"])
+    def test_m2_step_is_the_polar_of_one_plus_theta(self, layout):
+        theta = _anti_hermitian_stack(np.random.default_rng(5), 120, 2, 0.5)
+        theta = theta.reshape((6, 5, 4, 2, 2))
+        if layout != "C":
+            theta = linalg._matrix_major(theta)
+        want = linalg.batched_polar_unitary(theta + np.eye(2))
+        assert np.array_equal(linalg.unitary_step(theta), want)
 
 
 def _complex_stack(rng, shape):
@@ -576,7 +621,10 @@ class TestLayoutIndependence:
                                             self.SHAPE + (m, m)))
         U, Um = linalg.batched_polar_unitary(C), linalg.batched_polar_unitary(Mm)
         assert np.array_equal(U, Um)
-        assert U.flags.c_contiguous and matrix_major(Um)
+        # the 2x2 closed form keeps its input's layout; the SVD factor of a
+        # larger stack is matrix-major for either
+        assert matrix_major(Um)
+        assert U.flags.c_contiguous if m == 2 else matrix_major(U)
 
     @pytest.mark.parametrize("m", [2, 4])
     def test_spectral_norm_and_svd_polar(self, m):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tki import invariants, models, sphere
+from tki import bloch, invariants, linalg, models, sphere
 from tki.linalg import _matrix_major
 from tki.sphere import SphereMesh
 from conftest import matrix_major
@@ -143,6 +143,37 @@ class TestSewingAndDensity:
         assert np.abs(mesh.involute(dens) - dens).max() <= 1e-12
         assert discarded <= 1e-10
         assert abs(dens.sum() + 1) <= 0.1
+
+    def test_density_logs_only_the_links_it_reads(self, monkeypatch):
+        # the open chi and theta axes have no wrap-around link: the last
+        # slice reuses the link product of the slice before it, so none of
+        # the theta wrap links, whose eigenphases straddle the branch cut,
+        # reaches the per-matrix eig log
+        model = models.make_model("dirac_s3", {"mass": -1.0})
+        mesh = SphereMesh.cubic(32)
+        w = sphere.sphere_sewing(sphere.sphere_frames(model, mesh),
+                                 model.theta, mesh)
+        # the reference logs every periodic link, then overwrites the open
+        # axes' last slice with the backward link
+        hs = mesh.spacings
+        L = bloch.unitary_link_log(w)
+        for a, h in enumerate(hs):
+            L[a] /= h
+        for a in (0, 1):
+            L[a][(slice(None),) * a + (-1,)] = L[a][(slice(None),) * a + (-2,)]
+        ref = bloch._antisym_trace3(L).real * (hs[0] * hs[1] * hs[2]) / (
+            24 * np.pi ** 2)
+        sym = 0.5 * (ref + mesh.involute(ref))
+        eig_nodes = []
+
+        def counted(W, _f=linalg._eig_log):
+            eig_nodes.append(W[..., 0, 0].size)
+            return _f(W)
+        monkeypatch.setattr(linalg, "_eig_log", counted)
+        dens, discarded = sphere.sphere_wzw_density(w, mesh)
+        assert eig_nodes == []
+        assert np.array_equal(dens, sym)
+        assert discarded == float(np.abs(ref - sym).sum())
 
 
 class TestHemisphereDescent:
