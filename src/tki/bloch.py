@@ -7,6 +7,13 @@ The pipeline here feeds every invariant route:
 
     gauge_pipeline = smooth_gauge -> sewing_field -> su_reduce
 
+`diagonalize_grid` runs `eigh` on half the grid, the slab n_last in [0, N/2]
+of the last axis, and fills every other node k from its mirror -k by time
+reversal, u(k) = U conj(u(-k)) and E(k) = E(-k); a k-independent slab
+fills by copying node 0, so it stays k-independent.  The fill takes the
+model's time reversal as given (registry formulas, `ingest_sampled`'s
+1e-8 gate) and checks it nowhere.
+
 Every gauge-dependent route gets its frames and sewing fields from
 `gauge_pipeline`.  The shared kernels live here too: `link_log` (principal
 log of the polar factor of every frame link along every axis, behind the
@@ -204,10 +211,26 @@ class ConnectionField:
 def diagonalize_grid(model, grid: BZGrid, gap: float = GAP) -> FrameField:
     """Occupied eigenframes of the model on every grid node.
 
+    H is built and diagonalised only on the slab n_last in [0, N/2] of the
+    last grid axis, which holds both of its fixed planes.  Every other node
+    k is the mirror of a slab node -k, and time reversal fills it: u(k) =
+    Theta u(-k) = U conj(u(-k)), E(k) = E(-k), one `theta.apply` and one
+    `grid.involute` of the matrix-major stack.  A k-independent slab
+    (`_k_independent`) fills by copying node 0 instead, so the field stays
+    k-independent: Theta's image of a constant frame spans the same space
+    in another basis.  The slab holds the transport seed's first line and
+    sheet (`_transport_init`), which stay `eigh` frames.
+
+    The fill assumes Theta H(k) Theta^-1 = H(-k), which is not checked
+    here: registry models satisfy it by their formula, and `ingest_sampled`
+    refuses a sample whose time-reversal residual exceeds 1e-8.  A model
+    that breaks it gets the frames of its slab's Theta image off the slab.
+
     Raises GaplessAt when an occupied level rises to -gap or an empty one
-    drops to +gap anywhere on the grid.
+    drops to +gap anywhere on the grid; E(-k) = E(k), so the slab decides.
     """
-    H = model.hamiltonian_batch(grid.node_mesh())
+    half = grid.sizes[-1] // 2 + 1
+    H = model.hamiltonian_batch(grid.node_mesh()[..., :half, :])
     try:
         ev, vec = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -218,7 +241,15 @@ def diagonalize_grid(model, grid: BZGrid, gap: float = GAP) -> FrameField:
         node = tuple(int(i) for i in np.unravel_index(
             int(np.argmin(above - below)), below.shape))
         raise GaplessAt(f"gap closes near node {node}")
-    return FrameField(grid, _matrix_major(vec[..., :m]), ev[..., :m])
+    frames = _empty_stack(grid.sizes + (model.n_bands, m))
+    energies = np.empty(grid.sizes + (m,))
+    frames[..., :half, :, :] = slab = vec[..., :m]
+    energies[..., :half, :] = ev[..., :m]
+    energies[..., half:, :] = grid.involute(energies)[..., half:, :]
+    frames[..., half:, :, :] = (
+        slab[(0,) * grid.dim] if _k_independent(slab)
+        else model.theta.apply(grid.involute(frames)[..., half:, :, :]))
+    return FrameField(grid, frames, energies)
 
 
 # ---------------------------------------------------------------------------

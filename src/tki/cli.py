@@ -198,12 +198,12 @@ def _pfaffian(wred, **_):
 
 
 def _planes(model, grid, raw, **_):
+    margin = invariants.plane_flux_margin(raw)
     if grid.dim == 2:
         parity, raw_val = invariants.km_plane_invariant(raw, model.theta)
-        return {"parity": parity, "raw": raw_val,
-                "residual": abs(raw_val - round(raw_val))}
+        return {"parity": parity, "raw": raw_val, "residual": margin}
     strong, weak, _ = invariants.km_weak_strong(raw, model.theta)
-    return {"parity": strong, "raw": float(strong), "residual": 0.0,
+    return {"parity": strong, "raw": float(strong), "residual": margin,
             "weak": list(weak)}
 
 

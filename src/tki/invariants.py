@@ -9,7 +9,8 @@ Routes to the same Z2 parity:
   Berry phases in a time-reversal-constrained ring gauge, combined into weak
   and strong 3D indices; both count their planes through ``_plane_raws``,
   which reads the Berry fluxes a frame field traces once for its Chern check
-  and this count alike (``bloch.FrameField.plane_fluxes``);
+  and this count alike (``bloch.FrameField.plane_fluxes``); their margin is
+  the largest plaquette flux (``plane_flux_margin``);
 * ``km_wzw`` — the degree integral of the sewing map, whose parity is the
   invariant; its density (``bloch.wzw_density``, built once per sewing field)
   also feeds ``km_winding``, ``km_chern_simons`` and the ``localise`` route;
@@ -194,6 +195,19 @@ def _plane_raws(field: FrameField, U: np.ndarray) -> list:
         v = _ring_tr_gauge(rings, U)
         gauged.update(zip(group, v.reshape((len(group), 2) + v.shape[1:])))
     return [_plane_raw(field.plane_fluxes[k], *gauged[k]) for k in planes]
+
+
+def plane_flux_margin(field: FrameField) -> float:
+    """The planes route's residual: the largest |plaquette flux| over the
+    field's invariant planes (`FrameField.plane_fluxes`), divided by pi.
+
+    A plane's raw count is an integer to rounding on every input, since its
+    plaquette sum telescopes, so its distance from the integer gates
+    nothing.  What can fail is the principal branch of a plaquette: a flux
+    near +-pi is a plaquette the grid undersamples, and the margin rises
+    towards 1 as the grid coarsens."""
+    return max(float(np.abs(flux).max())
+               for flux in field.plane_fluxes.values()) / np.pi
 
 
 def km_plane_invariant(frames2d: FrameField, theta) -> tuple:

@@ -549,10 +549,12 @@ class TestGeneralMKernels:
     m > 2 path takes LAPACK's SVD and eig."""
 
     # recorded on the gauge of the Fourier-accelerated steps with the
-    # Cayley step, the SVD polar factor and the one-eigh log
-    DIRECT_SUM_12 = {"pfaffian": -0.9999999999999829, "planes": -1.0,
-                     "wzw": -0.7986945326724266, "winding": -1.0,
-                     "cs": 0.37598684919580677}
+    # Cayley step, the SVD polar factor and the one-eigh log, from raw
+    # frames diagonalised on the slab k_last in [0, pi] and filled by time
+    # reversal
+    DIRECT_SUM_12 = {"pfaffian": -0.9999999999999951, "planes": -1.0,
+                     "wzw": -0.7987389016993147, "winding": -1.0,
+                     "cs": 0.37607597599940706}
 
     def test_direct_sum_routes(self):
         model = models.direct_sum(models.make_model("fkm3d", {"dt": 0.5}),

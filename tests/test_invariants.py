@@ -137,6 +137,38 @@ class TestTwistedPlanes:
         strong, _, _ = invariants.km_weak_strong(raw, model.theta)
         assert strong == -1
 
+    def test_flux_margin_rises_as_the_grid_coarsens(self):
+        # every plane count is an integer to rounding, even where the axes
+        # disagree (8^3); the largest plaquette flux over pi is the margin
+        # that sees the coarse grid fail
+        model = twisted(models.make_model("fkm3d", {"dt": 0.5}), 2.5)
+        margins = []
+        for n in (24, 16, 8):
+            raw = bloch.diagonalize_grid(model, BZGrid.cubic(3, n))
+            assert all(abs(r - round(r)) <= 1e-12
+                       for r in invariants._plane_raws(raw, model.theta.U))
+            margins.append(invariants.plane_flux_margin(raw))
+        assert margins[0] < margins[1] < margins[2] <= 1.0
+        assert margins[0] < 0.2 and margins[2] > 0.9
+        with pytest.raises(invariants.AxisInconsistency):
+            invariants.km_weak_strong(raw, model.theta)
+
+    @pytest.mark.parametrize("name, params, dim, n", [
+        ("bhz2d", {"m": 1.0}, 2, 12), ("fkm3d", {"dt": 0.5}, 3, 8)])
+    def test_route_reports_the_flux_margin(self, name, params, dim, n):
+        # the planes route's residual is the flux margin, in 2-d and 3-d;
+        # the registry's inversion-symmetric models keep it at rounding,
+        # and their twisted twins do not
+        model = models.make_model(name, params)
+        grid = BZGrid.cubic(dim, n)
+        for t, low, high in ((0.0, 0.0, 2e-16), (1.0, 0.01, 0.5)):
+            twin = twisted(model, t) if t else model
+            raw = bloch.diagonalize_grid(twin, grid)
+            out = cli._planes(model=twin, grid=grid, raw=raw)
+            assert out["parity"] == -1
+            assert out["residual"] == invariants.plane_flux_margin(raw)
+            assert low <= out["residual"] <= high
+
 
 class TestRingGauge:
     def test_rings_stacked_or_alone_agree(self, pipeline):

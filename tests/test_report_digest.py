@@ -51,6 +51,11 @@ def test_default_list_holds_the_golden_and_gapless_requests():
             "mass:-1:1:2"] in requests
     assert any(a[:3] == ["invariant", "--model", "bhz2d"]
                and a[-2:] == ["--methods", "planes"] for a in requests)
+    # the seed tie of bhz2d m = 0.3 at 24^2 and a model that breaks time
+    # reversal, both moved by the fill off the diagonalised slab
+    assert ["invariant", "--model", "bhz2d", "--m", "0.3", "--grid",
+            "24"] in requests
+    assert ["validate", "--seed", "3", "--theta-noise", "0.05"] in requests
     assert len(requests) == len({tuple(a) for a in requests})
     import workloads  # perfbench's, on the path once the list is built
     bench = [req["argv"] for name in sorted(workloads.WORKLOADS)

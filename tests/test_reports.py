@@ -4,11 +4,13 @@
 parsed JSON, or the CSV text of a phase diagram.  Exit codes, keys, strings
 (CSV text among them) and integers (parities among them) must match exactly,
 floats within 1e-12.  After a change that alters a report on
-purpose, rewrite the file with
+purpose, rewrite the entries it moved with
 
-    PYTHONPATH=src python3 tests/test_reports.py --write
+    PYTHONPATH=src python3 tests/test_reports.py --write NAME [NAME ...]
 
-and say in CHANGES.md which fields moved and why.
+which re-runs only the named requests and keeps every other entry byte for
+byte; `--write` alone rewrites the whole file.  Say in CHANGES.md which
+fields moved and why.
 """
 
 import contextlib
@@ -93,12 +95,41 @@ def test_report_unchanged(golden, name):
     assert_matches(report, entry["report"])
 
 
+def write_golden(names=(), path=GOLDEN):
+    """Re-run the named requests, every request when none is named, and
+    write their entries to the golden file at `path`; the other entries are
+    read back and written as they were."""
+    doc = json.loads(path.read_text(encoding="utf-8")) if names else {}
+    for name in names or REQUESTS:
+        code, report = run_request(REQUESTS[name])
+        doc[name] = {"argv": REQUESTS[name], "exit": code, "report": report}
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
+                    encoding="utf-8")
+
+
+def test_write_rewrites_only_the_named_entries(tmp_path):
+    # a copy with two stale entries: the named one is rewritten to what the
+    # request reports, the other keeps its stale value, and every other
+    # entry keeps its bytes
+    doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    copy = tmp_path / "reports.json"
+    for name in ("localise_uniform3", "validate_seed3"):
+        doc[name]["exit"] = 99
+    copy.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
+                    encoding="utf-8")
+    write_golden(["localise_uniform3"], copy)
+    doc["localise_uniform3"]["exit"] = 0
+    assert copy.read_text(encoding="utf-8") == json.dumps(
+        doc, indent=1, sort_keys=True) + "\n"
+    # a golden file read back and written unchanged keeps its bytes
+    text = GOLDEN.read_text(encoding="utf-8")
+    assert json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n" \
+        == text
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_reports.py --write")
-    doc = {}
-    for name, argv in REQUESTS.items():
-        code, report = run_request(argv)
-        doc[name] = {"argv": argv, "exit": code, "report": report}
-    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
-                      encoding="utf-8")
+    args = sys.argv[1:]
+    if args[:1] != ["--write"] or not set(args[1:]) <= set(REQUESTS):
+        sys.exit("usage: test_reports.py --write [NAME ...]; names: "
+                 + ", ".join(sorted(REQUESTS)))
+    write_golden(args[1:])

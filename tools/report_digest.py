@@ -12,7 +12,8 @@ which reports a change moved:
 The default list is the benchmark's requests
 (`perfbench.workloads.generate(name, 0)` for every workload), every argv in
 `tests/golden/reports.json`, two dispersive torus requests with every
-route, three single-route requests and three gapless requests.  An
+route, three single-route requests, three gapless requests and two
+requests that show the time-reversal fill of `bloch.diagonalize_grid`.  An
 `invariant` request without `--stable-output` gets it, so its report holds
 no timings.  Uses the standard library and `tki` only.
 """
@@ -50,10 +51,18 @@ GAPLESS = [
      "--grid", "16"],
 ]
 
+# the frames off the diagonalised slab are time-reversal images: a gauge
+# whose 0.5 gate is decided by which tied coarse seed wins, and a model
+# whose time reversal is broken on purpose
+TR_FILL = [
+    ["invariant", "--model", "bhz2d", "--m", "0.3", "--grid", "24"],
+    ["validate", "--seed", "3", "--theta-noise", "0.05"],
+]
+
 
 def default_requests() -> list:
     """The benchmark's requests, the golden argvs, `DISPERSIVE`,
-    `SINGLE_ROUTE` and `GAPLESS`, each once, in that order."""
+    `SINGLE_ROUTE`, `GAPLESS` and `TR_FILL`, each once, in that order."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     argvs = [req["argv"] for name in sorted(workloads.WORKLOADS)
@@ -61,7 +70,7 @@ def default_requests() -> list:
     golden = json.loads((ROOT / "tests" / "golden" / "reports.json")
                         .read_text(encoding="utf-8"))
     argvs += ([entry["argv"] for entry in golden.values()] + DISPERSIVE
-              + SINGLE_ROUTE + GAPLESS)
+              + SINGLE_ROUTE + GAPLESS + TR_FILL)
     out = []
     for argv in argvs:
         if argv not in out:
