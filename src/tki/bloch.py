@@ -36,10 +36,16 @@ inverse lattice Laplacian, applied with `np.fft`, of the alignment
 gradient.  A rough relaxed gauge escapes by random kicks (`_anneal`) or
 by the next seed of its multiscale level (`_smooth_frames`).  A field
 that does not depend on k (every node equal to node 0 by the exact test
-`_k_independent`, as for an atomic insulator) has every link u+ u:
-`smooth_gauge` returns such frames as they are, and the link logs and
-`link_deficiency`, which take every axis in one call and test the field
-once, run on node 0 alone and fill a full array, which changes no bit.
+`_k_independent`, as for an atomic insulator) has every link u+ u.  Each
+frame and sewing field is tested at most once and keeps the answer
+(`FrameField.k_independent`, `SewingField.k_independent`; the raw frames
+take `diagonalize_grid`'s slab test, a connection its frames' answer).
+`smooth_gauge` returns k-independent frames as they are.  The link logs
+and `link_deficiency`, which take every axis in one call, and the cs
+route's kernels (`berry_connection`'s average, `quaternionic_average`'s
+sigma map and residual, and `invariants.km_chern_simons`, which also
+skips the derivative of a constant) run on node 0 alone (`_node0`) and
+fill a full array, which changes no bit.
 The steps and the link kernels run on the stacked kernels of `linalg`
 (relax step, polar factor, principal log, operator norm): closed forms
 when m = 2, and for larger m one LAPACK call per stack (a solve for the
@@ -122,16 +128,26 @@ class FrameField:
     grid: BZGrid
     frames: np.ndarray          # (*sizes, n_bands, m)
     energies: np.ndarray        # (*sizes, m)
+    # the k-independence of the frames when the function that made them
+    # knows it (`diagonalize_grid`); None has `k_independent` test them
+    const: bool | None = field(default=None, repr=False, compare=False)
 
     @property
     def m(self) -> int:
         return self.frames.shape[-1]
 
     @cached_property
+    def k_independent(self) -> bool:
+        """`_k_independent` of the frames, exact; tested at most once per
+        instance, and not at all when `const` was passed."""
+        return _k_independent(self.frames) if self.const is None \
+            else self.const
+
+    @cached_property
     def deficiency(self) -> np.ndarray:
         """Operator-norm deficiency ||1 - u(k)+ u(k + e_a)|| of every forward
         link, periodic, shape (dim, *sizes); computed once per instance."""
-        return link_deficiency(self.frames)
+        return link_deficiency(self.frames, self.k_independent)
 
     @cached_property
     def plane_fluxes(self) -> dict:
@@ -171,6 +187,11 @@ class SewingField:
         return self.w.shape[-1]
 
     @cached_property
+    def k_independent(self) -> bool:
+        """`_k_independent` of w, exact; tested at most once per instance."""
+        return _k_independent(self.w)
+
+    @cached_property
     def links(self) -> np.ndarray:
         """The `maurer_cartan_links` array, computed once per instance;
         read-only."""
@@ -202,6 +223,9 @@ class ConnectionField:
     grid: BZGrid
     A: np.ndarray               # (dim, *sizes, m, m), anti-Hermitian
     quaternionic_residual: float = field(default=float("nan"))
+    # the frames' k-independence (`berry_connection`): every node of A then
+    # equals node 0
+    k_independent: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +242,11 @@ def diagonalize_grid(model, grid: BZGrid, gap: float = GAP) -> FrameField:
     `grid.involute` of the matrix-major stack.  A k-independent slab
     (`_k_independent`) fills by copying node 0 instead, so the field stays
     k-independent: Theta's image of a constant frame spans the same space
-    in another basis.  The slab holds the transport seed's first line and
-    sheet (`_transport_init`), which stay `eigh` frames.
+    in another basis.  The slab's test is the field's answer
+    (`FrameField.k_independent`): the slab is part of the field, and a
+    k-independent slab fills it with copies.  The slab holds the transport
+    seed's first line and sheet (`_transport_init`), which stay `eigh`
+    frames.
 
     The fill assumes Theta H(k) Theta^-1 = H(-k), which is not checked
     here: registry models satisfy it by their formula, and `ingest_sampled`
@@ -246,10 +273,11 @@ def diagonalize_grid(model, grid: BZGrid, gap: float = GAP) -> FrameField:
     frames[..., :half, :, :] = slab = vec[..., :m]
     energies[..., :half, :] = ev[..., :m]
     energies[..., half:, :] = grid.involute(energies)[..., half:, :]
+    const = _k_independent(slab)
     frames[..., half:, :, :] = (
-        slab[(0,) * grid.dim] if _k_independent(slab)
+        slab[(0,) * grid.dim] if const
         else model.theta.apply(grid.involute(frames)[..., half:, :, :]))
-    return FrameField(grid, frames, energies)
+    return FrameField(grid, frames, energies, const=const)
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +312,26 @@ def _k_independent(x: np.ndarray) -> bool:
     return bool((x == x[(0,) * (x.ndim - 2)]).all())
 
 
-def _link_stack(kernel, u, alloc, tail=()):
+def _node0(x, dim):
+    """The one-node slice [0:1] of the dim grid axes that stand just before
+    the two matrix axes of a stack (..., *sizes, n, m): a view that keeps
+    every axis.  `grid.involute` and `np.roll` are identities on it, so a
+    per-node formula runs on it unchanged."""
+    return x[(Ellipsis,) + (slice(0, 1),) * dim + (slice(None),) * 2]
+
+
+def _link_stack(kernel, u, alloc, tail=(), const=None):
     """kernel(u(k)+ u(k + e_a)) of the forward links along every grid axis
     a, periodic, stacked on axis 0 of alloc((dim, *sizes) + tail), one
-    axis's link product alive at a time.  u is tested for k-independence
-    once: a k-independent u runs the kernel on the link u0+ u0 alone,
-    copied to every node and axis, which changes no bit."""
+    axis's link product alive at a time.  A k-independent u runs the kernel
+    on the link u0+ u0 alone, copied to every node and axis, which changes
+    no bit.  `const` is u's k-independence when the field holding u has it
+    (`FrameField.k_independent`, `SewingField.k_independent`); None tests u
+    here, once per call."""
     dim = u.ndim - 2
     out = alloc((dim,) + u.shape[:dim] + tail)
-    if _k_independent(u):
-        u0 = u[(slice(0, 1),) * dim]
+    if _k_independent(u) if const is None else const:
+        u0 = _node0(u, dim)
         out[...] = kernel(_mm(_dag(u0), u0))
         return out
     for a in range(dim):
@@ -301,26 +339,30 @@ def _link_stack(kernel, u, alloc, tail=()):
     return out
 
 
-def link_log(u: np.ndarray) -> np.ndarray:
+def link_log(u: np.ndarray, const=None) -> np.ndarray:
     """Principal log of the forward link unitaries polar(u(k)+ u(k + e_a))
     along every axis a, stacked on axis 0, matrix-major, not divided by the
-    spacing (`_link_stack`).  For frames, whose links are contractions."""
+    spacing (`_link_stack`, which reads `const`).  For frames, whose links
+    are contractions."""
     return _link_stack(lambda O: unitary_log(batched_polar_unitary(O)),
-                       u, _empty_stack, (u.shape[-1],) * 2)
+                       u, _empty_stack, (u.shape[-1],) * 2, const)
 
 
-def unitary_link_log(w: np.ndarray) -> np.ndarray:
+def unitary_link_log(w: np.ndarray, const=None) -> np.ndarray:
     """`link_log` of a field of unitaries, such as a sewing field: its links
     w(k)+ w(k + e_a) are unitary to rounding, so `unitary_log` takes them
     as they are, without a polar factor."""
-    return _link_stack(unitary_log, w, _empty_stack, (w.shape[-1],) * 2)
+    return _link_stack(unitary_log, w, _empty_stack, (w.shape[-1],) * 2,
+                       const)
 
 
-def link_deficiency(u: np.ndarray) -> np.ndarray:
+def link_deficiency(u: np.ndarray, const=None) -> np.ndarray:
     """Operator-norm deficiency ||u(k)+ u(k + e_a) - 1|| of the forward
-    links along every axis a, stacked on axis 0 (`_link_stack`)."""
+    links along every axis a, stacked on axis 0 (`_link_stack`, which reads
+    `const`)."""
     return _link_stack(
-        lambda O: batched_spectral_norm(O - np.eye(O.shape[-1])), u, np.empty)
+        lambda O: batched_spectral_norm(O - np.eye(O.shape[-1])), u, np.empty,
+        const=const)
 
 
 def _transport_last_axis(u, end=None):
@@ -549,7 +591,7 @@ def smooth_gauge(raw: FrameField) -> FrameField:
     for plane, (c, _) in plane_chern_numbers(raw).items():
         if c != 0:
             raise ChernObstruction(plane[:2], c)
-    if _k_independent(raw.frames):
+    if raw.k_independent:
         return raw
     field_ = _smooth_frames(raw)
     s = field_.smoothness
@@ -643,15 +685,22 @@ def berry_connection(frames: FrameField,
     A_mu(k) is the average of the principal logarithms of the two unitary
     transporters touching k along axis mu, divided by the spacing; it agrees
     with u+ du to O(h^2) and handles large single-link rotations exactly.
+
+    k-independent frames (`FrameField.k_independent`) average node 0 alone
+    (`_node0`) and fill the grid with it, which changes no bit; the
+    connection takes the frames' answer.
     """
     s = frames.smoothness
     if s > smoothness_limit:
         raise RoughGauge(f"frame smoothness {s:.3f} exceeds {smoothness_limit}")
-    grid = frames.grid
-    A = link_log(frames.frames)  # averaged in place, axis by axis
+    grid, const = frames.grid, frames.k_independent
+    A = link_log(frames.frames, const)
+    X = _node0(A, grid.dim) if const else A  # averaged in place, per axis
     for a, h in enumerate(grid.spacings):
-        A[a] = _AH(0.5 * (A[a] + np.roll(A[a], 1, axis=a)) / h)
-    return ConnectionField(grid, A)
+        X[a] = _AH(0.5 * (X[a] + np.roll(X[a], 1, axis=a)) / h)
+    if const:
+        A[...] = X
+    return ConnectionField(grid, A, k_independent=const)
 
 
 def quaternionic_average(conn: ConnectionField,
@@ -667,12 +716,21 @@ def quaternionic_average(conn: ConnectionField,
     fixed by sigma (residual max |A' - sigma A'| recorded), hence compatible
     with the quaternionic structure defined by w, the sewing field of the
     connection's own frames (not its SU reduction).
+
+    When the connection and w are both k-independent
+    (`ConnectionField.k_independent`, `SewingField.k_independent`), sigma
+    and the residual run on node 0 alone (`_node0`) and A' fills the grid,
+    which changes no bit; A' is k-independent too.
     """
     if conn.grid.sizes != wfield.grid.sizes:
         raise GaugeMismatch("connection and sewing field live on different grids")
     grid = wfield.grid
-    w, wd, links = wfield.w, _dag(wfield.w), wfield.links
-    Ap = np.empty_like(conn.A)
+    const = conn.k_independent and wfield.k_independent
+    w, A, links = wfield.w, conn.A, wfield.links
+    if const:
+        w, A, links = (_node0(x, grid.dim) for x in (w, A, links))
+    wd = _dag(w)
+    Ap = np.empty_like(A)
     residuals = []
     for a in range(grid.dim):
         L = links[a]
@@ -680,10 +738,15 @@ def quaternionic_average(conn: ConnectionField,
 
         def sigma(X):
             return -_mm(w, _mm(grid.involute(X).conj() + lam, wd))
-        Ap[a] = 0.5 * (conn.A[a] + sigma(conn.A[a]))
+        Ap[a] = 0.5 * (A[a] + sigma(A[a]))
         residuals.append(np.abs(Ap[a] - sigma(Ap[a])).max())
+    if const:
+        full = np.empty_like(conn.A)
+        full[...] = Ap
+        Ap = full
     return ConnectionField(conn.grid, Ap,
-                           quaternionic_residual=float(np.max(residuals)))
+                           quaternionic_residual=float(np.max(residuals)),
+                           k_independent=const)
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +774,7 @@ def maurer_cartan_links(wfield: SewingField) -> np.ndarray:
     quotient to O(h) but keeps the result exactly in the Lie algebra, which
     buys roughly one order of accuracy in the WZW Riemann sums.
     """
-    L = unitary_link_log(wfield.w)
+    L = unitary_link_log(wfield.w, wfield.k_independent)
     for a, h in enumerate(wfield.grid.spacings):
         L[a] /= h
     return L

@@ -199,10 +199,14 @@ def _pfaffian(wred, **_):
 
 def _planes(model, grid, raw, **_):
     margin = invariants.plane_flux_margin(raw)
-    if grid.dim == 2:
-        parity, raw_val = invariants.km_plane_invariant(raw, model.theta)
-        return {"parity": parity, "raw": raw_val, "residual": margin}
-    strong, weak, _ = invariants.km_weak_strong(raw, model.theta)
+    try:
+        if grid.dim == 2:
+            parity, raw_val = invariants.km_plane_invariant(raw, model.theta)
+            return {"parity": parity, "raw": raw_val, "residual": margin}
+        strong, weak, _ = invariants.km_weak_strong(raw, model.theta)
+    except invariants.InvariantError as exc:
+        exc.residual = margin  # a refusal keeps the margin that explains it
+        raise
     return {"parity": strong, "raw": float(strong), "residual": margin,
             "weak": list(weak)}
 
@@ -291,6 +295,8 @@ def _compute_methods(model, grid, methods, tol, stable=False, raw=None):
         except (invariants.InvariantError, bloch.BlochError,
                 eqforms.EqformsError) as exc:
             outputs[name] = {"error": f"{type(exc).__name__}: {exc}"}
+            if hasattr(exc, "residual"):
+                outputs[name]["residual"] = exc.residual
             statuses.add("nonconvergent"
                          if isinstance(exc, invariants.NonConvergent)
                          else "failed")

@@ -241,8 +241,9 @@ def sample_wzw(wfield: SewingField, smoothness_limit: float = 1.0):
     when the field varies too fast between neighbouring nodes for the link
     logarithms to be trustworthy.  The gate measures the largest link
     ||w(k + e_a) - w(k)|| = ||w(k)+ w(k + e_a) - 1|| over every axis in one
-    `bloch.link_deficiency` call (one node of a k-independent w, an exact
-    test that changes no bit), whose scale in a smooth gauge is about a
+    `bloch.link_deficiency` call (one node of a k-independent w, by the
+    field's exact answer `SewingField.k_independent`, which changes no
+    bit), whose scale in a smooth gauge is about a
     constant over N; band-inverted models exceed 0.3 on every practical
     grid, so the default admits links up to 1.0 and still refuses a field
     with a jump.
@@ -250,7 +251,7 @@ def sample_wzw(wfield: SewingField, smoothness_limit: float = 1.0):
     grid = wfield.grid
     if grid.dim != 3:
         raise WrongDegree("the trivialisation density lives on 3-d grids")
-    worst = float(link_deficiency(wfield.w).max())
+    worst = float(link_deficiency(wfield.w, wfield.k_independent).max())
     if worst > smoothness_limit:
         raise RoughGauge(
             f"sewing field link deficiency {worst:.3f} exceeds "

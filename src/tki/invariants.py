@@ -38,7 +38,8 @@ from .grids import BZGrid
 from .linalg import (_dag, _empty_stack, batched_det, kramers_canonical,
                      pfaffian)
 from .bloch import (FrameField, SewingField, ConnectionField, _PERMS3,
-                    _antisym_trace3, _transport_last_axis, wzw_density)
+                    _antisym_trace3, _node0, _transport_last_axis,
+                    wzw_density)
 
 _W0 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 # the S^3 mesh size of `km_s3` and of `tki invariant` without --grid, and
@@ -285,6 +286,11 @@ def km_chern_simons(conn: ConnectionField, wfield: SewingField) -> tuple:
     derivative is taken spectrally (the averaged field is smooth and
     periodic, so Fourier differentiation is far more accurate than any local
     stencil here).  cs sits within discretization error of a half-integer.
+    A k-independent connection (`bloch.ConnectionField.k_independent`)
+    takes its cubic term on node 0 alone (`bloch._node0`), summed over the
+    grid as the full stack's would be, and skips its six derivative terms:
+    dA = 0, while the spectral derivative of a constant is zero only to
+    rounding.
     Returns (cs, parity, relation_residual).
     """
     if not conn.quaternionic_residual <= 1e-6:  # also catches NaN
@@ -304,10 +310,13 @@ def km_chern_simons(conn: ConnectionField, wfield: SewingField) -> tuple:
         return np.fft.ifft(np.fft.fft(f, axis=mu) * (1j * wave.reshape(shape)),
                            axis=mu)
 
-    total = (2.0 / 3.0) * _antisym_trace3(A).sum()
-    for (m0, m1, m2), s in _PERMS3:
-        total += s * np.einsum("...ab,...ba->...", A[m0],
-                               dmu(A[m2], m1)).sum()
+    const = conn.k_independent
+    cubic = _antisym_trace3(_node0(A, 3) if const else A)
+    total = (2.0 / 3.0) * np.broadcast_to(cubic, grid.sizes).sum()
+    if not const:
+        for (m0, m1, m2), s in _PERMS3:
+            total += s * np.einsum("...ab,...ba->...", A[m0],
+                                   dmu(A[m2], m1)).sum()
     cs = -float((total * grid.cell_volume()).real) / (8 * np.pi ** 2)
     wzw_integral = float(wzw_density(wfield).sum())
     relation_residual = abs(cs + 0.5 * wzw_integral)
@@ -356,13 +365,16 @@ def assemble_report(model_desc: dict, grid: BZGrid,
 
     method_outputs maps method name to a dict with at least {"parity", "raw",
     "residual", "runtime_ms"}; non-convergent methods may instead carry an
-    {"error"} entry, which also goes into the notes.  Consensus is true iff
-    at least one parity was computed and all computed parities agree.
+    {"error"} entry, which also goes into the notes, and the "residual" the
+    route measured before it refused, if any.  Consensus is true iff at
+    least one parity was computed and all computed parities agree.
     """
     methods, parities, notes = {}, set(), []
     for name, out in method_outputs.items():
         if "error" in out:
             methods[name] = {"error": out["error"]}
+            if "residual" in out:
+                methods[name]["residual"] = float(out["residual"])
             notes.append(f"{name}: {out['error']}")
             continue
         methods[name] = {

@@ -848,6 +848,182 @@ class TestQuaternionicAverage:
         assert relation <= 0.05 and abs(dens.sum() + 2 * cs) <= 0.1
 
 
+def _full_stack_chern_simons(A, wfield, dA=True):
+    """`km_chern_simons`'s (cs, parity, relation residual) as the full stack
+    runs it, written out here: the cubic term and, unless dA is False, the
+    spectral derivatives are taken on every node."""
+    grid = wfield.grid
+
+    def dmu(f, mu):
+        n = grid.sizes[mu]
+        shape = [1] * f.ndim
+        shape[mu] = n
+        wave = np.fft.fftfreq(n, d=1.0 / n).reshape(shape)
+        return np.fft.ifft(np.fft.fft(f, axis=mu) * (1j * wave), axis=mu)
+    total = (2.0 / 3.0) * bloch._antisym_trace3(A).sum()
+    for (m0, m1, m2), s in bloch._PERMS3 if dA else []:
+        total += s * np.einsum("...ab,...ba->...", A[m0],
+                               dmu(A[m2], m1)).sum()
+    cs = -float((total * grid.cell_volume()).real) / (8 * np.pi ** 2)
+    relation = abs(cs + 0.5 * float(bloch.wzw_density(wfield).sum()))
+    parity, _ = invariants._round_parity(cs, lattice=0.5)
+    return cs, parity, relation
+
+
+def _full_stack_cs(frames, wfield):
+    """The cs route's three kernels as the full stack runs them, written
+    out here: every link, roll, involution and spectral derivative is taken
+    on every node.  Returns the Berry connection, the averaged connection,
+    its quaternionic residual and `km_chern_simons`'s (cs, parity,
+    relation residual)."""
+    grid = frames.grid
+    A = bloch.link_log(frames.frames, const=False)
+    for a, h in enumerate(grid.spacings):
+        A[a] = bloch._AH(0.5 * (A[a] + np.roll(A[a], 1, axis=a)) / h)
+    w, wd = wfield.w, bloch._dag(wfield.w)
+    L = bloch.unitary_link_log(w, const=False)
+    Ap, residuals = np.empty_like(A), []
+    for a, h in enumerate(grid.spacings):
+        La = L[a] / h
+        lam = 0.5 * (La + np.roll(La, 1, axis=a))
+
+        def sigma(X):
+            return -bloch._mm(w, bloch._mm(grid.involute(X).conj() + lam,
+                                           wd))
+        Ap[a] = 0.5 * (A[a] + sigma(A[a]))
+        residuals.append(np.abs(Ap[a] - sigma(Ap[a])).max())
+    return (A, Ap, float(np.max(residuals)),
+            _full_stack_chern_simons(Ap, wfield))
+
+
+class TestOneNodeConnection:
+    """k-independent frames and sewing fields run the cs route's kernels
+    (Berry connection, quaternionic average, Chern-Simons integral) on node
+    0 alone, bitwise the full stack's result; one ulp off, a field takes
+    the full stack.  Each field is tested for k-independence once."""
+
+    @staticmethod
+    def _fields(m, basis, n):
+        model = models.make_model("trivial", {"d": 3, "m": m})
+        if basis is not None:
+            model = in_random_basis(model, basis)
+        raw = bloch.diagonalize_grid(model, BZGrid.cubic(3, n))
+        frames, wfield, _ = bloch.gauge_pipeline(raw, model.theta)
+        bloch.wzw_density(wfield)  # the density's own stack, built first
+        return frames, wfield
+
+    @staticmethod
+    def _route(frames, wfield, monkeypatch):
+        """The route's kernels in turn, and per kernel the node count of
+        every `bloch._mm` product and the number of spectral derivatives
+        (`np.fft.fft` calls)."""
+        seen = []
+        mm, fft = bloch._mm, np.fft.fft
+        monkeypatch.setattr(bloch, "_mm", lambda X, Y: seen.append(
+            X[..., 0, 0].size) or mm(X, Y))
+        monkeypatch.setattr(np.fft, "fft", lambda *args, **kwargs: seen.append(
+            "fft") or fft(*args, **kwargs))
+        calls = []
+        conn = bloch.berry_connection(frames)
+        calls.append(seen[:])
+        seen.clear()
+        avg = bloch.quaternionic_average(conn, wfield)
+        calls.append(seen[:])
+        seen.clear()
+        out = invariants.km_chern_simons(avg, wfield)
+        calls.append(seen[:])
+        return conn, avg, out, calls
+
+    @staticmethod
+    def _assert_full_formula(frames, wfield, conn, avg, out):
+        A, Ap, residual, want = _full_stack_cs(frames, wfield)
+        assert _same_bits(conn.A, A) and _same_bits(avg.A, Ap)
+        assert avg.quaternionic_residual == residual
+        assert _same_bits(np.array(out), np.array(want))
+
+    @pytest.mark.parametrize("m, basis, n", [
+        (2, None, 16), (4, None, 16), (4, 7, 10), (4, 7, 16)],
+        ids=["m2-16", "m4-16", "m4-random-basis-10", "m4-random-basis-16"])
+    def test_one_node_path_changes_no_bit(self, monkeypatch, m, basis, n):
+        # in the random basis A is not 0 but rounding; at 10^3 the spectral
+        # derivative of that constant is not 0 either (1e-15), and the one
+        # node skips it
+        frames, wfield = self._fields(m, basis, n)
+        assert frames.k_independent and wfield.k_independent
+        conn, avg, out, calls = self._route(frames, wfield, monkeypatch)
+        assert conn.k_independent and avg.k_independent
+        assert all(call and set(call) == {1} for call in calls)
+        monkeypatch.undo()
+        self._assert_full_formula(frames, wfield, conn, avg, out)
+        assert out[1] == 1
+
+    @pytest.mark.parametrize("bumped", ["frames", "w"])
+    def test_one_ulp_off_takes_the_full_path(self, monkeypatch, bumped):
+        # k-independence is exact equality with node 0: one ulp at one node
+        # of either field sends sigma and the Chern-Simons integral, and for
+        # frames the Berry connection too, onto the full stack
+        n = 10
+        frames, wfield = self._fields(4, 7, n)
+        if bumped == "frames":
+            x = frames.frames.copy()
+            frames = bloch.FrameField(frames.grid, x, frames.energies)
+        else:
+            x = wfield.w.copy()
+            wfield = bloch.SewingField(wfield.grid, x)
+        x[1, 2, 3, 0, 0] = (np.nextafter(x[1, 2, 3, 0, 0].real, np.inf)
+                            + 1j * x[1, 2, 3, 0, 0].imag)
+        assert not (frames.k_independent if bumped == "frames"
+                    else wfield.k_independent)
+        conn, avg, out, calls = self._route(frames, wfield, monkeypatch)
+        assert conn.k_independent == (bumped == "w")
+        assert not avg.k_independent
+        berry, sigma, cs = calls
+        assert set(berry) == ({1} if bumped == "w" else {n ** 3})
+        assert sigma and set(sigma) == {n ** 3}
+        assert cs.count("fft") == 6
+        monkeypatch.undo()
+        self._assert_full_formula(frames, wfield, conn, avg, out)
+
+    def test_constant_connection_sums_node_0_over_the_grid(self):
+        # a generic constant A, not a Berry connection, so that the cubic
+        # term is not 0: on node 0 and summed over the grid it is bitwise
+        # the full stack's, and the derivative terms, which the full stack
+        # takes to rounding only, are skipped
+        grid = BZGrid.cubic(3, 10)
+        X = np.random.default_rng(3).standard_normal((2, 3, 4, 4))
+        A = np.broadcast_to(0.05 * bloch._AH(X[0] + 1j * X[1])[:, None,
+                                                                None, None],
+                            (3,) + grid.sizes + (4, 4)).copy()
+        S = np.kron(np.eye(2), np.array([[0, 1], [-1, 0]]))
+        wfield = bloch.SewingField(grid, np.broadcast_to(
+            S, grid.sizes + (4, 4)).astype(complex))
+        one_node = invariants.km_chern_simons(
+            bloch.ConnectionField(grid, A, 0.0, k_independent=True), wfield)
+        full = invariants.km_chern_simons(
+            bloch.ConnectionField(grid, A, 0.0), wfield)
+        assert _same_bits(np.array(one_node), np.array(
+            _full_stack_chern_simons(A, wfield, dA=False)))
+        assert _same_bits(np.array(full), np.array(
+            _full_stack_chern_simons(A, wfield)))
+        assert 1e-3 < abs(one_node[0]) < 0.1
+        assert abs(one_node[0] - full[0]) <= 1e-15
+
+    def test_each_field_tested_once_per_request(self, monkeypatch):
+        # an all-routes request on trivial m = 4: the slab of
+        # `diagonalize_grid`, whose answer the raw frames, the smooth gauge
+        # and the connection keep, and the sewing field
+        seen, k_independent = [], bloch._k_independent
+        monkeypatch.setattr(bloch, "_k_independent",
+                            lambda x: seen.append(x) or k_independent(x))
+        model = models.make_model("trivial", {"d": 3, "m": 4})
+        routes = ["pfaffian", "planes", "wzw", "winding", "cs", "localise"]
+        outputs, statuses = cli._compute_methods(
+            model, BZGrid.cubic(3, 16), routes, dict(cli._TOL_DEFAULTS))
+        assert not statuses
+        assert {out["parity"] for out in outputs.values()} == {1}
+        assert len(seen) <= 2
+
+
 class TestWzwDensity:
     @pytest.mark.parametrize("one_node", [True, False],
                              ids=["one-node", "full-stack"])

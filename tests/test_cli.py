@@ -627,10 +627,10 @@ class TestGeneralMKernels:
             return out
 
         def counted(name, kernel):
-            def call(u):
+            def call(u, *const):
                 calls.append((name, next(k for k, v in fields.items()
                                          if v is u)))
-                return kernel(u)
+                return kernel(u, *const)
             return call
         monkeypatch.setattr(bloch, "gauge_pipeline", kept)
         for name in ("link_log", "unitary_link_log"):

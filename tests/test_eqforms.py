@@ -173,16 +173,23 @@ class TestLocalise:
 
 class TestSampleWzw:
     def test_field_tested_once_per_call(self, pipeline, monkeypatch):
-        # the gate takes every axis's link norms in one call; the density is
-        # built first, so no other link of the field is taken
+        # the gate takes every axis's link norms in one call and reads the
+        # field's cached k-independence: over the density and two samples a
+        # fresh field is tested once, by its Maurer-Cartan links
         _, wred = pipeline.gauge("fkm3d", {"dt": 0.5}, 16)
-        bloch.wzw_density(wred)
+        fresh = bloch.SewingField(wred.grid, wred.w)
         seen, k_independent = [], bloch._k_independent
         monkeypatch.setattr(bloch, "_k_independent",
                             lambda x: seen.append(x) or k_independent(x))
+        gates, link_deficiency = [], eqforms.link_deficiency
+        monkeypatch.setattr(eqforms, "link_deficiency",
+                            lambda u, *const: gates.append(u)
+                            or link_deficiency(u, *const))
+        bloch.wzw_density(fresh)
         for _ in range(2):
-            eqforms.sample_wzw(wred)
-        assert len(seen) == 2 and all(x is wred.w for x in seen)
+            eqforms.sample_wzw(fresh)
+        assert len(seen) == 1 and seen[0] is fresh.w
+        assert len(gates) == 2 and all(x is fresh.w for x in gates)
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_gate_reads_every_axis(self, axis):

@@ -170,6 +170,23 @@ class TestTwistedPlanes:
             assert low <= out["residual"] <= high
 
 
+    def test_refused_route_keeps_its_flux_margin(self):
+        # the axes disagree on twisted fkm3d t = 2.5 at 8^3: the report
+        # keeps the margin (0.992) beside the refusal that it explains
+        model = twisted(models.make_model("fkm3d", {"dt": 0.5}), 2.5)
+        grid = BZGrid.cubic(3, 8)
+        raw = bloch.diagonalize_grid(model, grid)
+        outputs, statuses = cli._compute_methods(
+            model, grid, ["planes"], dict(cli._TOL_DEFAULTS), raw=raw)
+        assert statuses == {"failed"}
+        report = invariants.assemble_report({}, grid, outputs)
+        planes = report["methods"]["planes"]
+        assert set(planes) == {"error", "residual"}
+        assert planes["error"].startswith("AxisInconsistency")
+        assert planes["residual"] == invariants.plane_flux_margin(raw)
+        assert 0.99 < planes["residual"] < 0.995
+
+
 class TestRingGauge:
     def test_rings_stacked_or_alone_agree(self, pipeline):
         # the two boundary rings of a plane go through one call; each comes
