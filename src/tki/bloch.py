@@ -34,18 +34,32 @@ links are never logged.  The smooth gauge comes from Fourier-accelerated
 gauge-fixing steps (`_relax`): each rotates every node at once by the
 inverse lattice Laplacian, applied with `np.fft`, of the alignment
 gradient.  A rough relaxed gauge escapes by random kicks (`_anneal`) or
-by the next seed of its multiscale level (`_smooth_frames`).  A field
-that does not depend on k (every node equal to node 0 by the exact test
-`_k_independent`, as for an atomic insulator) has every link u+ u.  Each
-frame and sewing field is tested at most once and keeps the answer
-(`FrameField.k_independent`, `SewingField.k_independent`; the raw frames
-take `diagonalize_grid`'s slab test, a connection its frames' answer).
-`smooth_gauge` returns k-independent frames as they are.  The link logs
-and `link_deficiency`, which take every axis in one call, and the cs
-route's kernels (`berry_connection`'s average, `quaternionic_average`'s
-sigma map and residual, and `invariants.km_chern_simons`, which also
-skips the derivative of a constant) run on node 0 alone (`_node0`) and
-fill a full array, which changes no bit.
+by the next seed of its multiscale level (`_smooth_frames`).
+
+A field that does not depend on k (every node equal to node 0 by the
+exact test `_k_independent`, as for an atomic insulator in any orbital
+basis) has every link u+ u.  Each frame and sewing field is tested at
+most once and keeps the answer (`FrameField.k_independent`,
+`SewingField.k_independent`; the raw frames take `diagonalize_grid`'s
+test of H, or of its slab when H varies, a connection its frames'
+answer).  `smooth_gauge` returns k-independent frames as they are.
+Every stage that is bit-exact on such a field runs its per-node formula
+on node 0 alone and copies the result to every node once (`_on_node0`):
+`diagonalize_grid`'s `eigh` of a constant H, the plane fluxes
+(`FrameField.plane_fluxes`), the planes route's ring gauges
+(`invariants._plane_raws`, one ring per ring length), the link logs and
+`link_deficiency`, the sewing residuals (`SewingField.residuals`), the
+degree density, and the cs route's kernels (`berry_connection`,
+`quaternionic_average`'s sigma map and residual, and
+`invariants.km_chern_simons`, which also skips the derivative of a
+constant).  Each is gated on the test of the array it reads, never on an
+upstream field's answer.  Two stages stay on the full stack: the sewing
+product u(-k)+ Theta u(k), because `theta.apply` is one GEMM over the
+whole stack, whose node 0 alone rounds differently in the last bits (an
+atomic insulator in a random orbital basis shows it), and `su_reduce`,
+whose sweep divides neighbouring determinants: the quotient of two equal
+complex numbers can keep a rounding-level phase, so a constant det(w)
+need not give a constant branch.
 The steps and the link kernels run on the stacked kernels of `linalg`
 (relax step, polar factor, principal log, operator norm): closed forms
 when m = 2, and for larger m one LAPACK call per stack (a solve for the
@@ -154,11 +168,15 @@ class FrameField:
         """`plaquette_flux` of every invariant coordinate plane, keyed (b, c,
         axis, index): the plane of axes b < c at k_axis = index, 0 or N/2;
         a 2-d grid is its own plane, (0, 1, None, None).  Traced once per
-        instance for both the Chern check and the planes route."""
+        instance for both the Chern check and the planes route; k-independent
+        frames trace one plaquette per plane (`_on_node0`)."""
+        def flux(u):
+            return _on_node0(plaquette_flux, (u,), 2, self.k_independent,
+                             u.shape[:2], np.empty)
         if self.grid.dim == 2:
-            return {(0, 1, None, None): plaquette_flux(self.frames)}
+            return {(0, 1, None, None): flux(self.frames)}
         return {tuple(b for b in range(3) if b != a) + (a, idx):
-                plaquette_flux(self.restrict_plane(a, idx).frames)
+                flux(self.restrict_plane(a, idx).frames)
                 for a in range(3) for idx in (0, self.grid.sizes[a] // 2)}
 
     @property
@@ -201,21 +219,33 @@ class SewingField:
 
     @cached_property
     def degree_density(self) -> np.ndarray:
-        """The `wzw_density` array, computed once per instance; read-only."""
-        L = self.links
-        dens = (_antisym_trace3(L).real * self.grid.cell_volume()
-                / (24 * np.pi ** 2))
+        """The `wzw_density` array, computed once per instance; read-only.
+        A k-independent w, whose links are then node 0's copied, takes
+        one node's triple trace (`_on_node0`)."""
+        grid = self.grid
+        dens = _on_node0(
+            lambda L: (_antisym_trace3(L).real * grid.cell_volume()
+                       / (24 * np.pi ** 2)),
+            (self.links,), grid.dim, self.k_independent, grid.sizes,
+            np.empty)
         dens.flags.writeable = False
         return dens
 
     def residuals(self) -> dict:
-        w = self.w
-        eye = np.eye(self.m)
-        unit = float(np.abs(_mm(_dag(w), w) - eye).max())
-        invol = float(np.abs(self.grid.involute(w)
-                             + np.swapaxes(w, -1, -2)).max())
-        skew = max(float(np.abs(w[t] + w[t].T).max()) for t in self.grid.trims)
-        return {"unitarity": unit, "involution": invol, "trim_skew": skew}
+        """Max over the nodes of the unitarity, involution and fixed-node
+        skewness defects of w; a k-independent w is measured on node 0
+        alone (`_on_node0`), whose one node is every fixed node."""
+        dim = self.grid.dim
+
+        def defects(w):
+            unit = float(np.abs(_mm(_dag(w), w) - np.eye(self.m)).max())
+            invol = float(np.abs(self.grid.involute(w)
+                                 + np.swapaxes(w, -1, -2)).max())
+            skew = max(float(np.abs(w[t] + w[t].T).max()) for t in
+                       product(*[(0, n // 2) for n in w.shape[:dim]]))
+            return {"unitarity": unit, "involution": invol,
+                    "trim_skew": skew}
+        return _on_node0(defects, (self.w,), dim, self.k_independent)
 
 
 @dataclass(frozen=True)
@@ -239,14 +269,18 @@ def diagonalize_grid(model, grid: BZGrid, gap: float = GAP) -> FrameField:
     last grid axis, which holds both of its fixed planes.  Every other node
     k is the mirror of a slab node -k, and time reversal fills it: u(k) =
     Theta u(-k) = U conj(u(-k)), E(k) = E(-k), one `theta.apply` and one
-    `grid.involute` of the matrix-major stack.  A k-independent slab
-    (`_k_independent`) fills by copying node 0 instead, so the field stays
-    k-independent: Theta's image of a constant frame spans the same space
-    in another basis.  The slab's test is the field's answer
-    (`FrameField.k_independent`): the slab is part of the field, and a
-    k-independent slab fills it with copies.  The slab holds the transport
-    seed's first line and sheet (`_transport_init`), which stay `eigh`
-    frames.
+    `grid.involute` of the matrix-major stack.  The slab holds the
+    transport seed's first line and sheet (`_transport_init`), which stay
+    `eigh` frames.
+
+    A k-independent H (`_k_independent`) takes one `eigh`, of node 0
+    (`_on_node0`), whose frames and energies fill the slab: LAPACK solves
+    each matrix of a stack on its own, so this changes no bit.  A
+    k-independent slab fills the rest of the grid by copying node 0, so
+    the field stays k-independent: Theta's image of a constant frame spans
+    the same space in another basis.  H's test, or when H varies the
+    slab's, is the field's answer (`FrameField.k_independent`): either
+    way every node is a copy of node 0.
 
     The fill assumes Theta H(k) Theta^-1 = H(-k), which is not checked
     here: registry models satisfy it by their formula, and `ingest_sampled`
@@ -258,8 +292,9 @@ def diagonalize_grid(model, grid: BZGrid, gap: float = GAP) -> FrameField:
     """
     half = grid.sizes[-1] // 2 + 1
     H = model.hamiltonian_batch(grid.node_mesh()[..., :half, :])
+    const = _k_independent(H)
     try:
-        ev, vec = np.linalg.eigh(H)
+        ev, vec = _on_node0(np.linalg.eigh, (H,), grid.dim, const)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigFailure(str(exc)) from exc
     m = model.n_occ
@@ -273,7 +308,7 @@ def diagonalize_grid(model, grid: BZGrid, gap: float = GAP) -> FrameField:
     frames[..., :half, :, :] = slab = vec[..., :m]
     energies[..., :half, :] = ev[..., :m]
     energies[..., half:, :] = grid.involute(energies)[..., half:, :]
-    const = _k_independent(slab)
+    const = const or _k_independent(slab)
     frames[..., half:, :, :] = (
         slab[(0,) * grid.dim] if const
         else model.theta.apply(grid.involute(frames)[..., half:, :, :]))
@@ -308,8 +343,16 @@ def plane_chern_numbers(raw: FrameField) -> dict:
 # ---------------------------------------------------------------------------
 
 def _k_independent(x: np.ndarray) -> bool:
-    """True iff every node of a stack (*sizes, n, m) equals node 0 (==)."""
-    return bool((x == x[(0,) * (x.ndim - 2)]).all())
+    """True iff every node of a stack (*sizes, n, m) equals node 0 (==).
+    The last and the middle node are compared first, so a field that
+    varies returns without a full-array compare."""
+    nodes = x.shape[:-2]
+    x0 = x[(0,) * len(nodes)]
+    size = int(np.prod(nodes))
+    if any((x[np.unravel_index(i, nodes)] != x0).any()
+           for i in (size - 1, size // 2)):
+        return False
+    return bool((x == x0).all())
 
 
 def _node0(x, dim):
@@ -320,20 +363,38 @@ def _node0(x, dim):
     return x[(Ellipsis,) + (slice(0, 1),) * dim + (slice(None),) * 2]
 
 
+def _on_node0(kernel, xs, dim, const, shape=None, alloc=_empty_stack):
+    """kernel(*xs) for a per-node formula of the stacks xs (`_node0`'s
+    layout).  When const (every node of every x equals its node 0, by the
+    exact `_k_independent` test of the arrays the kernel reads), the kernel
+    runs on the `_node0` views alone, whose one node is bitwise each node
+    of the full stacks' result.  That node is copied once to every node of
+    a new alloc(shape, dtype); without a shape (a reduction, such as a
+    max) the kernel's result is returned as it is."""
+    if not const:
+        return kernel(*xs)
+    r = kernel(*(_node0(x, dim) for x in xs))
+    if shape is None:
+        return r
+    out = alloc(shape, r.dtype)
+    out[...] = r
+    return out
+
+
 def _link_stack(kernel, u, alloc, tail=(), const=None):
     """kernel(u(k)+ u(k + e_a)) of the forward links along every grid axis
     a, periodic, stacked on axis 0 of alloc((dim, *sizes) + tail), one
     axis's link product alive at a time.  A k-independent u runs the kernel
-    on the link u0+ u0 alone, copied to every node and axis, which changes
-    no bit.  `const` is u's k-independence when the field holding u has it
+    on the link u0+ u0 alone (`_on_node0`), copied to every node and axis.
+    `const` is u's k-independence when the field holding u has it
     (`FrameField.k_independent`, `SewingField.k_independent`); None tests u
     here, once per call."""
     dim = u.ndim - 2
-    out = alloc((dim,) + u.shape[:dim] + tail)
+    shape = (dim,) + u.shape[:dim] + tail
     if _k_independent(u) if const is None else const:
-        u0 = _node0(u, dim)
-        out[...] = kernel(_mm(_dag(u0), u0))
-        return out
+        return _on_node0(lambda u0: kernel(_mm(_dag(u0), u0)), (u,), dim,
+                         True, shape, alloc)
+    out = alloc(shape)
     for a in range(dim):
         out[a] = kernel(_mm(_dag(u), np.roll(u, -1, axis=a)))
     return out
@@ -602,17 +663,19 @@ def smooth_gauge(raw: FrameField) -> FrameField:
 
 
 def gauge_pipeline(raw: FrameField, theta,
-                   smoothness_limit: float = SMOOTHNESS_LIMIT):
+                   smoothness_limit: float = SMOOTHNESS_LIMIT,
+                   reduce: bool = True):
     """smooth_gauge -> sewing_field -> su_reduce on diagonalized frames.
 
     Returns (frames, wfield, wred): the smooth gauge, its sewing field and
-    the SU-reduced sewing field.  The Pfaffian route reads wred; the degree
+    the SU-reduced sewing field, None when `reduce` is false (su_reduce and
+    its gates do not run).  The Pfaffian route reads wred; the degree
     density, the quaternionic average and the localisation read wfield, as
     tr((w+ dw)^3) does not see the determinant phase.
     """
     frames = smooth_gauge(raw)
     wfield = sewing_field(frames, theta, smoothness_limit=smoothness_limit)
-    return frames, wfield, su_reduce(wfield)
+    return frames, wfield, su_reduce(wfield) if reduce else None
 
 
 # ---------------------------------------------------------------------------
@@ -686,20 +749,22 @@ def berry_connection(frames: FrameField,
     transporters touching k along axis mu, divided by the spacing; it agrees
     with u+ du to O(h^2) and handles large single-link rotations exactly.
 
-    k-independent frames (`FrameField.k_independent`) average node 0 alone
-    (`_node0`) and fill the grid with it, which changes no bit; the
-    connection takes the frames' answer.
+    k-independent frames (`FrameField.k_independent`) log and average
+    node 0 alone and fill the grid once (`_on_node0`); the connection takes
+    the frames' answer.
     """
     s = frames.smoothness
     if s > smoothness_limit:
         raise RoughGauge(f"frame smoothness {s:.3f} exceeds {smoothness_limit}")
-    grid, const = frames.grid, frames.k_independent
-    A = link_log(frames.frames, const)
-    X = _node0(A, grid.dim) if const else A  # averaged in place, per axis
-    for a, h in enumerate(grid.spacings):
-        X[a] = _AH(0.5 * (X[a] + np.roll(X[a], 1, axis=a)) / h)
-    if const:
-        A[...] = X
+    grid, const, u = frames.grid, frames.k_independent, frames.frames
+
+    def connection(u):
+        A = link_log(u, const)  # averaged in place, per axis
+        for a, h in enumerate(grid.spacings):
+            A[a] = _AH(0.5 * (A[a] + np.roll(A[a], 1, axis=a)) / h)
+        return A
+    A = _on_node0(connection, (u,), grid.dim, const,
+                  (grid.dim,) + u.shape[:-2] + (frames.m,) * 2)
     return ConnectionField(grid, A, k_independent=const)
 
 
@@ -719,31 +784,29 @@ def quaternionic_average(conn: ConnectionField,
 
     When the connection and w are both k-independent
     (`ConnectionField.k_independent`, `SewingField.k_independent`), sigma
-    and the residual run on node 0 alone (`_node0`) and A' fills the grid,
-    which changes no bit; A' is k-independent too.
+    and the residual run on node 0 alone and A' fills the grid once
+    (`_on_node0`); A' is k-independent too.
     """
     if conn.grid.sizes != wfield.grid.sizes:
         raise GaugeMismatch("connection and sewing field live on different grids")
     grid = wfield.grid
     const = conn.k_independent and wfield.k_independent
-    w, A, links = wfield.w, conn.A, wfield.links
-    if const:
-        w, A, links = (_node0(x, grid.dim) for x in (w, A, links))
-    wd = _dag(w)
-    Ap = np.empty_like(A)
     residuals = []
-    for a in range(grid.dim):
-        L = links[a]
-        lam = 0.5 * (L + np.roll(L, 1, axis=a))
 
-        def sigma(X):
-            return -_mm(w, _mm(grid.involute(X).conj() + lam, wd))
-        Ap[a] = 0.5 * (A[a] + sigma(A[a]))
-        residuals.append(np.abs(Ap[a] - sigma(Ap[a])).max())
-    if const:
-        full = np.empty_like(conn.A)
-        full[...] = Ap
-        Ap = full
+    def average(w, A, links):
+        wd = _dag(w)
+        Ap = np.empty_like(A)
+        for a in range(grid.dim):
+            L = links[a]
+            lam = 0.5 * (L + np.roll(L, 1, axis=a))
+
+            def sigma(X):
+                return -_mm(w, _mm(grid.involute(X).conj() + lam, wd))
+            Ap[a] = 0.5 * (A[a] + sigma(A[a]))
+            residuals.append(np.abs(Ap[a] - sigma(Ap[a])).max())
+        return Ap
+    Ap = _on_node0(average, (wfield.w, conn.A, wfield.links), grid.dim,
+                   const, conn.A.shape)
     return ConnectionField(conn.grid, Ap,
                            quaternionic_residual=float(np.max(residuals)),
                            k_independent=const)
@@ -774,10 +837,15 @@ def maurer_cartan_links(wfield: SewingField) -> np.ndarray:
     quotient to O(h) but keeps the result exactly in the Lie algebra, which
     buys roughly one order of accuracy in the WZW Riemann sums.
     """
-    L = unitary_link_log(wfield.w, wfield.k_independent)
-    for a, h in enumerate(wfield.grid.spacings):
-        L[a] /= h
-    return L
+    grid, w, const = wfield.grid, wfield.w, wfield.k_independent
+
+    def links(w):
+        L = unitary_link_log(w, const)
+        for a, h in enumerate(grid.spacings):
+            L[a] /= h
+        return L
+    return _on_node0(links, (w,), grid.dim, const,
+                     (grid.dim,) + w.shape)
 
 
 def wzw_density(wfield: SewingField) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import collections
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -244,19 +245,20 @@ def _s3(model, grid, **_):
             "residual": out["residual"]}
 
 
-# a route's kernel; whether it reads the smooth gauge; whether it runs when
-# --methods is not given; the (domain, dim) model kinds it takes
+# a route's kernel; the last gauge stage it reads (None, the sewing field
+# "wfield" or its SU reduction "wred"); whether it runs when --methods is
+# not given; the (domain, dim) model kinds it takes
 _Route = collections.namedtuple("_Route", "kernel gauge default kinds")
 _T2, _T3, _S3 = ("torus", 2), ("torus", 3), ("sphere3", 3)
 # every route, in the order --methods defaults list them
 _ROUTES = {
-    "pfaffian": _Route(_pfaffian, True, True, (_T2, _T3)),
-    "planes": _Route(_planes, False, True, (_T2, _T3)),
-    "wzw": _Route(_wzw, True, True, (_T3,)),
-    "winding": _Route(_winding, True, True, (_T3,)),
-    "cs": _Route(_cs, True, False, (_T3,)),
-    "localise": _Route(_localise, True, False, (_T3,)),
-    "s3": _Route(_s3, False, True, (_S3,)),
+    "pfaffian": _Route(_pfaffian, "wred", True, (_T2, _T3)),
+    "planes": _Route(_planes, None, True, (_T2, _T3)),
+    "wzw": _Route(_wzw, "wfield", True, (_T3,)),
+    "winding": _Route(_winding, "wfield", True, (_T3,)),
+    "cs": _Route(_cs, "wfield", False, (_T3,)),
+    "localise": _Route(_localise, "wfield", False, (_T3,)),
+    "s3": _Route(_s3, None, True, (_S3,)),
 }
 
 
@@ -265,7 +267,9 @@ def _compute_methods(model, grid, methods, tol, stable=False, raw=None):
 
     `methods` holds names from `_ROUTES`.  `raw` may carry frames already
     diagonalized on `grid`; a torus model is diagonalized otherwise.  The
-    gauge stages run only when a requested route reads them.
+    gauge stages run only when a requested route reads them, the SU
+    reduction only when one reads wred; a failed stage refuses every
+    route that reads the gauge.
     """
     outputs = {}
     statuses = set()
@@ -273,10 +277,12 @@ def _compute_methods(model, grid, methods, tol, stable=False, raw=None):
         raw = bloch.diagonalize_grid(model, grid, gap=tol["gap"])
 
     frames = wfield = wred = gauge_error = None
-    if any(_ROUTES[name].gauge for name in methods):
+    stages = {_ROUTES[name].gauge for name in methods}
+    if stages - {None}:
         try:
             frames, wfield, wred = bloch.gauge_pipeline(
-                raw, model.theta, smoothness_limit=tol["smoothness"])
+                raw, model.theta, smoothness_limit=tol["smoothness"],
+                reduce="wred" in stages)
         except bloch.BlochError as exc:
             gauge_error = f"{type(exc).__name__}: {exc}"
 
@@ -416,7 +422,8 @@ def cmd_localise(args, extra) -> int:
         grid = _parse_grid(args.grid or "32", 3)
         raw = bloch.diagonalize_grid(model, grid, gap=tol["gap"])
         _, wfield, _ = bloch.gauge_pipeline(
-            raw, model.theta, smoothness_limit=tol["smoothness"])
+            raw, model.theta, smoothness_limit=tol["smoothness"],
+            reduce=False)
         coch, discarded = eqforms.sample_wzw(wfield)
     else:
         raise UsageError("--form must be uniform:<v> or wzw")
@@ -513,7 +520,10 @@ def cmd_ingest(args, extra) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it as it
+    was."""
     p = argparse.ArgumentParser(
         prog="tki", allow_abbrev=False,
         description="Z2 invariants of time-reversal symmetric band models")

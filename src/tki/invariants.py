@@ -38,7 +38,7 @@ from .grids import BZGrid
 from .linalg import (_dag, _empty_stack, batched_det, kramers_canonical,
                      pfaffian)
 from .bloch import (FrameField, SewingField, ConnectionField, _PERMS3,
-                    _antisym_trace3, _node0, _transport_last_axis,
+                    _antisym_trace3, _on_node0, _transport_last_axis,
                     wzw_density)
 
 _W0 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
@@ -185,6 +185,10 @@ def _plane_raws(field: FrameField, U: np.ndarray) -> list:
 
     The boundary rings n1 = N/2 and n1 = 0 of all planes whose rings have
     one length are gauged together, one `_ring_tr_gauge` call per length.
+    When the field is k-independent (`bloch.FrameField.k_independent`)
+    those rings are all equal, and the call gauges the first alone: the
+    gauge treats each ring on its own, so every ring's gauge is bitwise
+    that one.
     """
     planes = {k: field.restrict_plane(*k[2:]).frames if k[2] is not None
               else field.frames for k in field.plane_fluxes}
@@ -193,7 +197,8 @@ def _plane_raws(field: FrameField, U: np.ndarray) -> list:
         group = [k for k, u in planes.items() if u.shape[0] == n]
         rings = np.stack([planes[k][:, j] for k in group
                           for j in (planes[k].shape[1] // 2, 0)])
-        v = _ring_tr_gauge(rings, U)
+        v = (np.broadcast_to(_ring_tr_gauge(rings[:1], U), rings.shape)
+             if field.k_independent else _ring_tr_gauge(rings, U))
         gauged.update(zip(group, v.reshape((len(group), 2) + v.shape[1:])))
     return [_plane_raw(field.plane_fluxes[k], *gauged[k]) for k in planes]
 
@@ -287,8 +292,8 @@ def km_chern_simons(conn: ConnectionField, wfield: SewingField) -> tuple:
     periodic, so Fourier differentiation is far more accurate than any local
     stencil here).  cs sits within discretization error of a half-integer.
     A k-independent connection (`bloch.ConnectionField.k_independent`)
-    takes its cubic term on node 0 alone (`bloch._node0`), summed over the
-    grid as the full stack's would be, and skips its six derivative terms:
+    takes its cubic term on node 0 alone, copied to every node and summed
+    over the grid (`bloch._on_node0`), and skips its six derivative terms:
     dA = 0, while the spectral derivative of a constant is zero only to
     rounding.
     Returns (cs, parity, relation_residual).
@@ -311,8 +316,8 @@ def km_chern_simons(conn: ConnectionField, wfield: SewingField) -> tuple:
                            axis=mu)
 
     const = conn.k_independent
-    cubic = _antisym_trace3(_node0(A, 3) if const else A)
-    total = (2.0 / 3.0) * np.broadcast_to(cubic, grid.sizes).sum()
+    total = (2.0 / 3.0) * _on_node0(_antisym_trace3, (A,), 3, const,
+                                    grid.sizes, np.empty).sum()
     if not const:
         for (m0, m1, m2), s in _PERMS3:
             total += s * np.einsum("...ab,...ba->...", A[m0],

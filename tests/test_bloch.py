@@ -1009,7 +1009,7 @@ class TestOneNodeConnection:
         assert abs(one_node[0] - full[0]) <= 1e-15
 
     def test_each_field_tested_once_per_request(self, monkeypatch):
-        # an all-routes request on trivial m = 4: the slab of
+        # an all-routes request on trivial m = 4: the H of
         # `diagonalize_grid`, whose answer the raw frames, the smooth gauge
         # and the connection keep, and the sewing field
         seen, k_independent = [], bloch._k_independent
@@ -1022,6 +1022,191 @@ class TestOneNodeConnection:
         assert not statuses
         assert {out["parity"] for out in outputs.values()} == {1}
         assert len(seen) <= 2
+
+
+def _full_stack_stages(model, grid, wfield):
+    """The one-node pipeline's exact stages as the full stack runs them,
+    written out here: the slab's `eigh` on every node, each invariant
+    plane's plaquette fluxes on every plaquette, every boundary ring
+    gauged, and the sewing residuals and degree density of wfield's w on
+    every node."""
+    dim, m = grid.dim, model.n_occ
+    half = grid.sizes[-1] // 2 + 1
+    ev, vec = np.linalg.eigh(
+        model.hamiltonian_batch(grid.node_mesh()[..., :half, :]))
+    frames = np.empty(grid.sizes + (model.n_bands, m), dtype=complex)
+    energies = np.empty(grid.sizes + (m,))
+    frames[..., :half, :, :] = vec[..., :m]
+    frames[..., half:, :, :] = vec[(0,) * dim][..., :m]  # a constant slab
+    energies[..., :half, :] = ev[..., :m]
+    energies[..., half:, :] = grid.involute(energies)[..., half:, :]
+    if dim == 2:
+        planes = {(0, 1, None, None): frames}
+    else:
+        planes = {tuple(b for b in range(3) if b != a) + (a, idx):
+                  frames[(slice(None),) * a + (idx,)]
+                  for a in range(3) for idx in (0, grid.sizes[a] // 2)}
+    fluxes = {k: bloch.plaquette_flux(u) for k, u in planes.items()}
+    v = invariants._ring_tr_gauge(np.stack(
+        [u[:, j] for u in planes.values() for j in (u.shape[1] // 2, 0)]),
+        model.theta.U)
+    raws = [invariants._plane_raw(fluxes[k], v[2 * i], v[2 * i + 1])
+            for i, k in enumerate(planes)]
+    w = wfield.w
+    residuals = {
+        "unitarity": float(np.abs(bloch._mm(bloch._dag(w), w)
+                                  - np.eye(m)).max()),
+        "involution": float(np.abs(grid.involute(w)
+                                   + np.swapaxes(w, -1, -2)).max()),
+        "trim_skew": max(float(np.abs(w[t] + w[t].T).max())
+                         for t in grid.trims)}
+    out = {"frames": frames, "energies": energies, "fluxes": fluxes,
+           "rings": v, "raws": raws, "residuals": residuals}
+    if dim == 3:
+        L = bloch.unitary_link_log(w, const=False)
+        for a, h in enumerate(grid.spacings):
+            L[a] /= h
+        out["density"] = (bloch._antisym_trace3(L).real * grid.cell_volume()
+                          / (24 * np.pi ** 2))
+    return out
+
+
+def _residual_nodes(monkeypatch):
+    """Node counts of the `bloch._mm` products; a sewing field's last one
+    is its residuals' unitarity product."""
+    seen, mm = [], bloch._mm
+    monkeypatch.setattr(bloch, "_mm", lambda X, Y: seen.append(
+        X[..., 0, 0].size) or mm(X, Y))
+    return seen
+
+
+class TestOneNodePipeline:
+    """Frames that do not depend on k take every exact stage on one node:
+    the slab's eigensolve, the plane fluxes, the planes route's ring
+    gauges, the sewing residuals and the degree density.  Each stage is
+    bitwise the full stack's, written out in `_full_stack_stages`."""
+
+    @staticmethod
+    def _one_node_stages(model, grid, monkeypatch):
+        """The stages as the pipeline runs them, the ring gauges
+        `_ring_tr_gauge` returned, and per stage the node or ring counts
+        its kernel received."""
+        seen = {"eigh": [], "plaquette_flux": [], "_ring_tr_gauge": [],
+                "_antisym_trace3": []}
+        gauged = []
+
+        def spy(module, name, count, keep=lambda result: None):
+            f = getattr(module, name)
+
+            def call(*args):
+                seen[name].append(count(args[0]))
+                result = f(*args)
+                keep(result)
+                return result
+            monkeypatch.setattr(module, name, call)
+        spy(np.linalg, "eigh", lambda H: H[..., 0, 0].size)
+        spy(bloch, "plaquette_flux", lambda u: u[..., 0, 0].size)
+        spy(invariants, "_ring_tr_gauge", len, gauged.append)
+        spy(bloch, "_antisym_trace3", lambda L: L[0][..., 0, 0].size)
+        raw = bloch.diagonalize_grid(model, grid)
+        out = {"frames": raw.frames, "energies": raw.energies,
+               "fluxes": raw.plane_fluxes,
+               "raws": invariants._plane_raws(raw, model.theta.U),
+               "rings": gauged}
+        nodes = _residual_nodes(monkeypatch)
+        wfield = bloch.sewing_field(bloch.smooth_gauge(raw), model.theta)
+        out["residuals"] = wfield.residuals()
+        seen["residuals"] = nodes[-1:]
+        if grid.dim == 3:
+            out["density"] = bloch.wzw_density(wfield)
+        monkeypatch.undo()
+        return raw, wfield, out, seen
+
+    @pytest.mark.parametrize("d, n", [(2, 12), (3, 12), (3, 16)],
+                             ids=["d2-12", "d3-12", "d3-16"])
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("basis", [None, 1, 2, 3, 4, 5],
+                             ids=["registry", "basis1", "basis2", "basis3",
+                                  "basis4", "basis5"])
+    def test_every_stage_changes_no_bit(self, monkeypatch, basis, m, d, n):
+        model = models.make_model("trivial", {"d": d, "m": m})
+        if basis is not None:
+            model = in_random_basis(model, basis)
+        grid = BZGrid.cubic(d, n)
+        raw, wfield, got, seen = self._one_node_stages(model, grid,
+                                                       monkeypatch)
+        assert raw.k_independent
+        want = _full_stack_stages(model, grid, wfield)
+        for key in ("frames", "energies", "density"):
+            if key in want:
+                assert _same_bits(got[key], want[key]), key
+        assert list(got["fluxes"]) == list(want["fluxes"])
+        for k, flux in want["fluxes"].items():
+            assert _same_bits(got["fluxes"][k], flux), k
+        ring, = got["rings"]
+        assert all(_same_bits(ring[0], v) for v in want["rings"])
+        assert _same_bits(np.array(got["raws"]), np.array(want["raws"]))
+        assert got["residuals"] == want["residuals"]
+        # the one-node path ran: one eigh node, one plaquette per plane,
+        # one ring per ring length, one residual node (Theta's GEMM over
+        # the whole stack leaves w constant here), one triple-trace node
+        assert seen["eigh"][0] == 1
+        assert seen["plaquette_flux"] == [1] * len(want["fluxes"])
+        assert seen["_ring_tr_gauge"] == [1]
+        assert seen["_antisym_trace3"] == ([1] if d == 3 else [])
+        assert wfield.k_independent and seen["residuals"] == [1]
+
+    @pytest.mark.parametrize("node", [None, (0, 0, 0), (7, 7, 7), (4, 0, 0),
+                                      (1, 2, 3)],
+                             ids=["constant", "node-0", "last", "middle",
+                                  "other"])
+    def test_k_independence_is_exact_and_probes_first(self, node):
+        # one ulp at any node, the probed last and middle nodes included,
+        # makes a stack vary; a probe that differs from node 0 ends the
+        # test without comparing more than one node
+        sizes = []
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                sizes.append(max(np.size(x) for x in inputs))
+                return getattr(ufunc, method)(
+                    *(np.asarray(x) for x in inputs), **kwargs)
+        x = np.broadcast_to(np.arange(4.0).reshape(2, 2),
+                            (8, 8, 8, 2, 2)).copy()
+        if node is not None:
+            x[node + (1, 0)] = np.nextafter(x[node + (1, 0)], np.inf)
+        assert bloch._k_independent(x.view(Counted)) == (node is None)
+        assert max(sizes) == (x.size if node in (None, (1, 2, 3)) else 4)
+
+    @pytest.mark.parametrize("bumped", [False, True],
+                             ids=["constant-w", "w-one-ulp-off"])
+    def test_residuals_read_w_not_the_frames(self, monkeypatch, bumped):
+        # constant frames, and w = u(-k)+ Theta u(k) one ulp off at one
+        # node: w varies, so its residuals take the full stack, the frames'
+        # answer notwithstanding, and match the full formula bit for bit
+        n = 10
+        model = in_random_basis(models.make_model(
+            "trivial", {"d": 3, "m": 4}), 7)
+        grid = BZGrid.cubic(3, n)
+        frames = bloch.smooth_gauge(bloch.diagonalize_grid(model, grid))
+        assert frames.smoothness < 1e-14  # its one-node links, cached
+        nodes, mm = [], bloch._mm
+
+        def spy(X, Y):
+            out = mm(X, Y)
+            if bumped and not nodes:  # sewing_field's first product is w
+                z = out[1, 2, 3, 0, 0]
+                out[1, 2, 3, 0, 0] = np.nextafter(z.real, np.inf) + 1j * z.imag
+            nodes.append(X[..., 0, 0].size)
+            return out
+        monkeypatch.setattr(bloch, "_mm", spy)
+        wfield = bloch.sewing_field(frames, model.theta)
+        monkeypatch.undo()
+        assert frames.k_independent
+        assert wfield.k_independent != bumped
+        assert nodes == [n ** 3, 1 if not bumped else n ** 3]
+        want = _full_stack_stages(model, grid, wfield)["residuals"]
+        assert wfield.residuals() == want
 
 
 class TestWzwDensity:

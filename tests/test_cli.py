@@ -253,17 +253,62 @@ class TestInvariantCommand:
         doc = json.loads(out)
         assert "error" in doc["methods"]["wzw"]
 
-    @pytest.mark.parametrize("m", [2, 4])
-    def test_one_node_links_change_no_byte(self, capsys, monkeypatch, m):
-        # the link kernels of trivial frames run on one node; the report is
-        # byte for byte the one with every kernel on the full stack
-        argv = ["invariant", "--model", "trivial", "--params", f"d=3,m={m}",
-                "--grid", "12", "--methods",
-                "pfaffian,planes,wzw,winding,cs,localise", "--stable-output"]
+    @pytest.mark.parametrize("m, d, n", [
+        (2, 3, 12), (4, 3, 12), (2, 3, 16), (4, 3, 16), (2, 2, 12),
+        (4, 2, 12), (2, 2, 16), (4, 2, 16)],
+        ids=["2", "4", "2-d3-16", "4-d3-16", "2-d2-12", "4-d2-12", "2-d2-16",
+             "4-d2-16"])
+    def test_one_node_links_change_no_byte(self, capsys, monkeypatch, m, d,
+                                           n):
+        # every one-node stage of trivial frames (eigensolve, plane fluxes,
+        # ring gauges, links, sewing residuals, density, cs kernels); the
+        # report is byte for byte the one with every stage on the full stack
+        routes = "pfaffian,planes" + (",wzw,winding,cs,localise" * (d == 3))
+        argv = ["invariant", "--model", "trivial", "--params", f"d={d},m={m}",
+                "--grid", str(n), "--methods", routes, "--stable-output"]
         one_node = run(capsys, *argv)
         monkeypatch.setattr(bloch, "_k_independent", lambda x: False)
         assert run(capsys, *argv) == one_node
         assert one_node[0] == 0
+
+    def test_constant_hamiltonian_takes_one_eigh_node(self, capsys,
+                                                      monkeypatch):
+        # a trivial m = 4 request: the slab's eigensolve, and the m > 2 link
+        # logs' eigh, each get one node
+        nodes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda H: nodes.append(
+            H[..., 0, 0].size) or eigh(H))
+        code, _, _ = run(capsys, "invariant", "--model", "trivial",
+                         "--params", "d=3,m=4", "--grid", "16", "--methods",
+                         "pfaffian,planes,wzw,winding,cs,localise")
+        assert code == 0
+        assert nodes and set(nodes) == {1}
+
+    @pytest.mark.parametrize("argv, reductions", [
+        (["invariant", "--methods", "pfaffian"], 1),
+        (["invariant"], 1),
+        (["invariant", "--methods", "wzw,winding,cs,localise"], 0),
+        (["invariant", "--methods", "planes"], 0),
+        (["localise", "--form", "wzw"], 0)],
+        ids=["pfaffian", "default", "density-routes", "planes",
+             "localise"])
+    def test_su_reduce_runs_when_a_route_reads_it(self, capsys, monkeypatch,
+                                                   argv, reductions):
+        # only the Pfaffian route reads the SU-reduced field
+        calls, su_reduce = [], bloch.su_reduce
+        monkeypatch.setattr(bloch, "su_reduce", lambda w: calls.append(w)
+                            or su_reduce(w))
+        code, _, _ = run(capsys, *argv, "--model", "trivial", "--grid", "8")
+        assert code == 0
+        assert len(calls) == reductions
+
+    def test_validate_still_reduces(self, capsys, monkeypatch):
+        # the sewing-construction check of each of validate's three models
+        calls, su_reduce = [], bloch.su_reduce
+        monkeypatch.setattr(bloch, "su_reduce", lambda w: calls.append(w)
+                            or su_reduce(w))
+        code, _, _ = run(capsys, "validate")
+        assert code == 0 and len(calls) == 3
 
 
 # the route table's facts, written out: the kinds each route answers on
@@ -406,6 +451,31 @@ class TestPhaseDiagramCommand:
                            "--grid", "8")
         assert code == 0
         assert out.splitlines()[1] == "2,1,1,1,1,true,false"
+
+
+class TestParser:
+    def test_cached_parser_prints_what_fresh_parsers_print(self, capsys):
+        # one parser per process: a report, a validation, usage errors from
+        # the parser and from a command, and the bare usage, in a row
+        argvs = [["invariant", "--model", "trivial", "--dim", "2", "--m",
+                  "2", "--grid", "8", "--stable-output"],
+                 ["validate", "--seed", "2"],
+                 ["invariant", "--model", "trivial", "--grid", "7"],
+                 ["invariant", "--model", "trivial", "--grid", "8",
+                  "--seed", "1"],
+                 ["validate", "--seed", "-1"],
+                 [],
+                 ["invariant", "--model", "trivial", "--dim", "3", "--m",
+                  "2", "--grid", "8", "--methods", "pfaffian,wzw",
+                  "--stable-output"]]
+        cached = [run(capsys, *argv) for argv in argvs]
+        assert cli._build_parser() is cli._build_parser()
+        fresh = []
+        for argv in argvs:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert cached == fresh
+        assert [code for code, _, _ in cached] == [0, 0, 1, 1, 1, 1, 0]
 
 
 class TestValidateCommand:
@@ -616,20 +686,23 @@ class TestGeneralMKernels:
         # the sewing field's Maurer-Cartan links (without it), which the
         # sigma map and the density share, one call over all three axes
         # each and nothing twice; no link of the SU-reduced field, which
-        # only the Pfaffian reads, is logged
+        # only the Pfaffian reads, is logged.  The fields are k-independent,
+        # so each kernel gets a one-node view of its field
         fields, calls = {}, []
         pipeline = bloch.gauge_pipeline
 
         def kept(*args, **kwargs):
             out = pipeline(*args, **kwargs)
+            fields.clear()
             fields.update(zip(("frames", "wfield", "wred"),
-                              (out[0].frames, out[1].w, out[2].w)))
+                              (x.frames if i == 0 else x.w
+                               for i, x in enumerate(out) if x is not None)))
             return out
 
         def counted(name, kernel):
             def call(u, *const):
                 calls.append((name, next(k for k, v in fields.items()
-                                         if v is u)))
+                                         if np.shares_memory(v, u))))
                 return kernel(u, *const)
             return call
         monkeypatch.setattr(bloch, "gauge_pipeline", kept)

@@ -56,6 +56,11 @@ def test_default_list_holds_the_golden_and_gapless_requests():
     assert ["invariant", "--model", "bhz2d", "--m", "0.3", "--grid",
             "24"] in requests
     assert ["validate", "--seed", "3", "--theta-noise", "0.05"] in requests
+    # the 2-d planes route on k-independent frames, m = 2 and 4
+    for m in ("2", "4"):
+        assert ["invariant", "--model", "trivial", "--dim", "2", "--m", m,
+                "--grid", "12", "--methods", "pfaffian,planes",
+                "--stable-output"] in requests
     assert len(requests) == len({tuple(a) for a in requests})
     import workloads  # perfbench's, on the path once the list is built
     bench = [req["argv"] for name in sorted(workloads.WORKLOADS)

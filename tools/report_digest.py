@@ -12,8 +12,9 @@ which reports a change moved:
 The default list is the benchmark's requests
 (`perfbench.workloads.generate(name, 0)` for every workload), every argv in
 `tests/golden/reports.json`, two dispersive torus requests with every
-route, three single-route requests, three gapless requests and two
-requests that show the time-reversal fill of `bloch.diagonalize_grid`.  An
+route, three single-route requests, three gapless requests, two
+requests that show the time-reversal fill of `bloch.diagonalize_grid` and
+two 2-d `trivial` requests whose frames do not depend on k.  An
 `invariant` request without `--stable-output` gets it, so its report holds
 no timings.  Uses the standard library and `tki` only.
 """
@@ -59,10 +60,18 @@ TR_FILL = [
     ["validate", "--seed", "3", "--theta-noise", "0.05"],
 ]
 
+# k-independent frames on a 2-d grid: the one-node eigensolve, plane flux
+# and ring gauge of the planes route, and the one-node sewing residuals
+TRIVIAL_2D = [
+    ["invariant", "--model", "trivial", "--dim", "2", "--m", str(m),
+     "--grid", "12", "--methods", "pfaffian,planes", "--stable-output"]
+    for m in (2, 4)]
+
 
 def default_requests() -> list:
     """The benchmark's requests, the golden argvs, `DISPERSIVE`,
-    `SINGLE_ROUTE`, `GAPLESS` and `TR_FILL`, each once, in that order."""
+    `SINGLE_ROUTE`, `GAPLESS`, `TR_FILL` and `TRIVIAL_2D`, each once, in
+    that order."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     argvs = [req["argv"] for name in sorted(workloads.WORKLOADS)
@@ -70,7 +79,7 @@ def default_requests() -> list:
     golden = json.loads((ROOT / "tests" / "golden" / "reports.json")
                         .read_text(encoding="utf-8"))
     argvs += ([entry["argv"] for entry in golden.values()] + DISPERSIVE
-              + SINGLE_ROUTE + GAPLESS + TR_FILL)
+              + SINGLE_ROUTE + GAPLESS + TR_FILL + TRIVIAL_2D)
     out = []
     for argv in argvs:
         if argv not in out:
