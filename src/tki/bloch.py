@@ -5,7 +5,7 @@ The pipeline here feeds every invariant route:
     diagonalize_grid -> gauge_pipeline -> berry_connection
                                        -> quaternionic_average
 
-    gauge_pipeline = smooth_gauge -> sewing_field -> su_reduce
+    gauge_pipeline = smooth_gauge -> sewing_field
 
 `diagonalize_grid` runs `eigh` on half the grid, the slab n_last in [0, N/2]
 of the last axis, and fills every other node k from its mirror -k by time
@@ -29,8 +29,8 @@ the Chern-Simons integral).  A sewing field takes its Maurer-Cartan links once
 (`SewingField.links`); the degree density and the quaternionic map's
 derivative term both read the unreduced field's.  The density does not see
 the determinant phase: a scalar added to a link log drops out of 3 tr(L_0
-[L_1, L_2]).  So only the Pfaffian route reads the SU-reduced field, whose
-links are never logged.  The smooth gauge comes from Fourier-accelerated
+[L_1, L_2]).  So only the Pfaffian route reduces w, at the fixed nodes
+(`su_reduce`).  The smooth gauge comes from Fourier-accelerated
 gauge-fixing steps (`_relax`): each rotates every node at once by the
 inverse lattice Laplacian, applied with `np.fft`, of the alignment
 gradient.  A rough relaxed gauge escapes by random kicks (`_anneal`) or
@@ -53,13 +53,10 @@ degree density, and the cs route's kernels (`berry_connection`,
 `quaternionic_average`'s sigma map and residual, and
 `invariants.km_chern_simons`, which also skips the derivative of a
 constant).  Each is gated on the test of the array it reads, never on an
-upstream field's answer.  Two stages stay on the full stack: the sewing
-product u(-k)+ Theta u(k), because `theta.apply` is one GEMM over the
-whole stack, whose node 0 alone rounds differently in the last bits (an
-atomic insulator in a random orbital basis shows it), and `su_reduce`,
-whose sweep divides neighbouring determinants: the quotient of two equal
-complex numbers can keep a rounding-level phase, so a constant det(w)
-need not give a constant branch.
+upstream field's answer.  The sewing product u(-k)+ Theta u(k) stays on
+the full stack, because `theta.apply` is one GEMM over the whole stack,
+whose node 0 alone rounds differently in the last bits (an atomic
+insulator in a random orbital basis shows it).
 The steps and the link kernels run on the stacked kernels of `linalg`
 (relax step, polar factor, principal log, operator norm): closed forms
 when m = 2, and for larger m one LAPACK call per stack (a solve for the
@@ -89,7 +86,7 @@ import numpy as np
 
 from .grids import BZGrid
 from .linalg import (_AH, _dag, _empty_stack, _matrix_major, _mm,
-                     _scale_columns, _svd_polar, batched_det,
+                     _scale_columns, _svd_polar, LinalgError, batched_det,
                      batched_polar_unitary, batched_spectral_norm,
                      phase_continue, unitary_log, unitary_ramp, unitary_step)
 
@@ -131,6 +128,10 @@ class DetWinding(BlochError):
     def __init__(self, cycle, winding):
         super().__init__(f"det(w) winds by {winding} around cycle {cycle}")
         self.cycle, self.winding = cycle, winding
+
+
+class DetJump(BlochError):
+    pass
 
 
 class GaugeMismatch(BlochError):
@@ -663,19 +664,16 @@ def smooth_gauge(raw: FrameField) -> FrameField:
 
 
 def gauge_pipeline(raw: FrameField, theta,
-                   smoothness_limit: float = SMOOTHNESS_LIMIT,
-                   reduce: bool = True):
-    """smooth_gauge -> sewing_field -> su_reduce on diagonalized frames.
+                   smoothness_limit: float = SMOOTHNESS_LIMIT):
+    """smooth_gauge -> sewing_field on diagonalized frames.
 
-    Returns (frames, wfield, wred): the smooth gauge, its sewing field and
-    the SU-reduced sewing field, None when `reduce` is false (su_reduce and
-    its gates do not run).  The Pfaffian route reads wred; the degree
-    density, the quaternionic average and the localisation read wfield, as
-    tr((w+ dw)^3) does not see the determinant phase.
+    Returns (frames, wfield): the smooth gauge and its sewing field, which
+    every gauge route reads; the Pfaffian route reduces it at the fixed
+    nodes itself (`su_reduce`).
     """
     frames = smooth_gauge(raw)
-    wfield = sewing_field(frames, theta, smoothness_limit=smoothness_limit)
-    return frames, wfield, su_reduce(wfield) if reduce else None
+    return frames, sewing_field(frames, theta,
+                                smoothness_limit=smoothness_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -696,44 +694,46 @@ def sewing_field(frames: FrameField, theta,
     return out
 
 
-def su_reduce(wfield: SewingField) -> SewingField:
-    """Divide out the determinant phase: w -> exp(-i phi / m) w, det = 1.
+def su_reduce(wfield: SewingField) -> np.ndarray:
+    """The SU-reduced sewing matrices exp(-i phi / m) w, det = 1, at the
+    fixed nodes alone, stacked (2^dim, m, m) in `grid.trims` order.
 
-    phi is a continuous branch of arg det(w) built by sweeping the grid;
-    time reversal forbids det(w) from winding around any fundamental cycle,
-    which is checked and reported as DetWinding if violated.
+    phi is a continuous branch of arg det(w), continued from the origin
+    along the fixed-node staircase: along axis 0 to N_0/2, then along axis
+    1 from both fixed nodes reached, then along axis 2 from all four.
+    Time reversal forbids det(w) from winding around any fundamental cycle:
+    the three axis cycles through the origin are checked (DetWinding), and
+    so is |det w| = 1 on them.  Every cycle and line is continued by
+    `phase_continue`, whose refusals, a det at zero or a step of arg det of
+    pi/2 or more, become DetJump.
     """
-    grid, w, m = wfield.grid, wfield.w, wfield.m
-    d = batched_det(w)
-    if np.abs(np.abs(d) - 1).max() > 1e-6:
-        raise BlochError("det(w) strays from the unit circle")
+    grid, w, dim = wfield.grid, wfield.w, wfield.grid.dim
 
-    for a in range(grid.dim):
-        sel = tuple(slice(None) if b == a else 0 for b in range(grid.dim))
-        loop = np.append(d[sel], d[sel][0])
-        _, wind = phase_continue(loop)
+    def continued(d, where, start=None):
+        try:
+            return phase_continue(d, start)
+        except LinalgError as exc:
+            raise DetJump(f"{exc} {where}") from exc
+    for a in range(dim):
+        d = batched_det(w[tuple(slice(None) if b == a else 0
+                                for b in range(dim))])
+        if np.abs(np.abs(d) - 1).max() > 1e-6:
+            raise BlochError("det(w) strays from the unit circle")
+        _, wind = continued(np.append(d, d[0]), f"around cycle {a}")
         if wind != 0:
             raise DetWinding(a, wind)
 
-    # continuous branch of arg det(w), swept axis by axis from the origin:
-    # each line along axis a continues the phase of its node on axis a = 0
-    phi = np.empty(grid.sizes)
-    phi[(0,) * grid.dim] = np.angle(d[(0,) * grid.dim])
-    for a in range(grid.dim):
-        sel = tuple([slice(None)] * (a + 1) + [0] * (grid.dim - a - 1))
-        sub, line = d[sel], phi[sel]       # shape sizes[:a+1]; last axis is a
-        line[..., 1:] = np.cumsum(np.angle(sub[..., 1:] / sub[..., :-1]),
-                                  axis=-1)
-        line[..., 1:] += line[..., :1]
-    # symmetrize: det w(-k) = det w(k) forces phi to be inversion even; the
-    # two branch constructions agree up to rounding, so averaging is safe
-    phi = 0.5 * (phi + grid.involute(phi))
-
-    wt = np.exp(-1j * phi / m)[..., None, None] * w
-    out = SewingField(grid, wt)
-    if np.abs(batched_det(wt) - 1).max() > 1e-9:
-        raise BlochError("determinant reduction failed to reach SU(m)")
-    return out
+    phi = {(0,) * dim: np.angle(d[0])}  # d[0]: the origin's det
+    for a, n in enumerate(grid.sizes):
+        for start in list(phi):
+            d = batched_det(w[start[:a] + (slice(n // 2 + 1),)
+                              + start[a + 1:]])
+            phases, _ = continued(d, f"along axis {a} from fixed node "
+                                  f"{start}", phi[start])
+            phi[start[:a] + (n // 2,) + start[a + 1:]] = phases[-1]
+    trims = grid.trims
+    return (np.exp(-1j * np.array([phi[t] for t in trims]) / wfield.m)
+            [:, None, None] * w[tuple(np.transpose(trims))])
 
 
 # ---------------------------------------------------------------------------

@@ -191,8 +191,8 @@ def _tols(args):
 # needs and returns the route's out dict.  They call the library through its
 # modules, so a tracer that rebinds module attributes sees every call.
 
-def _pfaffian(wred, **_):
-    parity, pfs = invariants.km_trim_pfaffian(wred)
+def _pfaffian(wfield, **_):
+    parity, pfs = invariants.km_trim_pfaffian(wfield)
     raw_val = float(np.prod([p.real for p in pfs]))
     return {"parity": parity, "raw": raw_val,
             "residual": abs(abs(raw_val) - 1.0), "pfaffians": pfs}
@@ -245,20 +245,20 @@ def _s3(model, grid, **_):
             "residual": out["residual"]}
 
 
-# a route's kernel; the last gauge stage it reads (None, the sewing field
-# "wfield" or its SU reduction "wred"); whether it runs when --methods is
-# not given; the (domain, dim) model kinds it takes
+# a route's kernel; whether it reads the gauge (the smooth frames and the
+# sewing field); whether it runs when --methods is not given; the (domain,
+# dim) model kinds it takes
 _Route = collections.namedtuple("_Route", "kernel gauge default kinds")
 _T2, _T3, _S3 = ("torus", 2), ("torus", 3), ("sphere3", 3)
 # every route, in the order --methods defaults list them
 _ROUTES = {
-    "pfaffian": _Route(_pfaffian, "wred", True, (_T2, _T3)),
-    "planes": _Route(_planes, None, True, (_T2, _T3)),
-    "wzw": _Route(_wzw, "wfield", True, (_T3,)),
-    "winding": _Route(_winding, "wfield", True, (_T3,)),
-    "cs": _Route(_cs, "wfield", False, (_T3,)),
-    "localise": _Route(_localise, "wfield", False, (_T3,)),
-    "s3": _Route(_s3, None, True, (_S3,)),
+    "pfaffian": _Route(_pfaffian, True, True, (_T2, _T3)),
+    "planes": _Route(_planes, False, True, (_T2, _T3)),
+    "wzw": _Route(_wzw, True, True, (_T3,)),
+    "winding": _Route(_winding, True, True, (_T3,)),
+    "cs": _Route(_cs, True, False, (_T3,)),
+    "localise": _Route(_localise, True, False, (_T3,)),
+    "s3": _Route(_s3, False, True, (_S3,)),
 }
 
 
@@ -267,22 +267,19 @@ def _compute_methods(model, grid, methods, tol, stable=False, raw=None):
 
     `methods` holds names from `_ROUTES`.  `raw` may carry frames already
     diagonalized on `grid`; a torus model is diagonalized otherwise.  The
-    gauge stages run only when a requested route reads them, the SU
-    reduction only when one reads wred; a failed stage refuses every
-    route that reads the gauge.
+    gauge stages run only when a requested route reads them; a failed
+    stage refuses every route that reads the gauge.
     """
     outputs = {}
     statuses = set()
     if raw is None and model.domain == "torus":
         raw = bloch.diagonalize_grid(model, grid, gap=tol["gap"])
 
-    frames = wfield = wred = gauge_error = None
-    stages = {_ROUTES[name].gauge for name in methods}
-    if stages - {None}:
+    frames = wfield = gauge_error = None
+    if any(_ROUTES[name].gauge for name in methods):
         try:
-            frames, wfield, wred = bloch.gauge_pipeline(
-                raw, model.theta, smoothness_limit=tol["smoothness"],
-                reduce="wred" in stages)
+            frames, wfield = bloch.gauge_pipeline(
+                raw, model.theta, smoothness_limit=tol["smoothness"])
         except bloch.BlochError as exc:
             gauge_error = f"{type(exc).__name__}: {exc}"
 
@@ -295,7 +292,7 @@ def _compute_methods(model, grid, methods, tol, stable=False, raw=None):
         t0 = time.perf_counter()
         try:
             out = route.kernel(model=model, grid=grid, tol=tol, raw=raw,
-                               frames=frames, wfield=wfield, wred=wred)
+                               frames=frames, wfield=wfield)
         except bloch.GaplessAt:
             raise  # an input error, not a failed route
         except (invariants.InvariantError, bloch.BlochError,
@@ -421,9 +418,8 @@ def cmd_localise(args, extra) -> int:
             raise UsageError("--form wzw needs a 3-d torus model")
         grid = _parse_grid(args.grid or "32", 3)
         raw = bloch.diagonalize_grid(model, grid, gap=tol["gap"])
-        _, wfield, _ = bloch.gauge_pipeline(
-            raw, model.theta, smoothness_limit=tol["smoothness"],
-            reduce=False)
+        _, wfield = bloch.gauge_pipeline(
+            raw, model.theta, smoothness_limit=tol["smoothness"])
         coch, discarded = eqforms.sample_wzw(wfield)
     else:
         raise UsageError("--form must be uniform:<v> or wzw")
@@ -473,8 +469,8 @@ def _validate_suite(seed, noise):
                           in bloch.plane_chern_numbers(raw).values())
             record(f"{name}: invariant-plane Chern numbers vanish", worst_c,
                    1e-6)
-            _, w, _ = bloch.gauge_pipeline(raw, model.theta,
-                                           smoothness_limit=1.0)
+            _, w = bloch.gauge_pipeline(raw, model.theta,
+                                        smoothness_limit=1.0)
             record(f"{name}: sewing construction",
                    max(w.residuals().values()), 1e-8)
         except bloch.BlochError as exc:  # no residual: null, not Infinity

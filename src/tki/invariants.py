@@ -3,7 +3,7 @@
 Routes to the same Z2 parity:
 
 * ``km_trim_pfaffian``  — product of sewing-matrix Pfaffians over the
-  inversion-fixed momenta of an SU-reduced sewing field, in 2D and 3D alike;
+  inversion-fixed momenta, SU-reduced there alone, in 2D and 3D alike;
 * ``km_plane_invariant`` / ``km_weak_strong`` — the 2D invariant of each
   inversion-stable plane from Berry fluxes over half the plane and boundary
   Berry phases in a time-reversal-constrained ring gauge, combined into weak
@@ -37,6 +37,7 @@ import numpy as np
 from .grids import BZGrid
 from .linalg import (_dag, _empty_stack, batched_det, kramers_canonical,
                      pfaffian)
+from . import bloch
 from .bloch import (FrameField, SewingField, ConnectionField, _PERMS3,
                     _antisym_trace3, _on_node0, _transport_last_axis,
                     wzw_density)
@@ -92,15 +93,13 @@ def _round_parity(raw: float, lattice: float = 1.0, slack: float = 0.25):
 def km_trim_pfaffian(wfield: SewingField):
     """Parity from the sewing-matrix Pfaffians at the inversion-fixed nodes.
 
-    Requires an SU-reduced field (unit determinant everywhere); each Pfaffian
-    then lies on the unit circle and, being real at a fixed node, equals ±1
-    up to discretization noise.  Returns (parity, pfaffians in the order of
-    grid.trims).
+    Reduces the field at the fixed nodes (`bloch.su_reduce`, whose refusals
+    pass through); each Pfaffian then lies on the unit circle and, being
+    real at a fixed node, equals ±1 up to discretization noise.  Returns
+    (parity, pfaffians in the order of grid.trims).
     """
-    grid = wfield.grid
     pfs = []
-    for t in grid.trims:
-        W = wfield.w[t]
+    for t, W in zip(wfield.grid.trims, bloch.su_reduce(wfield)):
         if np.abs(W + W.T).max() > 1e-8:
             raise NonSkewTrim(f"sewing matrix at fixed node {t} is not skew")
         pf = pfaffian(0.5 * (W - W.T))

@@ -8,7 +8,7 @@ seeds the gauge and builds the planes route's ring gauge), and branch
 tracking of a phase along a discrete path.
 
 The stacked kernels behind the gauge smoother, the link logs and the
-determinants of the plane fluxes, ring phases and SU reduction --
+determinants of the plane fluxes, ring phases and fixed-node SU reduction --
 `batched_polar_unitary`, `unitary_step`, `unitary_log`,
 `batched_spectral_norm` and `batched_det` -- have closed forms for 2x2
 stacks (every Kramers-pair frame with m = 2).  Larger stacks take one
@@ -342,12 +342,12 @@ def batched_spectral_norm(M: np.ndarray) -> np.ndarray:
     return np.sqrt(top)
 
 
-def phase_continue(z):
+def phase_continue(z, start=None):
     """Track a continuous phase along a discrete path of nonzero complex numbers.
 
-    Returns (phases, winding).  phases[i] = arg(z[i]) mod 2pi-continued so that
-    consecutive differences lie in (-pi, pi); winding = (phases[-1] - phases[0]) / 2pi
-    rounded to the nearest integer (an integer when the path is closed).
+    Returns (phases, winding): phases[0] is arg(z[0]), or `start` if given,
+    and consecutive phases differ by the step of arg z in (-pi, pi); winding
+    is (phases[-1] - phases[0]) / 2pi rounded (exact on a closed path).
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim != 1 or len(z) == 0:
@@ -358,7 +358,7 @@ def phase_continue(z):
     if len(steps) and np.abs(steps).max() >= np.pi / 2:
         raise UndersampledPath("phase jump >= pi/2 between consecutive samples")
     phases = np.empty(len(z))
-    phases[0] = np.angle(z[0])
+    phases[0] = np.angle(z[0]) if start is None else start
     phases[1:] = phases[0] + np.cumsum(steps)
     winding = int(round((phases[-1] - phases[0]) / (2 * np.pi)))
     return phases, winding

@@ -100,8 +100,8 @@ class _PipelineCache:
                 model, BZGrid.cubic(dim, n))
         return self._store[k]
 
-    def fields(self, name, params, n, dim=3, limit=1.0):
-        """`bloch.gauge_pipeline`'s (frames, wfield, wred)."""
+    def gauge(self, name, params, n, dim=3, limit=1.0):
+        """`bloch.gauge_pipeline`'s (frames, wfield)."""
         k = ("gauge",) + self.key(name, params, n)
         if k not in self._store:
             model = models.make_model(name, params)
@@ -109,10 +109,6 @@ class _PipelineCache:
                 self.raw(name, params, n, dim), model.theta,
                 smoothness_limit=limit)
         return self._store[k]
-
-    def gauge(self, name, params, n, dim=3, limit=1.0):
-        frames, _, wred = self.fields(name, params, n, dim, limit)
-        return frames, wred
 
 
 @pytest.fixture(scope="session")

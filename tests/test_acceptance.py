@@ -61,15 +61,15 @@ def _gauge(cache, name, params, n):
         model = models.make_model(name, params)
         t0 = time.perf_counter()
         raw = bloch.diagonalize_grid(model, BZGrid.cubic(3, n))
-        frames, _, wred = bloch.gauge_pipeline(
+        frames, wfield = bloch.gauge_pipeline(
             raw, model.theta, smoothness_limit=_SMOOTH_LIMIT[n])
-        cache[key] = (model, raw, frames, wred,
+        cache[key] = (model, raw, frames, wfield,
                       time.perf_counter() - t0)
     return cache[key]
 
 
-def _wzw_parity(wred, n):
-    integral = float(bloch.wzw_density(wred).sum())
+def _wzw_parity(wfield, n):
+    integral = float(bloch.wzw_density(wfield).sum())
     parity, _ = invariants._round_parity(integral, slack=_ROUND_SLACK[n])
     return integral, parity
 
@@ -83,12 +83,12 @@ def test_criterion_01_method_consensus_24(cache):
     failures = []
     parities = []
     for name, params, expected in POINTS:
-        model, raw, frames, wred, gauge_t = _gauge(cache, name, params, 24)
+        model, raw, frames, wfield, gauge_t = _gauge(cache, name, params, 24)
         t0 = time.perf_counter()
-        p_pf, _ = invariants.km_trim_pfaffian(wred)
+        p_pf, _ = invariants.km_trim_pfaffian(wfield)
         strong, _, _ = invariants.km_weak_strong(raw, model.theta)
-        _, p_wzw = _wzw_parity(wred, 24)
-        _, p_wind, _ = invariants.km_winding(wred)
+        _, p_wzw = _wzw_parity(wfield, 24)
+        _, p_wind, _ = invariants.km_winding(wfield)
         elapsed = gauge_t + (time.perf_counter() - t0)
         got = {p_pf, strong, p_wzw, p_wind}
         if got != {expected}:
@@ -107,8 +107,8 @@ def test_criterion_02_wzw_integrality_and_stability(cache):
     for name, params, expected in POINTS:
         ints = {}
         for n in (16, 24, 32):
-            _, _, _, wred, _ = _gauge(cache, name, params, n)
-            integral, parity = _wzw_parity(wred, n)
+            _, _, _, wfield, _ = _gauge(cache, name, params, n)
+            integral, parity = _wzw_parity(wfield, n)
             ints[n] = (integral, parity)
             if parity != expected:
                 failures.append((name, params, n, "parity", integral))
@@ -166,9 +166,9 @@ def test_criterion_04_localisation_exactness_random():
 def test_criterion_05_wzw_localisation_consensus(cache):
     failures = []
     for name, params, expected in POINTS:
-        _, _, _, wred, _ = _gauge(cache, name, params, 32)
-        p_pf, _ = invariants.km_trim_pfaffian(wred)
-        coch, _ = eqforms.sample_wzw(wred, smoothness_limit=1.5)
+        _, _, _, wfield, _ = _gauge(cache, name, params, 32)
+        p_pf, _ = invariants.km_trim_pfaffian(wfield)
+        coch, _ = eqforms.sample_wzw(wfield, smoothness_limit=1.5)
         total = sum(eqforms.localise(coch).fixed_values.values())
         p_loc, _ = invariants._round_parity(total, slack=0.45)
         if p_loc != p_pf or p_pf != expected:
@@ -179,10 +179,10 @@ def test_criterion_05_wzw_localisation_consensus(cache):
 
 
 def test_criterion_06_gauge_shift_parity(cache):
-    model, _, _, wred, _ = _gauge(cache, "fkm3d", {"dt": 1.0}, 32)
-    grid = wred.grid
+    model, _, _, wfield, _ = _gauge(cache, "fkm3d", {"dt": 1.0}, 32)
+    grid = wfield.grid
     K = grid.node_mesh()
-    base = float(bloch.wzw_density(wred).sum())
+    base = float(bloch.wzw_density(wfield).sum())
     base_parity, _ = invariants._round_parity(base)
     rng = np.random.default_rng(20260825)
     failures = []
@@ -193,7 +193,7 @@ def test_criterion_06_gauge_shift_parity(cache):
         g[..., 0, 0] = np.exp(1j * (K @ n1))
         g[..., 1, 1] = np.exp(1j * (K @ n2))
         gm = grid.involute(g)
-        w2 = np.einsum("...ba,...bc,...cd->...ad", gm.conj(), wred.w,
+        w2 = np.einsum("...ba,...bc,...cd->...ad", gm.conj(), wfield.w,
                        g.conj())
         shifted = bloch.SewingField(grid, w2)
         if max(shifted.residuals().values()) > 1e-8:
@@ -216,15 +216,13 @@ def test_criterion_07_chern_simons_relation(cache):
     for name, params in [("trivial", {"d": 3, "m": 2}),
                          ("fkm3d", {"dt": 1.0}),
                          ("layered3d", {"m": 2.0, "tz": 0.5})]:
-        model, _, frames, wred, _ = _gauge(cache, name, params, 32)
-        wfield = bloch.sewing_field(frames, model.theta,
-                                    smoothness_limit=_SMOOTH_LIMIT[32])
+        _, _, frames, wfield, _ = _gauge(cache, name, params, 32)
         conn = bloch.quaternionic_average(
             bloch.berry_connection(frames,
                                    smoothness_limit=_SMOOTH_LIMIT[32]),
             wfield)
         try:
-            cs, _, rel = invariants.km_chern_simons(conn, wred)
+            cs, _, rel = invariants.km_chern_simons(conn, wfield)
         except invariants.NonConvergent as exc:
             failures.append((name, str(exc)))
             continue

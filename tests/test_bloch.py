@@ -553,23 +553,120 @@ class TestSewing:
             bloch.sewing_field(raw, model.theta, smoothness_limit=1e-6)
 
 
+def _whole_grid_su_reduce(wfield):
+    """The SU reduction on every node, written out here as a reference for
+    `su_reduce`'s fixed-node matrices: arg det w swept over the whole grid
+    (along axis 0 from the origin, then along axis 1 from every node
+    reached, then axis 2), averaged with its inversion image, and gated to
+    det = 1 to 1e-9 on every node."""
+    grid, w, m = wfield.grid, wfield.w, wfield.m
+    d = linalg.batched_det(w)
+    if np.abs(np.abs(d) - 1).max() > 1e-6:
+        raise bloch.BlochError("det(w) strays from the unit circle")
+    for a in range(grid.dim):
+        sel = tuple(slice(None) if b == a else 0 for b in range(grid.dim))
+        _, wind = linalg.phase_continue(np.append(d[sel], d[sel][0]))
+        if wind != 0:
+            raise bloch.DetWinding(a, wind)
+    phi = np.empty(grid.sizes)
+    phi[(0,) * grid.dim] = np.angle(d[(0,) * grid.dim])
+    for a in range(grid.dim):
+        sel = tuple([slice(None)] * (a + 1) + [0] * (grid.dim - a - 1))
+        sub, line = d[sel], phi[sel]
+        line[..., 1:] = np.cumsum(np.angle(sub[..., 1:] / sub[..., :-1]),
+                                  axis=-1)
+        line[..., 1:] += line[..., :1]
+    phi = 0.5 * (phi + grid.involute(phi))
+    wt = np.exp(-1j * phi / m)[..., None, None] * w
+    if np.abs(linalg.batched_det(wt) - 1).max() > 1e-9:
+        raise bloch.BlochError("determinant reduction failed to reach SU(m)")
+    return bloch.SewingField(grid, wt)
+
+
+def _reduction_model(name):
+    """(model, dim, n) of one of the fields `TestSuReduce` reduces."""
+    mk = models.make_model
+    if name.startswith("random"):
+        _, seed, m = name.split("-")
+        return in_random_basis(mk("trivial", {"d": 3, "m": int(m[1:])}),
+                               int(seed[1:])), 3, 12
+    if name.startswith("trivial"):
+        _, d, m = name.split("-")
+        d, m = int(d[1:]), int(m[1:])
+        return mk("trivial", {"d": d, "m": m}), d, 16 if d == 3 else 12
+    fkm, bhz = mk("fkm3d", {"dt": 0.5}), mk("bhz2d", {"m": 1})
+    return {"fkm3d-24": (fkm, 3, 24),
+            "fkm3d-dt3-16": (mk("fkm3d", {"dt": 3.0}), 3, 16),
+            "layered3d": (mk("layered3d", {"m": 2, "tz": 0.5}), 3, 16),
+            "bhz2d-m1": (bhz, 2, 24),
+            "bhz2d-m-1": (mk("bhz2d", {"m": -1}), 2, 24),
+            "twisted-fkm3d-t0.25": (twisted(fkm, 0.25), 3, 16),
+            "twisted-fkm3d-t0.5": (twisted(fkm, 0.5), 3, 16),
+            "twisted-bhz2d-t1": (twisted(bhz, 1.0), 2, 24),
+            "fkm3d-sum": (models.direct_sum(fkm, mk("fkm3d", {"dt": 3.0})),
+                          3, 16)}[name]
+
+
 class TestSuReduce:
+    """`su_reduce` continues arg det w along the fixed-node staircase and
+    returns the reduced matrices at the fixed nodes alone."""
+
     def test_unit_determinant(self, bhz_gauge):
         _, _, wfield = bhz_gauge
         wred = bloch.su_reduce(wfield)
-        assert np.abs(np.linalg.det(wred.w) - 1).max() <= 1e-9
+        assert wred.shape == (4, 2, 2)
+        assert np.abs(np.linalg.det(wred) - 1).max() <= 1e-9
 
     def test_det_phase_reconstructs_original(self, bhz_gauge):
-        # the reduction divides each node by one unit scalar c, an m-th root
-        # of det w: w = c w_reduced
+        # the reduction divides each fixed node by one unit scalar c, an
+        # m-th root of det w: w(t) = c w_reduced
         _, _, wfield = bhz_gauge
-        wred = bloch.su_reduce(wfield)
-        m = wfield.m
-        ratio = bloch._mm(wfield.w, bloch._dag(wred.w))
+        m, trims = wfield.m, wfield.grid.trims
+        w = np.stack([wfield.w[t] for t in trims])
+        ratio = w @ bloch._dag(bloch.su_reduce(wfield))
         c = ratio[..., 0, 0]
         assert np.abs(ratio - c[..., None, None] * np.eye(m)).max() <= 1e-9
         assert np.abs(np.abs(c) - 1).max() <= 1e-9
-        assert np.abs(c ** m - np.linalg.det(wfield.w)).max() <= 1e-9
+        assert np.abs(c ** m - np.linalg.det(w)).max() <= 1e-9
+
+    def test_odd_column_winding_off_the_staircase_is_reduced(self):
+        # det w winds once along axis 1 on the columns n_0 = 1..3 and back
+        # on their mirrors, but not on the axis cycles through the origin
+        # nor on the staircase's columns 0 and 4.  The whole-grid sweep
+        # reaches k and -k along columns that wind oppositely, so its two
+        # branches differ by 2 pi there, and its inversion average leaves
+        # det = -1: it refuses the field.  The staircase never visits those
+        # columns and reduces every fixed node to the symplectic form
+        g = BZGrid.cubic(2, 8)
+        theta = np.zeros(g.sizes)
+        theta[1:4] = 2 * np.pi * np.arange(8) / 8
+        theta[5:] = g.involute(theta)[5:]
+        S = np.array([[0, 1], [-1, 0]], dtype=complex)
+        wfield = bloch.SewingField(
+            g, np.exp(0.5j * theta)[..., None, None] * S)
+        assert max(wfield.residuals().values()) <= 1e-12
+        with pytest.raises(bloch.BlochError, match="failed to reach SU"):
+            _whole_grid_su_reduce(wfield)
+        assert np.array_equal(bloch.su_reduce(wfield),
+                              np.broadcast_to(S, (4, 2, 2)))
+        assert invariants.km_trim_pfaffian(wfield) == (1, [1, 1, 1, 1])
+
+    @pytest.mark.parametrize("name", [
+        "fkm3d-24", "fkm3d-dt3-16", "layered3d", "bhz2d-m1", "bhz2d-m-1",
+        "trivial-d2-m2", "trivial-d2-m4", "trivial-d3-m2", "trivial-d3-m4",
+        "random-s1-m2", "random-s1-m4", "random-s2-m2", "random-s2-m4",
+        "random-s3-m2", "random-s3-m4", "twisted-fkm3d-t0.25",
+        "twisted-fkm3d-t0.5", "twisted-bhz2d-t1", "fkm3d-sum"])
+    def test_fixed_nodes_are_the_whole_grid_reduction(self, name):
+        # at a fixed node the inversion average is the identity and the
+        # staircase takes the whole-grid sweep's steps, so every bit agrees
+        model, dim, n = _reduction_model(name)
+        raw = bloch.diagonalize_grid(model, BZGrid.cubic(dim, n))
+        _, wfield = bloch.gauge_pipeline(raw, model.theta,
+                                         smoothness_limit=1.0)
+        ref = _whole_grid_su_reduce(wfield).w
+        assert np.array_equal(bloch.su_reduce(wfield),
+                              np.stack([ref[t] for t in wfield.grid.trims]))
 
 
 class TestBerryConnection:
@@ -646,8 +743,8 @@ class TestLinkKernels:
         if basis is not None:
             model = in_random_basis(model, basis)
         raw = bloch.diagonalize_grid(model, BZGrid.cubic(d, 8))
-        frames, wfield, wred = bloch.gauge_pipeline(raw, model.theta)
-        return {"frames": frames.frames, "w": wfield.w, "wred": wred.w}
+        frames, wfield = bloch.gauge_pipeline(raw, model.theta)
+        return {"frames": frames.frames, "w": wfield.w}
 
     @pytest.mark.parametrize("d, m, basis", [
         (3, 2, None), (3, 4, None), (3, 6, None), (2, 2, None), (3, 2, 7),
@@ -805,8 +902,8 @@ class TestQuaternionicAverage:
             model = models.direct_sum(model,
                                       models.make_model("fkm3d", {"dt": dt}))
         raw = bloch.diagonalize_grid(model, BZGrid.cubic(3, 12))
-        frames, wfield, _ = bloch.gauge_pipeline(raw, model.theta,
-                                                 smoothness_limit=1.0)
+        frames, wfield = bloch.gauge_pipeline(raw, model.theta,
+                                              smoothness_limit=1.0)
         conn = bloch.berry_connection(frames, smoothness_limit=1.0)
         avg = bloch.quaternionic_average(conn, wfield)
         Ap, residual = self._two_pass(conn, wfield)
@@ -834,7 +931,7 @@ class TestQuaternionicAverage:
                                   frames.frames * twist[..., None, None],
                                   frames.energies)
         wfield = bloch.sewing_field(frames, model.theta, smoothness_limit=1.0)
-        wred = bloch.su_reduce(wfield)
+        wred = _whole_grid_su_reduce(wfield)
         d = np.linalg.det(wfield.w)
         assert max(np.abs(np.angle(np.roll(d, -1, axis=a) / d)).max()
                    for a in range(3)) > 1e-3
@@ -908,7 +1005,7 @@ class TestOneNodeConnection:
         if basis is not None:
             model = in_random_basis(model, basis)
         raw = bloch.diagonalize_grid(model, BZGrid.cubic(3, n))
-        frames, wfield, _ = bloch.gauge_pipeline(raw, model.theta)
+        frames, wfield = bloch.gauge_pipeline(raw, model.theta)
         bloch.wzw_density(wfield)  # the density's own stack, built first
         return frames, wfield
 
@@ -1228,11 +1325,11 @@ class TestWzwDensity:
         # the Maurer-Cartan links are stored matrix-major; the density must
         # be bitwise the one of C-ordered links.  The C-ordered density is
         # built on a fresh field: the shared one may hold its density already
-        _, wred = pipeline.gauge("fkm3d", {"dt": 0.5}, 16)
-        L = bloch.maurer_cartan_links(wred)
+        _, wfield = pipeline.gauge("fkm3d", {"dt": 0.5}, 16)
+        L = bloch.maurer_cartan_links(wfield)
         assert min(L.strides[-2:]) > max(L.strides[1:-2])
-        dens = bloch.wzw_density(wred)
-        fresh = bloch.SewingField(wred.grid, wred.w)
+        dens = bloch.wzw_density(wfield)
+        fresh = bloch.SewingField(wfield.grid, wfield.w)
         patched = []
         monkeypatch.setattr(bloch, "maurer_cartan_links",
                             lambda w: patched.append(w)
@@ -1241,12 +1338,12 @@ class TestWzwDensity:
         assert patched == [fresh]
 
     def test_density_built_once_per_field(self, pipeline, monkeypatch):
-        _, wred = pipeline.gauge("fkm3d", {"dt": 0.5}, 16)
+        _, shared = pipeline.gauge("fkm3d", {"dt": 0.5}, 16)
         seen = []
         links = bloch.maurer_cartan_links
         monkeypatch.setattr(bloch, "maurer_cartan_links",
                             lambda w: seen.append(w) or links(w))
-        fields = [bloch.SewingField(wred.grid, wred.w) for _ in range(2)]
+        fields = [bloch.SewingField(shared.grid, shared.w) for _ in range(2)]
         for wfield in fields:
             first = bloch.wzw_density(wfield)
             for _ in range(3):
@@ -1274,7 +1371,8 @@ class TestWzwDensity:
         ("fkm3d", {"dt": 0.5}), ("layered3d", {"m": 2, "tz": 0.5})])
     def test_reduced_and_unreduced_fields_integrate_alike(self, pipeline,
                                                           name, params):
-        _, wfield, wred = pipeline.fields(name, params, 16)
+        _, wfield = pipeline.gauge(name, params, 16)
+        wred = _whole_grid_su_reduce(wfield)
         assert abs(float(bloch.wzw_density(wfield).sum())
                    - float(bloch.wzw_density(wred).sum())) <= 1e-12
 
@@ -1305,8 +1403,8 @@ class TestWzwDensity:
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(L).max() ** 3
 
     def test_density_is_read_only(self, pipeline):
-        _, wred = pipeline.gauge("fkm3d", {"dt": 0.5}, 16)
-        dens = bloch.wzw_density(wred)
+        _, wfield = pipeline.gauge("fkm3d", {"dt": 0.5}, 16)
+        dens = bloch.wzw_density(wfield)
         with pytest.raises(ValueError):
             dens[0, 0, 0] = 0.0
         with pytest.raises(ValueError):
@@ -1317,10 +1415,10 @@ class TestWzwDensity:
 def fkm_fields():
     model = models.make_model("fkm3d", {"dt": 0.5})
     raw = bloch.diagonalize_grid(model, BZGrid.cubic(3, 8))
-    frames, wfield, wred = bloch.gauge_pipeline(raw, model.theta,
-                                                smoothness_limit=1.0)
+    frames, wfield = bloch.gauge_pipeline(raw, model.theta,
+                                          smoothness_limit=1.0)
     conn = bloch.berry_connection(frames, smoothness_limit=1.0)
-    return raw, frames, wfield, wred, conn
+    return raw, frames, wfield, conn
 
 
 def _count_layout_conversions(monkeypatch):
@@ -1349,16 +1447,16 @@ class TestLayout:
     product of the pipeline runs on a C-ordered stack."""
 
     def test_torus_fields_are_matrix_major(self, fkm_fields):
-        raw, frames, wfield, wred, conn = fkm_fields
+        raw, frames, wfield, conn = fkm_fields
         model = models.make_model("fkm3d", {"dt": 0.5})
         assert matrix_major(raw.frames)
         assert matrix_major(bloch._transport_init(raw))
         assert matrix_major(bloch._transport_init(raw, order=(2, 1, 0)))
         assert matrix_major(frames.frames)
-        assert matrix_major(wfield.w) and matrix_major(wred.w)
+        assert matrix_major(wfield.w)
         assert matrix_major(conn.A)
         assert matrix_major(bloch.quaternionic_average(conn, wfield).A)
-        assert matrix_major(bloch.maurer_cartan_links(wred))
+        assert matrix_major(bloch.maurer_cartan_links(wfield))
         assert matrix_major(model.theta.apply(raw.frames))
 
     def test_multiscale_seed_is_matrix_major(self, bhz_raw):

@@ -294,7 +294,8 @@ class TestInvariantCommand:
              "localise"])
     def test_su_reduce_runs_when_a_route_reads_it(self, capsys, monkeypatch,
                                                    argv, reductions):
-        # only the Pfaffian route reads the SU-reduced field
+        # only the Pfaffian route reduces the sewing field, at its fixed
+        # nodes
         calls, su_reduce = [], bloch.su_reduce
         monkeypatch.setattr(bloch, "su_reduce", lambda w: calls.append(w)
                             or su_reduce(w))
@@ -302,13 +303,38 @@ class TestInvariantCommand:
         assert code == 0
         assert len(calls) == reductions
 
-    def test_validate_still_reduces(self, capsys, monkeypatch):
+    def test_validate_does_not_reduce(self, capsys, monkeypatch):
         # the sewing-construction check of each of validate's three models
+        # reads the sewing residuals alone
         calls, su_reduce = [], bloch.su_reduce
         monkeypatch.setattr(bloch, "su_reduce", lambda w: calls.append(w)
                             or su_reduce(w))
         code, _, _ = run(capsys, "validate")
-        assert code == 0 and len(calls) == 3
+        assert code == 0 and len(calls) == 0
+
+    @pytest.mark.parametrize("node, step", [
+        ((1, 0, 0), 0.6 * np.pi), ((4, 4, 1), 0.5 * np.pi),
+        ((4, 4, 1), None)], ids=["cycle", "staircase", "zero-det"])
+    def test_det_jump_is_a_pfaffian_error(self, capsys, monkeypatch, node,
+                                          step):
+        # a constant Kramers field with one det step of 0.6 pi on the axis
+        # 0 cycle, of pi/2 on an axis 2 line of the staircase, or a zero
+        # det there: a route error, not a traceback
+        grid = BZGrid.cubic(3, 8)
+        w = np.broadcast_to(np.array([[0, 1], [-1, 0]], dtype=complex),
+                            grid.sizes + (2, 2)).copy()
+        w[node] = 0.0 if step is None else \
+            np.array([[0, np.exp(1j * step)], [-1, 0]])
+
+        def pipeline(raw, theta, **kwargs):
+            return raw, bloch.SewingField(grid, w)
+        monkeypatch.setattr(bloch, "gauge_pipeline", pipeline)
+        code, out, err = run(capsys, "invariant", "--model", "trivial",
+                             "--dim", "3", "--m", "2", "--grid", "8",
+                             "--methods", "pfaffian")
+        assert code == 3 and err == ""
+        doc = json.loads(out)
+        assert doc["methods"]["pfaffian"]["error"].startswith("DetJump: ")
 
 
 # the route table's facts, written out: the kinds each route answers on
@@ -685,18 +711,16 @@ class TestGeneralMKernels:
         # connection's links of the frames (through the polar factor) and
         # the sewing field's Maurer-Cartan links (without it), which the
         # sigma map and the density share, one call over all three axes
-        # each and nothing twice; no link of the SU-reduced field, which
-        # only the Pfaffian reads, is logged.  The fields are k-independent,
-        # so each kernel gets a one-node view of its field
+        # each and nothing twice; the Pfaffian reduces the fixed nodes
+        # alone and logs no link.  The fields are k-independent, so each
+        # kernel gets a one-node view of its field
         fields, calls = {}, []
         pipeline = bloch.gauge_pipeline
 
         def kept(*args, **kwargs):
             out = pipeline(*args, **kwargs)
             fields.clear()
-            fields.update(zip(("frames", "wfield", "wred"),
-                              (x.frames if i == 0 else x.w
-                               for i, x in enumerate(out) if x is not None)))
+            fields.update(frames=out[0].frames, wfield=out[1].w)
             return out
 
         def counted(name, kernel):

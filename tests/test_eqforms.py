@@ -176,8 +176,8 @@ class TestSampleWzw:
         # the gate takes every axis's link norms in one call and reads the
         # field's cached k-independence: over the density and two samples a
         # fresh field is tested once, by its Maurer-Cartan links
-        _, wred = pipeline.gauge("fkm3d", {"dt": 0.5}, 16)
-        fresh = bloch.SewingField(wred.grid, wred.w)
+        _, wfield = pipeline.gauge("fkm3d", {"dt": 0.5}, 16)
+        fresh = bloch.SewingField(wfield.grid, wfield.w)
         seen, k_independent = [], bloch._k_independent
         monkeypatch.setattr(bloch, "_k_independent",
                             lambda x: seen.append(x) or k_independent(x))

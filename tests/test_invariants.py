@@ -8,6 +8,10 @@ from tki import bloch, cli, invariants, linalg, models
 from tki.grids import BZGrid
 
 
+# the standard symplectic form, a Kramers sewing matrix with det 1
+_S = np.array([[0, 1], [-1, 0]], dtype=complex)
+
+
 @pytest.fixture(scope="module")
 def bhz_cases():
     """2D sewing fields and raw frames for one trivial and one inverted mass."""
@@ -15,9 +19,9 @@ def bhz_cases():
     for label, m in [("inverted", 2.0), ("trivial", -1.0)]:
         model = models.make_model("bhz2d", {"m": m})
         raw = bloch.diagonalize_grid(model, BZGrid.cubic(2, 24))
-        _, _, wred = bloch.gauge_pipeline(raw, model.theta,
-                                          smoothness_limit=0.5)
-        out[label] = (model, raw, wred)
+        _, wfield = bloch.gauge_pipeline(raw, model.theta,
+                                         smoothness_limit=0.5)
+        out[label] = (model, raw, wfield)
     return out
 
 
@@ -46,16 +50,16 @@ class TestTrimPfaffian:
         # the SU reduction continues the determinant branch, so the fixed
         # node Pfaffians of the reduced field are the Fu-Kane signs
         for label, expected in [("inverted", -1), ("trivial", 1)]:
-            _, _, wred = bhz_cases[label]
-            parity, pfs = invariants.km_trim_pfaffian(wred)
+            _, _, wfield = bhz_cases[label]
+            parity, pfs = invariants.km_trim_pfaffian(wfield)
             assert parity == expected
             assert len(pfs) == 4
             assert np.abs(np.asarray(pfs) - np.sign(np.real(pfs))).max() \
                 <= 1e-6
 
     def test_3d_unit_modulus(self, fkm_gauge):
-        _, wred = fkm_gauge
-        parity, pfs = invariants.km_trim_pfaffian(wred)
+        _, wfield = fkm_gauge
+        parity, pfs = invariants.km_trim_pfaffian(wfield)
         assert parity == -1
         assert np.abs(np.abs(np.asarray(pfs)) - 1).max() <= 1e-6
 
@@ -66,12 +70,39 @@ class TestTrimPfaffian:
             invariants.km_trim_pfaffian(bloch.SewingField(g, w))
 
     def test_pfaffian_off_the_circle_rejected(self):
-        # skew at every fixed node, but |pf| = 0.5
+        # unit det on the axis cycles and the staircase up to the last
+        # fixed node, where |pf| = 0.5; the same matrix on every node is
+        # refused earlier, by the unit-circle gate on the axis cycles
         g = BZGrid.cubic(2, 8)
-        w = np.broadcast_to(np.array([[0, 0.5], [-0.5, 0]], dtype=complex),
-                            g.sizes + (2, 2)).copy()
+        w = np.broadcast_to(_S, g.sizes + (2, 2)).copy()
+        w[4, 4] = 0.5 * _S
         with pytest.raises(invariants.PfaffianOffCircle,
                            match=r"\|pf\| = 0\.500000"):
+            invariants.km_trim_pfaffian(bloch.SewingField(g, w))
+        with pytest.raises(bloch.BlochError, match="unit circle"):
+            invariants.km_trim_pfaffian(bloch.SewingField(g, 0.5 * w))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_det_winding_around_axis_0_rejected(self, dim):
+        # det w = exp(2 pi i n_0 / 8): steps of pi/4, one turn round the
+        # axis 0 cycle
+        g = BZGrid.cubic(dim, 8)
+        n0 = np.arange(8).reshape((8,) + (1,) * (dim - 1))
+        w = np.exp(1j * np.pi * n0 / 8)[..., None, None] * _S
+        with pytest.raises(bloch.DetWinding,
+                           match="winds by 1 around cycle 0"):
+            invariants.km_trim_pfaffian(bloch.SewingField(g, w))
+
+    @pytest.mark.parametrize("node, axis", [
+        ((4, 1), 1), ((0, 4, 1), 2), ((4, 4, 1), 2)])
+    def test_quarter_turn_on_the_staircase_rejected(self, node, axis):
+        # det w = i at one node of a staircase line off the axis cycles, 1
+        # elsewhere: a step of exactly pi/2, refused as phase_continue
+        # refuses it
+        g = BZGrid.cubic(len(node), 8)
+        w = np.broadcast_to(_S, g.sizes + (2, 2)).copy()
+        w[node] = [[0, 1j], [-1, 0]]
+        with pytest.raises(bloch.DetJump, match=f"along axis {axis} from"):
             invariants.km_trim_pfaffian(bloch.SewingField(g, w))
 
 
@@ -79,8 +110,8 @@ class TestPlaneInvariant:
     def test_matches_pfaffian_oracle_2d(self, bhz_cases):
         # the pfaffian route on a 2-d field, against the plane method
         for label in ("inverted", "trivial"):
-            model, raw, wred = bhz_cases[label]
-            p_pf, _ = invariants.km_trim_pfaffian(wred)
+            model, raw, wfield = bhz_cases[label]
+            p_pf, _ = invariants.km_trim_pfaffian(wfield)
             p_pl, D = invariants.km_plane_invariant(raw, model.theta)
             assert p_pl == p_pf
             assert abs(D - round(D)) <= 1e-2
@@ -364,46 +395,46 @@ class TestWeakStrong:
 
 class TestWzwAndWinding:
     def test_trivial_integral_zero(self, pipeline):
-        _, wred = pipeline.gauge("trivial", {"d": 3, "m": 2}, 16)
-        integral, parity = invariants.km_wzw(wred)
+        _, wfield = pipeline.gauge("trivial", {"d": 3, "m": 2}, 16)
+        integral, parity = invariants.km_wzw(wfield)
         assert abs(integral) <= 1e-10
         assert parity == 1
 
     def test_fkm_odd(self, fkm_gauge):
-        _, wred = fkm_gauge
-        integral, parity = invariants.km_wzw(wred)
+        _, wfield = fkm_gauge
+        integral, parity = invariants.km_wzw(wfield)
         assert parity == -1
         assert abs(integral - round(integral)) <= 0.25
 
     def test_winding_sums_slices_of_the_last_axis(self, fkm_gauge):
-        _, wred = fkm_gauge
-        index, parity, series = invariants.km_winding(wred)
-        integral, wzw_parity = invariants.km_wzw(wred)
+        _, wfield = fkm_gauge
+        index, parity, series = invariants.km_winding(wfield)
+        integral, wzw_parity = invariants.km_wzw(wfield)
         assert parity == wzw_parity == -1
         assert index == round(integral)
-        assert len(series) == wred.grid.sizes[2]
+        assert len(series) == wfield.grid.sizes[2]
         assert np.array_equal(series,
-                              bloch.wzw_density(wred).sum(axis=(0, 1)))
+                              bloch.wzw_density(wfield).sum(axis=(0, 1)))
 
 
 class TestChernSimons:
     def test_relation_to_wzw(self, pipeline):
-        frames, wred = pipeline.gauge("fkm3d", {"dt": 1.0}, 16, limit=0.75)
+        frames, wfield = pipeline.gauge("fkm3d", {"dt": 1.0}, 16, limit=0.75)
         model = models.make_model("fkm3d", {"dt": 1.0})
         wfield = bloch.sewing_field(frames, model.theta,
                                     smoothness_limit=0.75)
         conn = bloch.quaternionic_average(
             bloch.berry_connection(frames, smoothness_limit=0.75), wfield)
-        cs, parity, rel = invariants.km_chern_simons(conn, wred)
+        cs, parity, rel = invariants.km_chern_simons(conn, wfield)
         assert parity == -1
         assert rel <= 0.1
         assert abs(cs - 0.5 * round(2 * cs)) <= 0.15
 
     def test_unaveraged_connection_rejected(self, pipeline):
-        frames, wred = pipeline.gauge("fkm3d", {"dt": 1.0}, 16, limit=0.75)
+        frames, wfield = pipeline.gauge("fkm3d", {"dt": 1.0}, 16, limit=0.75)
         conn = bloch.berry_connection(frames, smoothness_limit=0.75)
         with pytest.raises(invariants.UnaveragedConnection):
-            invariants.km_chern_simons(conn, wred)
+            invariants.km_chern_simons(conn, wfield)
 
 
 class TestS3:

@@ -136,6 +136,17 @@ class TestPhaseContinue:
         _, winding = linalg.phase_continue(np.exp(-1j * t))
         assert winding == -1
 
+    def test_start_shifts_the_branch(self):
+        # a given start replaces arg z[0]; each later phase is the start
+        # plus the cumulative sum of the steps, the winding unchanged
+        t = np.linspace(0, 2 * np.pi, 41)
+        z = np.exp(1j * t)
+        start = np.angle(z[0]) + 4 * np.pi
+        phases, winding = linalg.phase_continue(z, start)
+        steps = np.angle(z[1:] / z[:-1])
+        assert phases[0] == start and winding == 1
+        assert np.array_equal(phases[1:], np.cumsum(steps) + start)
+
     def test_rejects_undersampled(self):
         with pytest.raises(linalg.UndersampledPath):
             linalg.phase_continue(np.array([1.0, -1.0, 1.0]))

@@ -61,6 +61,8 @@ def test_default_list_holds_the_golden_and_gapless_requests():
         assert ["invariant", "--model", "trivial", "--dim", "2", "--m", m,
                 "--grid", "12", "--methods", "pfaffian,planes",
                 "--stable-output"] in requests
+    # validate on its defaults, whose sewing checks reduce nothing
+    assert ["validate"] in requests
     assert len(requests) == len({tuple(a) for a in requests})
     import workloads  # perfbench's, on the path once the list is built
     bench = [req["argv"] for name in sorted(workloads.WORKLOADS)

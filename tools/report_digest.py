@@ -13,8 +13,9 @@ The default list is the benchmark's requests
 (`perfbench.workloads.generate(name, 0)` for every workload), every argv in
 `tests/golden/reports.json`, two dispersive torus requests with every
 route, three single-route requests, three gapless requests, two
-requests that show the time-reversal fill of `bloch.diagonalize_grid` and
-two 2-d `trivial` requests whose frames do not depend on k.  An
+requests that show the time-reversal fill of `bloch.diagonalize_grid`,
+two 2-d `trivial` requests whose frames do not depend on k and `validate`
+on its defaults.  An
 `invariant` request without `--stable-output` gets it, so its report holds
 no timings.  Uses the standard library and `tki` only.
 """
@@ -67,11 +68,15 @@ TRIVIAL_2D = [
      "--grid", "12", "--methods", "pfaffian,planes", "--stable-output"]
     for m in (2, 4)]
 
+# the structural suite on its defaults (seed 0, no noise): three gauges
+# whose sewing check reads the sewing residuals alone
+VALIDATE = [["validate"]]
+
 
 def default_requests() -> list:
     """The benchmark's requests, the golden argvs, `DISPERSIVE`,
-    `SINGLE_ROUTE`, `GAPLESS`, `TR_FILL` and `TRIVIAL_2D`, each once, in
-    that order."""
+    `SINGLE_ROUTE`, `GAPLESS`, `TR_FILL`, `TRIVIAL_2D` and `VALIDATE`, each
+    once, in that order."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
     argvs = [req["argv"] for name in sorted(workloads.WORKLOADS)
@@ -79,7 +84,7 @@ def default_requests() -> list:
     golden = json.loads((ROOT / "tests" / "golden" / "reports.json")
                         .read_text(encoding="utf-8"))
     argvs += ([entry["argv"] for entry in golden.values()] + DISPERSIVE
-              + SINGLE_ROUTE + GAPLESS + TR_FILL + TRIVIAL_2D)
+              + SINGLE_ROUTE + GAPLESS + TR_FILL + TRIVIAL_2D + VALIDATE)
     out = []
     for argv in argvs:
         if argv not in out:
